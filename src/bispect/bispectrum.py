@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import (
@@ -161,8 +160,10 @@ def triple_correlation_grid(
         outer_rule = haar_quadrature(bandlimit, f.tag)
     coeffs = fourier_forward(f, bandlimit)
     u = _translated_samples(coeffs, outer_rule.nodes, f.rule)
-    wf = f.rule.weights * np.conj(f.values)
-    return TripleCorrelationGrid(f.tag, outer_rule, kernels.triple_grid(wf, u))
+    wf = (f.rule.weights * np.conj(f.values)).astype(np.complex128)
+    u = u.astype(np.complex128)
+    # a3[j, k] = sum_i (w_i conj(f_i)) U[j, i] U[k, i], one gemm
+    return TripleCorrelationGrid(f.tag, outer_rule, (u * wf[None, :]) @ u.T)
 
 
 def bispectrum_via_oracle(f: SampledFunction, p: int, q: int, bandlimit: int) -> np.ndarray:

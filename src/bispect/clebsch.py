@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import BispectError, DomainError, TagMismatchError
 from .groups import SO3, SU2, GroupElement
 from .wigner import dim, j2_of, little_d_stack, m_values, wigner_matrix
@@ -64,6 +63,33 @@ def _beta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(x[::-1]).copy(), (w[::-1] / 2.0).copy()
 
 
+def _cg_transfer(dp, dq, da, w, m2p, m2q, j2a, x):
+    """Beta-quadrature of the intertwiner transfer map for one target block.
+
+    T[(i,k), m] = sum_b w_b  dp[b,i,j] dq[b,k,l] da[b, row, col] x[j,l]
+    where row is fixed by m_i + m_k and col by m_j + m_l (the alpha/gamma
+    averages of the full group integral collapse to these selection rules on
+    the z-y-z product grid).  Index bookkeeping uses doubled m values so both
+    integer and half-integer spins stay in integer arithmetic.
+    """
+    nb, dimp, _ = dp.shape
+    dimq = dq.shape[1]
+    dima = da.shape[1]
+    msum = m2p[:, None] + m2q[None, :]  # doubled m sums, (dimp, dimq)
+    t = msum + j2a
+    ok = (t >= 0) & (t <= 2 * j2a) & (t % 2 == 0)
+    idx = np.where(ok, t // 2, 0)
+    # da sliced to row/col determined by the (i,k) and (j,l) sums
+    da_sel = da[:, idx[:, :, None, None], idx[None, None, :, :]]  # (nb, dimp, dimq, dimp, dimq)
+    mask = ok[:, :, None, None] & ok[None, None, :, :]
+    prod = dp[:, :, None, :, None] * dq[:, None, :, None, :] * da_sel * mask
+    t_ik = np.einsum("b,bikjl,jl->ik", w, prod, x, optimize=True)
+    out = np.zeros((dimp * dimq, dima))
+    rows = np.arange(dimp * dimq)
+    out[rows[ok.ravel()], idx.ravel()[ok.ravel()]] = t_ik.ravel()[ok.ravel()]
+    return out
+
+
 def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
     indices = cg_indices(tag, p, q)
     dp_, dq_ = dim(p, tag), dim(q, tag)
@@ -87,7 +113,7 @@ def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
         dima = dim(a, tag)
         for _ in range(16):
             x = rng.standard_normal((dp_, dq_))
-            t = kernels.cg_transfer(dp, dq, da, bw, m2p, m2q, j2_of(a, tag), x)
+            t = _cg_transfer(dp, dq, da, bw, m2p, m2q, j2_of(a, tag), x)
             gram = t.T @ t
             scale = np.sqrt(np.trace(gram) / dima)
             # reject marginal draws: a small transfer scale amplifies roundoff

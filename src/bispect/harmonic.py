@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import BispectError, DomainError, PrecisionWarning, TagMismatchError
 from .groups import GroupElement, QuadratureRule, haar_quadrature
 from .wigner import dim, wigner_matrix, wigner_stack_on_rule
@@ -96,7 +95,7 @@ def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
     mats = []
     for ell in range(bandlimit + 1):
         dstack = wigner_stack_on_rule(ell, f.tag, f.rule)
-        mats.append(kernels.weighted_projection(w, f.values, dstack))
+        mats.append(np.einsum("i,i,ivu->uv", w, f.values, np.conj(dstack), optimize=True))
     return CoefficientSet(f.tag, bandlimit, tuple(mats))
 
 
@@ -109,7 +108,7 @@ def fourier_inverse(coeffs: CoefficientSet, rule: QuadratureRule | None = None) 
     out = np.zeros(rule.size, dtype=complex)
     for ell in range(coeffs.bandlimit + 1):
         dstack = wigner_stack_on_rule(ell, coeffs.tag, rule)
-        out += coeffs.weight(ell) * kernels.trace_synthesis(coeffs[ell], dstack)
+        out += coeffs.weight(ell) * np.einsum("uv,ivu->i", coeffs[ell], dstack, optimize=True)
     return SampledFunction(coeffs.tag, rule, out)
 
 
@@ -142,6 +141,8 @@ def right_translate(coeffs: CoefficientSet, x: GroupElement) -> CoefficientSet:
 
 def quadrature_inner(f: SampledFunction, h: SampledFunction) -> complex:
     """<f, h> = sum_i w_i f_i conj(h_i)."""
+    if f.tag != h.tag:
+        raise TagMismatchError("samples live on different groups")
     if f.rule is not h.rule and f.rule.bandlimit != h.rule.bandlimit:
         raise DomainError("samples must share a quadrature rule")
     return complex(np.sum(f.rule.weights * f.values * np.conj(h.values)))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import MissingSideInfoError, PrecisionWarning
 from .groups import (
     SO3,
@@ -768,7 +767,6 @@ def run(
     one Clebsch-Gordan block inside the cg suite, which must make that
     suite fail (negative control for the verification machinery itself).
     """
-    kernels.warm_up()
     names = list(SUITES) if suites is None else list(suites)
     report = VerifyReport(seed)
     with warnings.catch_warnings():

@@ -18,7 +18,6 @@ from math import factorial
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, TagMismatchError
 from .groups import SO3, SU2, GroupElement, QuadratureRule, to_euler
 
@@ -88,25 +87,35 @@ def little_d_direct(j2: int, beta: float) -> np.ndarray:
     return out
 
 
-def little_d_stack(j2max: int, betas: np.ndarray, backend: str | None = None) -> list[np.ndarray]:
-    """Planes d^(j2/2)(beta) for j2 = 0..j2max; entry j2 has shape (nb, j2+1, j2+1).
+def _half_step(src: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Advance a little-d stack (nb, n, n) at spin s to spin s + 1/2."""
+    nb, n, _ = src.shape
+    up = np.sqrt(np.arange(1.0, n + 1.0))
+    dn = np.sqrt(np.arange(float(n), 0.0, -1.0))
+    w = src / n
+    cc = c[:, None, None]
+    ss = s[:, None, None]
+    out = np.zeros((nb, n + 1, n + 1))
+    out[:, :-1, :-1] += (dn[:, None] * dn[None, :]) * w * cc
+    out[:, 1:, :-1] -= (up[:, None] * dn[None, :]) * w * ss
+    out[:, :-1, 1:] += (dn[:, None] * up[None, :]) * w * ss
+    out[:, 1:, 1:] += (up[:, None] * up[None, :]) * w * cc
+    return out
 
-    ``backend`` picks the half-step kernel: ``None`` uses the backend chosen
-    by ``BISPECT_KERNELS`` (numba when importable, else numpy); ``"numpy"``
-    or ``"numba"`` force one.  ``"numba"`` raises ``RuntimeError`` when
-    numba cannot be imported.
-    """
+
+def little_d_stack(j2max: int, betas: np.ndarray) -> list[np.ndarray]:
+    """Planes d^(j2/2)(beta) for j2 = 0..j2max; entry j2 has shape (nb, j2+1, j2+1)."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     c = np.cos(betas / 2.0)
     s = np.sin(betas / 2.0)
     planes = [np.ones((betas.size, 1, 1))]
     for _ in range(j2max):
-        planes.append(kernels.half_step(planes[-1], c, s, backend=backend))
+        planes.append(_half_step(planes[-1], c, s))
     return planes
 
 
 def little_d(j2: int, beta: float) -> np.ndarray:
-    """Single little-d plane; direct summation below spin 1, recursion above."""
+    """Single little-d plane; direct summation up to spin 1, recursion above."""
     if j2 <= 2:
         return little_d_direct(j2, beta)
     return little_d_stack(j2, np.array([beta]))[j2][0]

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from bispect import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation is environment setup, not part of any timed check
-    kernels.warm_up()
-
 
 @pytest.fixture()
 def rng():

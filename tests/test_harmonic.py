@@ -127,6 +127,16 @@ def test_parseval():
         assert abs(qi - ci) < 1e-9 * max(1.0, abs(ci))
 
 
+def test_quadrature_inner_rejects_mixed_groups():
+    # equal bandlimits and node counts, but the gamma periods differ (4pi vs 2pi)
+    su2_rule, so3_rule = haar_quadrature(4, SU2), haar_quadrature(4, SO3)
+    assert su2_rule.size == so3_rule.size
+    f = SampledFunction(SU2, su2_rule, np.ones(su2_rule.size, dtype=complex))
+    h = SampledFunction(SO3, so3_rule, np.ones(so3_rule.size, dtype=complex))
+    with pytest.raises(TagMismatchError):
+        quadrature_inner(f, h)
+
+
 def test_random_bandlimited_determinism():
     for tag in (SU2, SO3):
         a = random_bandlimited(3, tag, seed=21)

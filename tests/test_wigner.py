@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bispect import kernels
 from bispect.groups import SO3, SU2, compose, identity, random_element, rotation_matrix, su2_matrix
 from bispect.wigner import (
     CARTESIAN_TO_SPHERICAL,
@@ -61,27 +60,22 @@ def test_unitarity(tag, rng):
         assert np.max(np.abs(d @ d.conj().T - np.eye(d.shape[0]))) < 1e-11
 
 
+def _assert_stack_matches_direct_summation(betas):
+    # the half-step recursion against Wigner's explicit sum, which shares no
+    # code with it, for j2 = 0..10
+    planes = little_d_stack(10, betas)
+    for j2 in range(11):
+        reference = np.array([little_d_direct(j2, beta) for beta in betas])
+        assert np.max(np.abs(planes[j2] - reference)) < 1e-14
+
+
 def test_recursion_matches_direct_summation(rng):
-    for j2 in range(9):
-        for beta in rng.uniform(0, np.pi, 4):
-            direct = little_d_direct(j2, beta)
-            recursed = little_d_stack(j2, np.array([beta]))[j2][0]
-            assert np.max(np.abs(direct - recursed)) < 1e-12
+    _assert_stack_matches_direct_summation(rng.uniform(0, np.pi, 40))
 
 
 def test_little_d_stack_backends_agree():
-    # every importable backend against Wigner's explicit sum, which shares no
-    # code with the kernels; numba is optional, numpy always present
-    betas = np.linspace(0.1, 3.0, 7)
-    reference = [np.array([little_d_direct(j2, beta) for beta in betas]) for j2 in range(11)]
-    backends = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
-    stacks = {b: little_d_stack(10, betas, backend=b) for b in backends}
-    for planes in stacks.values():
-        for j2 in range(11):
-            assert np.max(np.abs(planes[j2] - reference[j2])) < 1e-14
-    if kernels.HAVE_NUMBA:
-        for j2 in range(11):
-            assert np.max(np.abs(stacks["numpy"][j2] - stacks["numba"][j2])) < 1e-14
+    # fixed betas, including the Euler degeneracies beta = 0 and beta = pi
+    _assert_stack_matches_direct_summation(np.concatenate([np.linspace(0.1, 3.0, 7), [0.0, np.pi]]))
 
 
 def test_su2_degree1_is_self_representation(rng):
