@@ -2,12 +2,12 @@
 
 Tensor products of irreducibles decompose multiplicity-free on SU(2) and
 SO(3), so each unitary change of basis C_pq is determined block by block up
-to a single phase.  The blocks are found numerically by integrating an
-intertwiner transfer map over the group; on the z-y-z product grid the
-circle averages collapse to m-selection rules, leaving only a small
-Gauss-Legendre quadrature in cos(beta).  The block phase is fixed by making
-the first significant entry of the block's first column real and positive,
-which pins the stored matrices to one reproducible convention.
+to a single phase.  The real Condon-Shortley coefficients <j1 m1 j2 m2|J M>
+are the eigenvectors of the total J^2 on each total-M sector of p x q, a
+symmetric tridiagonal matrix in m1; one batched eigenproblem per pair gives
+every block, with no quadrature and no random trials.  The block phase is
+fixed by making the first significant entry of the block's first column
+positive, which pins the stored matrices to one reproducible convention.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BispectError, DomainError, TagMismatchError
 from .groups import SO3, SU2, GroupElement
-from .wigner import dim, j2_of, little_d_stack, m_values, wigner_matrix
+from .wigner import dim, j2_of, m_values, wigner_matrix
 
 
 def cg_indices(tag: str, p: int, q: int) -> list[int]:
@@ -58,83 +58,60 @@ class CGDecomposition:
 _CG_CACHE: dict[tuple[str, int, int], CGDecomposition] = {}
 
 
-def _beta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return np.arccos(x[::-1]).copy(), (w[::-1] / 2.0).copy()
-
-
-def _cg_transfer(dp, dq, da, w, m2p, m2q, j2a, x):
-    """Beta-quadrature of the intertwiner transfer map for one target block.
-
-    T[(i,k), m] = sum_b w_b  dp[b,i,j] dq[b,k,l] da[b, row, col] x[j,l]
-    where row is fixed by m_i + m_k and col by m_j + m_l (the alpha/gamma
-    averages of the full group integral collapse to these selection rules on
-    the z-y-z product grid).  Index bookkeeping uses doubled m values so both
-    integer and half-integer spins stay in integer arithmetic.
-    """
-    nb, dimp, _ = dp.shape
-    dimq = dq.shape[1]
-    dima = da.shape[1]
-    msum = m2p[:, None] + m2q[None, :]  # doubled m sums, (dimp, dimq)
-    t = msum + j2a
-    ok = (t >= 0) & (t <= 2 * j2a) & (t % 2 == 0)
-    idx = np.where(ok, t // 2, 0)
-    # da sliced to row/col determined by the (i,k) and (j,l) sums
-    da_sel = da[:, idx[:, :, None, None], idx[None, None, :, :]]  # (nb, dimp, dimq, dimp, dimq)
-    mask = ok[:, :, None, None] & ok[None, None, :, :]
-    prod = dp[:, :, None, :, None] * dq[:, None, :, None, :] * da_sel * mask
-    t_ik = np.einsum("b,bikjl,jl->ik", w, prod, x, optimize=True)
-    out = np.zeros((dimp * dimq, dima))
-    rows = np.arange(dimp * dimq)
-    out[rows[ok.ravel()], idx.ravel()[ok.ravel()]] = t_ik.ravel()[ok.ravel()]
-    return out
-
-
 def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
-    indices = cg_indices(tag, p, q)
-    dp_, dq_ = dim(p, tag), dim(q, tag)
-    if p == 0 or q == 0:
-        return CGDecomposition(tag, p, q, np.eye(dp_ * dq_), indices)
+    """Condon-Shortley coefficients from J^2 on each total-M sector of p x q.
 
-    # triple products of little-d's are polynomials of degree <= p+q in
-    # cos(beta), so p+q+1 Gauss-Legendre nodes integrate them exactly
-    betas, bw = _beta_rule(p + q + 1)
-    planes = little_d_stack(j2_of(p + q, tag), betas)
-    dp = planes[j2_of(p, tag)]
-    dq = planes[j2_of(q, tag)]
-    m2p = np.round(2 * m_values(p, tag)).astype(np.int64)
-    m2q = np.round(2 * m_values(q, tag)).astype(np.int64)
+    Kron row i * (jq + 1) + k carries m1 = i - jp/2 and m2 = k - jq/2 (jp, jq
+    doubled spins); sector s holds the rows with i + k = s, i.e. total
+    M = s - (jp + jq)/2.  On a sector J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2-
+    + J1- J2+ is a symmetric tridiagonal matrix in m1 with the distinct
+    eigenvalues J(J+1), so one batched eigh over all sectors, padded to a
+    common size, yields every coefficient.
+    """
+    jp, jq = j2_of(p, tag), j2_of(q, tag)
+    n = min(jp, jq) + 1
+    s = np.arange(jp + jq + 1)[:, None]
+    lo = np.maximum(0, s - jq)
+    size = np.minimum(jp, s) - lo + 1
+    r = np.arange(n)[None, :]
+    live = r < size
+    i = lo + r
+    k = s - i
 
-    blocks = []
-    # deterministic across processes (no salted string hashing)
-    rng = np.random.default_rng(1_000_003 * (p + 1) + 1_009 * (q + 1) + (0 if tag == SU2 else 1))
-    for a in indices:
-        da = planes[j2_of(a, tag)]
-        dima = dim(a, tag)
-        for _ in range(16):
-            x = rng.standard_normal((dp_, dq_))
-            t = _cg_transfer(dp, dq, da, bw, m2p, m2q, j2_of(a, tag), x)
-            gram = t.T @ t
-            scale = np.sqrt(np.trace(gram) / dima)
-            # reject marginal draws: a small transfer scale amplifies roundoff
-            if scale > 0.05 * np.linalg.norm(x) / np.sqrt(dima) and np.max(
-                np.abs(gram / scale**2 - np.eye(dima))
-            ) < 1e-11:
-                break
-        else:  # pragma: no cover - would need a pathological rng stream
-            raise BispectError(f"CG transfer degenerate for {tag} ({p},{q})->{a}")
-        block = t / scale
-        # fix the block sign via the first significant entry of column 0
-        col = block[:, 0]
-        lead = col[np.argmax(np.abs(col) > 1e-9 * np.max(np.abs(col)))]
-        if lead < 0:
-            block = -block
-        blocks.append(block)
-
-    c = np.concatenate(blocks, axis=1)
-    if np.max(np.abs(c.T @ c - np.eye(dp_ * dq_))) > 1e-10:  # pragma: no cover
+    # padded rows get eigenvalues above (j1 + j2)(j1 + j2 + 1), so the live
+    # ones come first; J1+ J2- takes row r to r + 1 and vanishes at the
+    # sector's last row
+    m1, m2 = i - jp / 2, k - jq / 2
+    diag = np.where(live, jp * (jp + 2) / 4 + jq * (jq + 2) / 4 + 2 * m1 * m2, (jp + jq + 2) ** 2)
+    off = np.sqrt(np.where(live, (jp - i) * (i + 1) * k * (jq - k + 1), 0)[:, :-1])
+    h = np.zeros((s.size, n, n))
+    h[:, r[0], r[0]] = diag
+    h[:, r[0, :-1], r[0, 1:]] = h[:, r[0, 1:], r[0, :-1]] = off
+    vecs = np.linalg.eigh(h)[1] * live[:, :, None]
+    # C puts each sector in rows and columns of its own, so it is orthogonal
+    # exactly when every sector's eigenvectors are orthonormal
+    gram = vecs.transpose(0, 2, 1) @ vecs
+    if np.max(np.abs(gram - live[:, :, None] * np.eye(n))) > 1e-10:  # pragma: no cover
         raise BispectError(f"assembled CG matrix not unitary for {tag} ({p},{q})")
-    return CGDecomposition(tag, p, q, c, indices)
+    # Condon-Shortley: the entry with the largest m1 is positive
+    last = np.take_along_axis(vecs, (size - 1)[:, :, None], axis=1)
+    vecs = vecs * np.where(last < 0, -1.0, 1.0)
+
+    # eigenvector c of sector s has total spin (jp + jq)/2 - t, so it is
+    # column s - t of block t in cg_indices order.  Column 0 of block t is
+    # eigenvector 0 of sector t; flip the block so its first significant
+    # entry is positive.
+    t = np.where(live, size - 1 - r, 0)
+    first = vecs[:n, :, 0]
+    lead = first[r[0], np.argmax(np.abs(first) > 1e-9 * np.abs(first).max(axis=1, keepdims=True), axis=1)]
+    vecs = vecs * np.where(lead < 0, -1.0, 1.0)[t][:, None, :]
+
+    row = i * (jq + 1) + k
+    col = t * (jp + jq + 1) - t * (t - 1) + s - t
+    si, ri, ci = np.nonzero(live[:, :, None] & live[:, None, :])
+    c = np.zeros(((jp + 1) * (jq + 1),) * 2)
+    c[row[si, ri], col[si, ci]] = vecs[si, ri, ci]
+    return CGDecomposition(tag, p, q, c, cg_indices(tag, p, q))
 
 
 def clebsch_gordan(tag: str, p: int, q: int) -> CGDecomposition:

@@ -8,6 +8,7 @@ test module drives these same suites.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -234,22 +235,20 @@ def suite_wigner(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def _cg_residual_sweep(tag: str, lmax: int, n_elements: int, rng, corruption: float = 0.0) -> float:
+def _cg_residual_sweep(tag: str, pairs, per_pair: int, rng, corruption: float = 0.0) -> float:
     worst = 0.0
-    for p in range(lmax + 1):
-        for q in range(lmax + 1):
-            cg = clebsch_gordan(tag, p, q)
-            c = cg.C
-            if corruption:
-                # single-column phase: breaks intertwining without cancelling
-                c = c.astype(complex)
-                c[:, 0] *= np.exp(1j * corruption)
-            per_pair = max(1, n_elements // ((lmax + 1) ** 2))
-            for _ in range(per_pair):
-                g = random_element(tag, rng)
-                lhs = np.kron(wigner_matrix(p, tag, g), wigner_matrix(q, tag, g))
-                ds = direct_sum([wigner_matrix(a, tag, g) for a in cg.indices])
-                worst = max(worst, float(np.linalg.norm(lhs - c @ ds @ c.conj().T)))
+    for p, q in pairs:
+        cg = clebsch_gordan(tag, p, q)
+        c = cg.C
+        if corruption:
+            # single-column phase: breaks intertwining without cancelling
+            c = c.astype(complex)
+            c[:, 0] *= np.exp(1j * corruption)
+        for _ in range(per_pair):
+            g = random_element(tag, rng)
+            lhs = np.kron(wigner_matrix(p, tag, g), wigner_matrix(q, tag, g))
+            ds = direct_sum([wigner_matrix(a, tag, g) for a in cg.indices])
+            worst = max(worst, float(np.linalg.norm(lhs - c @ ds @ c.conj().T)))
     return worst
 
 
@@ -281,16 +280,12 @@ def suite_cg(seed: int = 0, corruption: float = 0.0) -> list[CheckResult]:
                 worst_unitary = max(worst_unitary, float(np.max(np.abs(c.conj().T @ c - np.eye(c.shape[0])))))
     out.append(CheckResult.from_residual("unitarity", worst_unitary, 1e-11))
 
-    out.append(
-        CheckResult.from_residual(
-            "su2-intertwiner", _cg_residual_sweep(SU2, 6, 4900, rng, corruption), 1e-10, "p,q <= 6, 100 elements/pair"
-        )
-    )
-    out.append(
-        CheckResult.from_residual(
-            "so3-intertwiner", _cg_residual_sweep(SO3, 4, 2500, rng, corruption), 1e-10, "n,m <= 4, 100 elements/pair"
-        )
-    )
+    for tag, lmax, name, note in ((SU2, 6, "su2-intertwiner", "p,q <= 6"), (SO3, 4, "so3-intertwiner", "n,m <= 4")):
+        pairs = itertools.product(range(lmax + 1), repeat=2)
+        worst = _cg_residual_sweep(tag, pairs, 100, rng, corruption)
+        out.append(CheckResult.from_residual(name, worst, 1e-10, f"{note}, 100 elements/pair"))
+    worst = _cg_residual_sweep(SO3, [(9, 7), (16, 16)], 3, rng, corruption)
+    out.append(CheckResult.from_residual("large-spin-intertwiner", worst, 1e-10, "SO3 (9,7), (16,16), 3 elements/pair"))
     return out
 
 

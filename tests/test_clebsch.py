@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from bispect.clebsch import (
     subgroup_projection,
     verify_coset_homomorphism,
 )
-from bispect.wigner import dim, wigner_matrix
+from bispect.wigner import dim, j2_of, m_values, wigner_matrix
 
 
 def test_index_lists():
@@ -71,6 +74,63 @@ def test_cg_block_phase_convention():
             lead = col[np.argmax(np.abs(col) > 1e-9 * np.max(np.abs(col)))]
             assert lead.real > 0
             assert abs(lead.imag) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tag,p,q", [(SO3, 9, 7), (SO3, 16, 15), (SO3, 16, 16), (SU2, 18, 16), (SU2, 32, 31)]
+)
+def test_cg_large_spin(tag, p, q):
+    # above spin 8, where a random-trial construction stopped finding blocks
+    cg = clebsch_gordan(tag, p, q)
+    n = dim(p, tag) * dim(q, tag)
+    assert np.max(np.abs(cg.C.T @ cg.C - np.eye(n))) <= 1e-11
+    rng = np.random.default_rng(100 * p + q)
+    for _ in range(3):
+        assert intertwiner_residual(cg, random_element(tag, rng)) <= 1e-10
+
+
+def _racah(j1, m1, j2, m2, j, m) -> float:
+    """<j1 m1 j2 m2 | j m> by Racah's formula in exact arithmetic; doubled spins."""
+    if m1 + m2 != m:
+        return 0.0
+
+    def f(x2):  # every argument is an even doubled integer
+        return factorial(x2 // 2)
+
+    pref = Fraction(
+        (j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j) * f(j2 - j1 + j) * f(j1 + m1) * f(j1 - m1)
+        * f(j2 + m2) * f(j2 - m2) * f(j + m) * f(j - m),
+        f(j1 + j2 + j + 2),
+    )
+    total = Fraction(0)
+    for k in range(0, j1 + j2 - j + 1, 2):
+        args = (k, j1 + j2 - j - k, j1 - m1 - k, j2 + m2 - k, j - j2 + m1 + k, j - j1 - m2 + k)
+        if min(args) >= 0:
+            den = 1
+            for a in args:
+                den *= f(a)
+            total += Fraction((-1) ** (k // 2), den)
+    return float(np.sign(total)) * float(pref * total**2) ** 0.5
+
+
+def _racah_cg(tag, p, q) -> np.ndarray:
+    """The stored layout: kron rows, blocks in cg_indices order, m ascending."""
+    j1, j2 = j2_of(p, tag), j2_of(q, tag)
+    cols = [(j2_of(a, tag), int(2 * m)) for a in cg_indices(tag, p, q) for m in m_values(a, tag)]
+    rows = [(int(2 * m1), int(2 * m2)) for m1 in m_values(p, tag) for m2 in m_values(q, tag)]
+    return np.array([[_racah(j1, m1, j2, m2, j, m) for j, m in cols] for m1, m2 in rows])
+
+
+@pytest.mark.parametrize("tag,lmax", [(SU2, 8), (SO3, 4)])
+def test_cg_matches_racah_oracle(tag, lmax):
+    # each block is the Condon-Shortley block up to the stored block sign
+    for p in range(lmax + 1):
+        for q in range(lmax + 1):
+            cg = clebsch_gordan(tag, p, q)
+            oracle = _racah_cg(tag, p, q)
+            for sl in cg.block_slices:
+                got, want = cg.C[:, sl], oracle[:, sl]
+                assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) < 1e-13
 
 
 def test_projection_trivial():

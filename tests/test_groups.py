@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import (
@@ -84,6 +86,34 @@ def test_euler_round_trip_degenerate_cases():
     ang = to_euler(rz)
     assert ang.gamma == 0.0
     assert distance(rz, from_euler(ang, SO3)) < 1e-12
+
+
+# beta anywhere, or at / within 1e-14 or 1e-9 of the degeneracies 0 and pi
+_BETAS = st.one_of(
+    st.floats(0.0, np.pi),
+    st.builds(
+        lambda edge, offset: abs(edge - offset),
+        st.sampled_from([0.0, np.pi]),
+        st.sampled_from([0.0, 1e-14, 1e-9]),
+    ),
+)
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    beta=_BETAS,
+    gamma=st.floats(0.0, 4 * np.pi, exclude_max=True),
+    far_sheet=st.booleans(),
+)
+def test_euler_round_trip_property(tag, alpha, beta, gamma, far_sheet):
+    if tag == SO3:
+        gamma = gamma / 2.0  # [0, 4*pi) onto SO3's [0, 2*pi) without reaching 2*pi
+    g = from_euler((alpha, beta, gamma), tag)
+    if tag == SU2 and far_sheet:
+        g = GroupElement(SU2, -g.data)
+    assert distance(from_euler(to_euler(g), tag), g) <= 1e-12
 
 
 def test_from_euler_domain_errors():

@@ -135,6 +135,12 @@ def test_reconstruct_so3_positive_branch():
         assert descriptor_max_relative_gap(desc, build_descriptor(report.recovered)) < 1e-7
 
 
+def test_reconstruct_so3_round_trip_beyond_bandlimit_8():
+    coeffs = random_bandlimited(10, SO3, require_real=True, require_nonsingular=True, seed=110)
+    report = reconstruct_so3(build_descriptor(coeffs), ground_truth=coeffs)
+    assert report.witness.max_residual <= 1e-7
+
+
 def test_reconstruct_so3_negative_branch():
     coeffs = random_bandlimited(4, SO3, require_real=True, require_nonsingular=True, seed=80)
     u = CARTESIAN_TO_SPHERICAL
