@@ -4,12 +4,16 @@ Every JSON file carries ``format_version`` (currently 1) and a ``kind``
 discriminator.  Complex matrices are row-major nested lists with innermost
 ``[re, im]`` pairs; numbers are written as shortest-round-trip decimal
 text, so files are platform independent and load back bit-identically.
+Files are written as compact one-line JSON.  Whitespace is not part of the
+format: indented files written by earlier versions load unchanged.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -19,14 +23,32 @@ from .harmonic import CoefficientSet, SampledFunction
 from .bispectrum import BispectrumDescriptor
 from .glyphs import GlyphIndex, GlyphRecord
 from .sphere import SphereFunction, sphere_grid
+from .wigner import dim
 
 FORMAT_VERSION = 1
 
 _KINDS = ("coefficients", "bispectrum_descriptor", "sphere_samples", "group_samples", "glyph_index")
 
 
-def _encode_complex_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
+def _complex_matrix(m: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(m, dtype=complex))
+
+
+def _json_default(obj: Any) -> list:
+    """``json.dumps`` hook: a complex array becomes nested ``[re, im]`` pairs.
+
+    ``tolist`` yields Python floats, which the encoder writes with
+    ``float.__repr__`` (shortest round-trip text).
+    """
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        return np.stack([obj.real, obj.imag], -1).tolist()
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
+    # Reinterpret [re, im] float pairs in place; re + 1j * im would turn a
+    # -0.0 into 0.0 and an infinite imaginary part into a NaN real part.
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def _decode_complex_matrix(data: Any, where: str) -> np.ndarray:
@@ -36,11 +58,7 @@ def _decode_complex_matrix(data: Any, where: str) -> np.ndarray:
         raise FormatError(f"matrix is not numeric: {exc}", where) from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FormatError("matrix entries must be [re, im] pairs", where)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _encode_complex_vector(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
+    return _pairs_to_complex(arr)
 
 
 def _decode_complex_vector(data: Any, where: str) -> np.ndarray:
@@ -50,7 +68,7 @@ def _decode_complex_vector(data: Any, where: str) -> np.ndarray:
         raise FormatError(f"vector is not numeric: {exc}", where) from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise FormatError("vector entries must be [re, im] pairs", where)
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _pairs_to_complex(arr)
 
 
 def _require(doc: dict, key: str, where: str) -> Any:
@@ -76,8 +94,22 @@ def _check_group(tag: Any, where: str) -> str:
     return tag
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector: documents are acyclic trees of lists and
+    floats, and collections triggered by their millions of allocations find
+    nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -85,9 +117,11 @@ def _load_json(path: str) -> Any:
 
 
 def _dump_json(doc: dict, path: str) -> None:
+    # No indent, so json.dumps runs the C encoder.
+    with _gc_paused():
+        text = json.dumps(doc, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def peek_kind(path: str) -> str:
@@ -106,7 +140,7 @@ def save_coefficients(coeffs: CoefficientSet, path: str) -> None:
         "kind": "coefficients",
         "group": coeffs.tag,
         "bandlimit": coeffs.bandlimit,
-        "matrices": [_encode_complex_matrix(coeffs[ell]) for ell in range(coeffs.bandlimit + 1)],
+        "matrices": [_complex_matrix(coeffs[ell]) for ell in range(coeffs.bandlimit + 1)],
     }
     _dump_json(doc, path)
 
@@ -133,7 +167,7 @@ def _descriptor_doc(desc: BispectrumDescriptor) -> dict:
         "group": desc.tag,
         "bandlimit": desc.bandlimit,
         "entries": [
-            {"p": p, "q": q, "matrix": _encode_complex_matrix(desc[(p, q)])} for p, q in desc.pairs()
+            {"p": p, "q": q, "matrix": _complex_matrix(desc[(p, q)])} for p, q in desc.pairs()
         ],
     }
     if desc.det_f1 is not None:
@@ -148,13 +182,28 @@ def save_descriptor(desc: BispectrumDescriptor, path: str) -> None:
 def _descriptor_from_doc(doc: dict, where: str) -> BispectrumDescriptor:
     tag = _check_group(_require(doc, "group", where), where)
     bandlimit = int(_require(doc, "bandlimit", where))
+    if bandlimit < 0:
+        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", where)
     entries = {}
     for i, item in enumerate(_require(doc, "entries", where)):
         loc = f"{where}:entries[{i}]"
         if not isinstance(item, dict):
             raise FormatError("entry must be an object", loc)
         p, q = int(_require(item, "p", loc)), int(_require(item, "q", loc))
-        entries[(p, q)] = _decode_complex_matrix(_require(item, "matrix", loc), f"{loc}.matrix")
+        if not (0 <= p <= bandlimit and 0 <= q <= bandlimit):
+            raise FormatError(f"pair ({p}, {q}) lies outside 0..{bandlimit}", loc)
+        if (p, q) in entries:
+            raise FormatError(f"pair ({p}, {q}) appears twice", loc)
+        matrix = _decode_complex_matrix(_require(item, "matrix", loc), f"{loc}.matrix")
+        side = dim(p, tag) * dim(q, tag)
+        if matrix.shape != (side, side):
+            raise FormatError(
+                f"pair ({p}, {q}) needs a {side}x{side} matrix, found {matrix.shape}", f"{loc}.matrix"
+            )
+        entries[(p, q)] = matrix
+    missing = [(p, q) for p in range(bandlimit + 1) for q in range(bandlimit + 1) if (p, q) not in entries]
+    if missing:
+        raise FormatError(f"missing entry for pair {missing[0]} ({len(missing)} missing)", where)
     det = doc.get("det_f1")
     return BispectrumDescriptor(tag, bandlimit, entries, None if det is None else float(det))
 
@@ -173,7 +222,7 @@ def save_sphere(s: SphereFunction, path: str) -> None:
         "format_version": FORMAT_VERSION,
         "kind": "sphere_samples",
         "resolution": s.resolution,
-        "values": _encode_complex_matrix(s.values),
+        "values": _complex_matrix(s.values),
     }
     _dump_json(doc, path)
 
@@ -195,7 +244,7 @@ def save_samples(f: SampledFunction, path: str) -> None:
         "kind": "group_samples",
         "group": f.tag,
         "rule_bandlimit": f.rule.bandlimit,
-        "values": _encode_complex_vector(f.values),
+        "values": np.asarray(f.values, dtype=complex),
     }
     _dump_json(doc, path)
 
@@ -232,6 +281,8 @@ def load_glyph_index(path: str) -> GlyphIndex:
     records = []
     for i, item in enumerate(_require(doc, "glyphs", path)):
         loc = f"{path}:glyphs[{i}]"
+        if not isinstance(item, dict):
+            raise FormatError("glyph must be an object", loc)
         label = str(_require(item, "label", loc))
         desc_doc = _require(item, "descriptor", loc)
         _check_header(desc_doc, "bispectrum_descriptor", loc)

@@ -109,9 +109,7 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
         ms = np.arange(-ell, ell + 1)
         phase = np.exp(1j * np.outer(grid.phis, ms))  # (2B, 2ell+1)
         theta_part = (grid.theta_weights[:, None] * cols[ell]).T  # (2ell+1, 2B)
-        a = (theta_part @ s.values @ phase).diagonal() if False else np.einsum(
-            "nj,jk,kn->n", theta_part, s.values, phase
-        )
+        a = np.einsum("nj,jk,kn->n", theta_part, s.values, phase)
         out.append(a * (2 * np.pi / n) / (4 * np.pi))
     return out
 

@@ -111,3 +111,13 @@ def test_usage_error_on_bad_file(tmp_path):
 
 def test_usage_error_on_wrong_kind(workdir):
     assert main(["reconstruct", str(workdir / "samples.json"), "--output", str(workdir / "o.json")]) == 2
+
+
+def test_reconstruct_rejects_descriptor_with_missing_pair(workdir):
+    desc_path = str(workdir / "d.json")
+    assert main(["bispectrum", str(workdir / "c.json"), "--output", desc_path]) == 0
+    doc = json.load(open(desc_path))
+    doc["entries"] = [e for e in doc["entries"] if (e["p"], e["q"]) != (1, 0)]
+    with open(desc_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["reconstruct", desc_path, "--output", str(workdir / "rec.json")]) == 2

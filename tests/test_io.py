@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from bispect.errors import FormatError, VersionError
 from bispect.groups import SO3, SU2, haar_quadrature
-from bispect.harmonic import fourier_inverse, random_bandlimited
+from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
-from bispect.glyphs import build_glyph_index, synthetic_glyphs
+from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, synthetic_glyphs
 from bispect.sphere import random_sphere_function
 from bispect import io as bio
 
@@ -146,3 +147,182 @@ def test_pgm_truncated(tmp_path):
         fh.write(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(FormatError):
         bio.read_pgm(path)
+
+
+# -- layout compatibility and exactness --------------------------------------
+
+
+def _legacy_pairs(a):
+    """The per-element encoding of earlier versions: [re, im] Python floats."""
+    a = np.asarray(a)
+    if a.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [_legacy_pairs(row) for row in a]
+
+
+def _rewrite_indented(path):
+    """Rewrite a file in the indented layout of earlier versions."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return doc
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_indented_layout_loads_bit_identically(tmp_path):
+    coeffs = random_bandlimited(2, SO3, require_real=True, seed=11)
+    desc = build_descriptor(coeffs)
+    sphere = random_sphere_function(6, 4, seed=12)
+    samples = fourier_inverse(random_bandlimited(1, SU2, seed=13), haar_quadrature(3, SU2))
+    index = build_glyph_index(synthetic_glyphs(32), 8, 2)
+    cases = [
+        (bio.save_coefficients, bio.load_coefficients, coeffs,
+         lambda c: list(c.matrices), lambda d: d["matrices"]),
+        (bio.save_descriptor, bio.load_descriptor, desc,
+         lambda x: [x[pq] for pq in x.pairs()], lambda d: [e["matrix"] for e in d["entries"]]),
+        (bio.save_sphere, bio.load_sphere, sphere, lambda s: [s.values], lambda d: [d["values"]]),
+        (bio.save_samples, bio.load_samples, samples, lambda f: [f.values], lambda d: [d["values"]]),
+        (bio.save_glyph_index, bio.load_glyph_index, index,
+         lambda ix: [r.descriptor[pq] for r in ix.records for pq in r.descriptor.pairs()],
+         lambda d: [e["matrix"] for g in d["glyphs"] for e in g["descriptor"]["entries"]]),
+    ]
+    for i, (save, load, obj, arrays, doc_arrays) in enumerate(cases):
+        compact, indented = str(tmp_path / f"c{i}.json"), str(tmp_path / f"i{i}.json")
+        save(obj, compact)
+        save(obj, indented)
+        text = open(compact).read()
+        assert text.count("\n") == 1 and text.endswith("\n")  # compact one-line JSON
+        doc = _rewrite_indented(indented)
+        assert doc == json.load(open(compact))  # same JSON values in both layouts
+        assert doc_arrays(doc) == [_legacy_pairs(a) for a in arrays(obj)]
+        for path in (compact, indented):
+            for want, got in zip(arrays(obj), arrays(load(path)), strict=True):
+                assert _same_bits(want, got)
+
+
+def test_round_trip_exact_for_extreme_floats(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)  # smallest subnormal
+    values = [-0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e308, -1e308, np.finfo(float).max, np.inf, 0.1]
+    z = np.empty(len(values), dtype=complex)
+    z.real, z.imag = values, values[::-1]
+    m1 = z[:4].reshape(2, 2)
+    coeffs = CoefficientSet(SU2, 1, (np.array([[complex(-0.0, tiny)]]), m1))
+    path = str(tmp_path / "c.json")
+    bio.save_coefficients(coeffs, path)
+    back = bio.load_coefficients(path)
+    for want, got in zip(coeffs.matrices, back.matrices):
+        assert _same_bits(want, got)
+    assert np.signbit(back[0][0, 0].real)  # -0.0 keeps its sign
+    rule = haar_quadrature(1, SU2)
+    vals = np.resize(z, rule.size)
+    f = SampledFunction(SU2, rule, vals)
+    path = str(tmp_path / "f.json")
+    bio.save_samples(f, path)
+    assert _same_bits(f.values, bio.load_samples(path).values)
+
+
+def test_json_default_rejects_other_types(tmp_path):
+    with pytest.raises(TypeError):
+        bio._json_default(object())
+    with pytest.raises(TypeError):
+        bio._json_default(np.zeros(3))  # real arrays are not silently written
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError):
+        bio._dump_json({"values": np.zeros(2, dtype=complex), "stray": object()}, str(path))
+    assert not path.exists()  # nothing written, not even a partial file
+    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
+    rec = index.records[0]
+    bad = GlyphIndex(index.bandlimit, (GlyphRecord(rec.label, rec.descriptor, {"size": np.int64(32)}),))
+    with pytest.raises(TypeError):
+        bio.save_glyph_index(bad, str(path))
+    assert not path.exists()
+
+
+def test_collector_state_restored(tmp_path):
+    coeffs = random_bandlimited(1, SU2, seed=14)
+    path = str(tmp_path / "c.json")
+    assert gc.isenabled()
+    bio.save_coefficients(coeffs, path)
+    bio.load_coefficients(path)
+    assert gc.isenabled()
+    with pytest.raises(TypeError):
+        bio._dump_json({"stray": object()}, path)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        bio.save_coefficients(coeffs, path)
+        bio.load_coefficients(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+# -- malformed descriptors and indexes ---------------------------------------
+
+
+def _descriptor_file(tmp_path, edit):
+    """An SO3 L=1 descriptor file (pairs (0,0), (0,1), (1,0), (1,1)) after `edit`."""
+    coeffs = random_bandlimited(1, SO3, require_real=True, require_nonsingular=True, seed=15)
+    path = str(tmp_path / "d.json")
+    bio.save_descriptor(build_descriptor(coeffs), path)
+    doc = json.load(open(path))
+    edit(doc["entries"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("key, value", [("p", 2), ("q", -1)])
+def test_descriptor_pair_out_of_range(tmp_path, key, value):
+    path = _descriptor_file(tmp_path, lambda entries: entries[1].update({key: value}))
+    with pytest.raises(FormatError, match=r"entries\[1\]") as err:
+        bio.load_descriptor(path)
+    assert "outside 0..1" in str(err.value)
+
+
+def test_descriptor_duplicate_pair(tmp_path):
+    path = _descriptor_file(tmp_path, lambda entries: entries.append(dict(entries[2])))
+    with pytest.raises(FormatError, match=r"entries\[4\]") as err:
+        bio.load_descriptor(path)
+    assert "(1, 0) appears twice" in str(err.value)
+
+
+def test_descriptor_missing_pair(tmp_path):
+    path = _descriptor_file(tmp_path, lambda entries: entries.pop(2))
+    with pytest.raises(FormatError, match=r"\(1, 0\)"):
+        bio.load_descriptor(path)
+
+
+@pytest.mark.parametrize("i, side, want", [(0, 2, 1), (3, 3, 9)])
+def test_descriptor_matrix_shape(tmp_path, i, side, want):
+    square = [[[0.0, 0.0]] * side] * side
+    path = _descriptor_file(tmp_path, lambda entries: entries[i].update({"matrix": square}))
+    with pytest.raises(FormatError, match=rf"entries\[{i}\]\.matrix") as err:
+        bio.load_descriptor(path)
+    assert f"{want}x{want}" in str(err.value)
+
+
+def test_descriptor_negative_bandlimit(tmp_path):
+    path = str(tmp_path / "d.json")
+    with open(path, "w") as fh:
+        json.dump({"format_version": 1, "kind": "bispectrum_descriptor", "group": "SU2", "bandlimit": -1,
+                   "entries": []}, fh)
+    with pytest.raises(FormatError, match="nonnegative"):
+        bio.load_descriptor(path)
+
+
+def test_glyph_index_rejects_non_object_glyph(tmp_path):
+    path = str(tmp_path / "idx.json")
+    bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
+    doc = json.load(open(path))
+    doc["glyphs"][1] = 5
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(FormatError, match=r"glyph must be an object.*glyphs\[1\]"):
+        bio.load_glyph_index(path)
