@@ -19,15 +19,9 @@ import numpy as np
 
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
-from .harmonic import (
-    CoefficientSet,
-    SampledFunction,
-    fourier_forward,
-    fourier_inverse,
-    right_translate,
-)
+from .harmonic import CoefficientSet, SampledFunction, fourier_forward
 from .clebsch import clebsch_gordan, direct_sum
-from .wigner import dim, wigner_stack_on_rule
+from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
@@ -125,11 +119,14 @@ class TripleCorrelationGrid:
 def _translated_samples(
     coeffs: CoefficientSet, shifts: list[GroupElement], rule: QuadratureRule
 ) -> np.ndarray:
-    """Rows u[j, i] = f(g_i x_j), via right-translated coefficient synthesis."""
-    rows = []
-    for x in shifts:
-        rows.append(fourier_inverse(right_translate(coeffs, x), rule).values)
-    return np.array(rows)
+    """Rows u[j, i] = f(g_i x_j) = sum_ell dim Tr[D_ell(x_j) F(ell) D_ell(g_i)], one gemm per degree."""
+    u = np.zeros((len(shifts), rule.size), dtype=complex)
+    for ell, dx in enumerate(wigner_all(coeffs.bandlimit, coeffs.tag, shifts)):
+        d = dim(ell, coeffs.tag)
+        # Tr[M D] = sum_uv M^T[v, u] D[v, u]: both flattened over (v, u)
+        left = (dx @ coeffs[ell]).transpose(0, 2, 1).reshape(len(shifts), d * d)
+        u += d * (left @ wigner_stack_on_rule(ell, coeffs.tag, rule).reshape(rule.size, d * d).T)
+    return u
 
 
 def triple_correlation(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BispectError, DomainError, TagMismatchError
 from .groups import SO3, SU2, GroupElement
-from .wigner import dim, j2_of, m_values, wigner_matrix
+from .wigner import dim, j2_of, m_values, wigner_all
 
 
 def cg_indices(tag: str, p: int, q: int) -> list[int]:
@@ -135,11 +135,14 @@ def direct_sum(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def intertwiner_residual(cg: CGDecomposition, g: GroupElement) -> float:
-    """|| D_p (x) D_q  -  C (dsum D_a) C^dagger ||_F at one element."""
-    lhs = np.kron(wigner_matrix(cg.p, cg.tag, g), wigner_matrix(cg.q, cg.tag, g))
-    ds = direct_sum([wigner_matrix(a, cg.tag, g) for a in cg.indices])
-    return float(np.linalg.norm(lhs - cg.C @ ds @ cg.C.conj().T))
+def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:
+    """Largest || D_p (x) D_q  -  C (dsum D_a) C^dagger ||_F over the elements."""
+    d = wigner_all(cg.p + cg.q, cg.tag, elements)
+    lhs = np.einsum("nij,nkl->nikjl", d[cg.p], d[cg.q]).reshape(len(elements), *cg.C.shape)
+    # C (dsum D_a) one column block at a time, skipping the zeros of the direct sum
+    c_ds = np.concatenate([cg.C[:, sl] @ d[a] for a, sl in zip(cg.indices, cg.block_slices)], axis=-1)
+    rhs = c_ds @ cg.C.conj().T
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +209,8 @@ def verify_coset_homomorphism(
     rng = np.random.default_rng(seed)
     maxdeg = 2 * bandlimit
     dmats = {}
-    for ell in range(maxdeg + 1):
-        d = wigner_matrix(ell, tag, g)
+    for ell, dstack in enumerate(wigner_all(maxdeg, tag, [g])):
+        d = dstack[0]
         if corruption:
             noise = rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)
             d = d + corruption * noise

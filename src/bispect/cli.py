@@ -220,13 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except BispectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (BispectError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

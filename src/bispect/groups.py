@@ -10,7 +10,7 @@ with gamma running over [0, 4*pi) for SU(2) and [0, 2*pi) for SO(3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -292,34 +292,24 @@ class QuadratureRule:
     def size(self) -> int:
         return self.alphas.size * self.betas.size * self.gammas.size
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        cache = self.__dict__.get("_weights")
-        if cache is None:
-            na, ng = self.alphas.size, self.gammas.size
-            w = np.einsum("a,b,c->abc", np.full(na, 1.0 / na), self.beta_weights, np.full(ng, 1.0 / ng))
-            cache = w.reshape(-1)
-            cache.setflags(write=False)
-            self.__dict__["_weights"] = cache
-        return cache
+        na, ng = self.alphas.size, self.gammas.size
+        w = np.einsum("a,b,c->abc", np.full(na, 1.0 / na), self.beta_weights, np.full(ng, 1.0 / ng)).reshape(-1)
+        w.setflags(write=False)
+        return w
 
+    @cached_property
     def node_angles(self) -> np.ndarray:
         """All (alpha, beta, gamma) triples, shape (size, 3), product order."""
-        cache = self.__dict__.get("_node_angles")
-        if cache is None:
-            aa, bb, cc = np.meshgrid(self.alphas, self.betas, self.gammas, indexing="ij")
-            cache = np.stack([aa.reshape(-1), bb.reshape(-1), cc.reshape(-1)], axis=1)
-            cache.setflags(write=False)
-            self.__dict__["_node_angles"] = cache
-        return cache
+        aa, bb, cc = np.meshgrid(self.alphas, self.betas, self.gammas, indexing="ij")
+        angles = np.stack([aa.reshape(-1), bb.reshape(-1), cc.reshape(-1)], axis=1)
+        angles.setflags(write=False)
+        return angles
 
-    @property
+    @cached_property
     def nodes(self) -> list[GroupElement]:
-        cache = self.__dict__.get("_nodes")
-        if cache is None:
-            cache = [from_euler(EulerAngles(a, b, c), self.tag) for a, b, c in self.node_angles()]
-            self.__dict__["_nodes"] = cache
-        return cache
+        return [from_euler(EulerAngles(a, b, c), self.tag) for a, b, c in self.node_angles]
 
 
 @lru_cache(maxsize=64)

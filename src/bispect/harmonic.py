@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BispectError, DomainError, PrecisionWarning, TagMismatchError
 from .groups import GroupElement, QuadratureRule, haar_quadrature
-from .wigner import dim, wigner_matrix, wigner_stack_on_rule
+from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
 @dataclass(frozen=True)
@@ -115,27 +115,22 @@ def fourier_inverse(coeffs: CoefficientSet, rule: QuadratureRule | None = None) 
 def evaluate_at(coeffs: CoefficientSet, elements: list[GroupElement]) -> np.ndarray:
     """Pointwise Fourier series evaluation at arbitrary group elements."""
     out = np.zeros(len(elements), dtype=complex)
-    for i, g in enumerate(elements):
-        acc = 0.0 + 0.0j
-        for ell in range(coeffs.bandlimit + 1):
-            acc += coeffs.weight(ell) * np.trace(coeffs[ell] @ wigner_matrix(ell, coeffs.tag, g))
-        out[i] = acc
+    for ell, dstack in enumerate(wigner_all(coeffs.bandlimit, coeffs.tag, elements)):
+        out += coeffs.weight(ell) * np.einsum("uv,ivu->i", coeffs[ell], dstack, optimize=True)
     return out
 
 
 def translate(coeffs: CoefficientSet, x: GroupElement) -> CoefficientSet:
     """Coefficients of g -> f(x g):  F(ell) -> F(ell) D_ell(x)."""
-    if x.tag != coeffs.tag:
-        raise TagMismatchError("element tag does not match coefficient tag")
-    mats = tuple(coeffs[ell] @ wigner_matrix(ell, coeffs.tag, x) for ell in range(coeffs.bandlimit + 1))
+    dmats = wigner_all(coeffs.bandlimit, coeffs.tag, [x])
+    mats = tuple(f @ d[0] for f, d in zip(coeffs.matrices, dmats))
     return CoefficientSet(coeffs.tag, coeffs.bandlimit, mats)
 
 
 def right_translate(coeffs: CoefficientSet, x: GroupElement) -> CoefficientSet:
     """Coefficients of g -> f(g x):  F(ell) -> D_ell(x) F(ell)."""
-    if x.tag != coeffs.tag:
-        raise TagMismatchError("element tag does not match coefficient tag")
-    mats = tuple(wigner_matrix(ell, coeffs.tag, x) @ coeffs[ell] for ell in range(coeffs.bandlimit + 1))
+    dmats = wigner_all(coeffs.bandlimit, coeffs.tag, [x])
+    mats = tuple(d[0] @ f for f, d in zip(coeffs.matrices, dmats))
     return CoefficientSet(coeffs.tag, coeffs.bandlimit, mats)
 
 

@@ -77,6 +77,13 @@ def _require(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _require_int(doc: dict, key: str, where: str) -> int:
+    value = _require(doc, key, where)
+    if type(value) is not int:  # JSON integers only: bool is an int subclass, floats would truncate
+        raise FormatError(f"field {key!r} must be an integer, found {value!r}", where)
+    return value
+
+
 def _check_header(doc: Any, kind: str, where: str) -> None:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object", where)
@@ -149,7 +156,7 @@ def load_coefficients(path: str) -> CoefficientSet:
     doc = _load_json(path)
     _check_header(doc, "coefficients", path)
     tag = _check_group(_require(doc, "group", path), path)
-    bandlimit = int(_require(doc, "bandlimit", path))
+    bandlimit = _require_int(doc, "bandlimit", path)
     raw = _require(doc, "matrices", path)
     if len(raw) != bandlimit + 1:
         raise FormatError(f"expected {bandlimit + 1} matrices, found {len(raw)}", path)
@@ -181,7 +188,7 @@ def save_descriptor(desc: BispectrumDescriptor, path: str) -> None:
 
 def _descriptor_from_doc(doc: dict, where: str) -> BispectrumDescriptor:
     tag = _check_group(_require(doc, "group", where), where)
-    bandlimit = int(_require(doc, "bandlimit", where))
+    bandlimit = _require_int(doc, "bandlimit", where)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", where)
     entries = {}
@@ -189,7 +196,7 @@ def _descriptor_from_doc(doc: dict, where: str) -> BispectrumDescriptor:
         loc = f"{where}:entries[{i}]"
         if not isinstance(item, dict):
             raise FormatError("entry must be an object", loc)
-        p, q = int(_require(item, "p", loc)), int(_require(item, "q", loc))
+        p, q = _require_int(item, "p", loc), _require_int(item, "q", loc)
         if not (0 <= p <= bandlimit and 0 <= q <= bandlimit):
             raise FormatError(f"pair ({p}, {q}) lies outside 0..{bandlimit}", loc)
         if (p, q) in entries:
@@ -230,7 +237,7 @@ def save_sphere(s: SphereFunction, path: str) -> None:
 def load_sphere(path: str) -> SphereFunction:
     doc = _load_json(path)
     _check_header(doc, "sphere_samples", path)
-    resolution = int(_require(doc, "resolution", path))
+    resolution = _require_int(doc, "resolution", path)
     values = _decode_complex_matrix(_require(doc, "values", path), f"{path}:values")
     return SphereFunction(sphere_grid(resolution), values)
 
@@ -253,7 +260,7 @@ def load_samples(path: str) -> SampledFunction:
     doc = _load_json(path)
     _check_header(doc, "group_samples", path)
     tag = _check_group(_require(doc, "group", path), path)
-    rule = haar_quadrature(int(_require(doc, "rule_bandlimit", path)), tag)
+    rule = haar_quadrature(_require_int(doc, "rule_bandlimit", path), tag)
     values = _decode_complex_vector(_require(doc, "values", path), f"{path}:values")
     return SampledFunction(tag, rule, values)
 
@@ -277,7 +284,7 @@ def save_glyph_index(index: GlyphIndex, path: str) -> None:
 def load_glyph_index(path: str) -> GlyphIndex:
     doc = _load_json(path)
     _check_header(doc, "glyph_index", path)
-    bandlimit = int(_require(doc, "bandlimit", path))
+    bandlimit = _require_int(doc, "bandlimit", path)
     records = []
     for i, item in enumerate(_require(doc, "glyphs", path)):
         loc = f"{path}:glyphs[{i}]"

@@ -29,7 +29,7 @@ from .errors import (
     TagMismatchError,
     ZeroMeanError,
 )
-from .groups import SO3, SU2, GroupElement, haar_quadrature, z_rotation
+from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, haar_quadrature, su2_matrix, z_rotation
 from .harmonic import COND_REJECT, CoefficientSet
 from .bispectrum import BispectrumDescriptor
 from .clebsch import clebsch_gordan
@@ -37,7 +37,7 @@ from .wigner import (
     CARTESIAN_TO_SPHERICAL,
     SU2_BASIS_SWAP,
     dim,
-    wigner_matrix,
+    wigner_all,
     wigner_stack_on_rule,
 )
 
@@ -116,8 +116,8 @@ def _alignment_residuals(
     truth: CoefficientSet, recovered: CoefficientSet, x: GroupElement
 ) -> tuple[float, ...]:
     out = []
-    for ell in range(truth.bandlimit + 1):
-        target = truth[ell] @ wigner_matrix(ell, truth.tag, x)
+    for ell, dstack in enumerate(wigner_all(truth.bandlimit, truth.tag, [x])):
+        target = truth[ell] @ dstack[0]
         denom = max(float(np.linalg.norm(truth[ell])), 1e-300)
         out.append(float(np.linalg.norm(recovered[ell] - target)) / denom)
     return tuple(out)
@@ -133,16 +133,11 @@ def _project_su2(v: np.ndarray) -> GroupElement:
         [0.5 * (w[0, 0] + w[1, 1]).real, -0.5 * (w[0, 1] + w[1, 0]).imag,
          0.5 * (w[1, 0] - w[0, 1]).real, 0.5 * (w[1, 1] - w[0, 0]).imag]
     )
-    quat /= np.linalg.norm(quat)
-    gap = float(np.max(np.abs(u - _su2_from_quat(quat))))
+    x = GroupElement(SU2, quat / np.linalg.norm(quat))
+    gap = float(np.max(np.abs(u - su2_matrix(x))))
     if gap > 1e-3:
         raise NoAlignmentError(f"degree-1 quotient is {gap:.3e} away from SU(2)")
-    return GroupElement(SU2, quat)
-
-
-def _su2_from_quat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
+    return x
 
 
 def _project_so3(v: np.ndarray) -> GroupElement:
@@ -187,8 +182,6 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
     """Maximize Re sum_ell dim <recovered, truth D(x)> over the group."""
     from scipy.optimize import minimize
 
-    from .groups import from_euler
-
     tag = truth.tag
     # score(x) = Re sum_ell dim <recovered, truth D(x)> = Re sum_ell dim Tr[K_ell D(x)]
     kmats = [recovered[ell].conj().T @ truth[ell] for ell in range(truth.bandlimit + 1)]
@@ -202,26 +195,22 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
 
     rule = haar_quadrature(max(8, truth.bandlimit), tag)
     best = int(np.argmax(score_on_rule(rule)))
-    a0, b0, c0 = rule.node_angles()[best]
+    a0, b0, c0 = rule.node_angles[best]
+
+    gamma_period = 2 * TWO_PI if tag == SU2 else TWO_PI
+
+    def element(angles) -> GroupElement:
+        """Wrap the optimizer's unconstrained angles into the canonical ranges."""
+        a, b, c = angles
+        return from_euler((a % TWO_PI, float(np.clip(b, 0.0, np.pi)), c % gamma_period), tag)
 
     def neg_score(angles):
-        a, b, c = angles
-        g = from_euler(
-            (a % (2 * np.pi), float(np.clip(b, 0.0, np.pi)), c % (4 * np.pi if tag == SU2 else 2 * np.pi)),
-            tag,
-        )
-        s = 0.0
-        for ell in range(truth.bandlimit + 1):
-            s += dim(ell, tag) * np.trace(kmats[ell] @ wigner_matrix(ell, tag, g)).real
-        return -s
+        dmats = wigner_all(truth.bandlimit, tag, [element(angles)])
+        return -sum(dim(ell, tag) * np.trace(kmats[ell] @ d[0]).real for ell, d in enumerate(dmats))
 
     res = minimize(neg_score, np.array([a0, b0, c0]), method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    a, b, c = res.x
-    return from_euler(
-        (a % (2 * np.pi), float(np.clip(b, 0.0, np.pi)), c % (4 * np.pi if tag == SU2 else 2 * np.pi)),
-        tag,
-    )
+    return element(res.x)
 
 
 def _kron_inverse_apply(fa: np.ndarray, fb: np.ndarray, amat: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,11 +40,12 @@ from .harmonic import (
     random_bandlimited,
     translate,
 )
-from .wigner import dim, wigner_matrix, wigner_stack_on_rule
+from .wigner import dim, wigner_all, wigner_stack_on_rule
 from .clebsch import (
     cg_indices,
     clebsch_gordan,
     direct_sum,
+    intertwiner_residual,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -211,25 +212,19 @@ def suite_wigner(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
     for tag in (SU2, SO3):
-        g = random_element(tag, rng)
-        out.append(
-            CheckResult.from_residual(
-                f"{tag}-trivial-rep", float(np.max(np.abs(wigner_matrix(0, tag, g) - 1.0))), 1e-14
-            )
-        )
-        worst_e = max(
-            float(np.max(np.abs(wigner_matrix(ell, tag, identity(tag)) - np.eye(dim(ell, tag)))))
-            for ell in range(5)
-        )
+        trivial = wigner_all(0, tag, [random_element(tag, rng)])[0]
+        out.append(CheckResult.from_residual(f"{tag}-trivial-rep", float(np.max(np.abs(trivial - 1.0))), 1e-14))
+        at_e = wigner_all(4, tag, [identity(tag)])
+        worst_e = max(float(np.max(np.abs(d[0] - np.eye(dim(ell, tag))))) for ell, d in enumerate(at_e))
         out.append(CheckResult.from_residual(f"{tag}-identity-element", worst_e, 1e-12))
         worst_u = worst_h = 0.0
         for ell in range(9):
-            for _ in range(12 if ell <= 4 else 6):
-                g1, g2 = random_element(tag, rng), random_element(tag, rng)
-                d1 = wigner_matrix(ell, tag, g1)
-                worst_u = max(worst_u, float(np.max(np.abs(d1 @ d1.conj().T - np.eye(d1.shape[0])))))
-                lhs = wigner_matrix(ell, tag, compose(g1, g2))
-                worst_h = max(worst_h, float(np.max(np.abs(lhs - d1 @ wigner_matrix(ell, tag, g2)))))
+            pairs = [(random_element(tag, rng), random_element(tag, rng)) for _ in range(12 if ell <= 4 else 6)]
+            products = [compose(g1, g2) for g1, g2 in pairs]
+            d1, d2, lhs = (wigner_all(ell, tag, gs)[ell] for gs in (*zip(*pairs), products))
+            unitary_gap = d1 @ d1.conj().transpose(0, 2, 1) - np.eye(dim(ell, tag))
+            worst_u = max(worst_u, float(np.max(np.abs(unitary_gap))))
+            worst_h = max(worst_h, float(np.max(np.abs(lhs - d1 @ d2))))
         out.append(CheckResult.from_residual(f"{tag}-unitarity", worst_u, 1e-11))
         out.append(CheckResult.from_residual(f"{tag}-homomorphism", worst_h, 1e-10))
     return out
@@ -239,16 +234,12 @@ def _cg_residual_sweep(tag: str, pairs, per_pair: int, rng, corruption: float = 
     worst = 0.0
     for p, q in pairs:
         cg = clebsch_gordan(tag, p, q)
-        c = cg.C
         if corruption:
             # single-column phase: breaks intertwining without cancelling
-            c = c.astype(complex)
+            c = cg.C.astype(complex)
             c[:, 0] *= np.exp(1j * corruption)
-        for _ in range(per_pair):
-            g = random_element(tag, rng)
-            lhs = np.kron(wigner_matrix(p, tag, g), wigner_matrix(q, tag, g))
-            ds = direct_sum([wigner_matrix(a, tag, g) for a in cg.indices])
-            worst = max(worst, float(np.linalg.norm(lhs - c @ ds @ c.conj().T)))
+            cg = replace(cg, C=c)
+        worst = max(worst, intertwiner_residual(cg, *(random_element(tag, rng) for _ in range(per_pair))))
     return worst
 
 
@@ -324,12 +315,13 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
     for tag in (SU2, SO3):
         for ell in range(5):
             p = subgroup_projection(tag, ell).P
+            gs, hgs = [], []
             for _ in range(10):
-                g = random_element(tag, rng)
+                gs.append(random_element(tag, rng))
                 h = z_rotation(rng.uniform(0, 4 * np.pi if tag == SU2 else 2 * np.pi), tag)
-                lhs = p @ wigner_matrix(ell, tag, compose(h, g))
-                rhs = p @ wigner_matrix(ell, tag, g)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+                hgs.append(compose(h, gs[-1]))
+            lhs, rhs = (p @ wigner_all(ell, tag, elements)[ell] for elements in (hgs, gs))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     out.append(CheckResult.from_residual("projected-rows-h-invariance", worst, 1e-10))
 
     # lifted sphere functions expand exactly in the H-invariant coefficient slice

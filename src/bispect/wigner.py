@@ -7,8 +7,8 @@ spin j2 = 2j, so integer and half-integer spins share one code path.
 Row and column indices run over m = -j ... +j ascending.
 
 The little-d planes are built by a half-integer-step recursion in the spin
-(seeded at spin 0), which stays factorial-free; a direct summation formula
-covers small degrees and doubles as a cross-check.
+(seeded at spin 0), which stays factorial-free; Wigner's direct summation
+formula is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def dim(ell: int, tag: str) -> int:
 
 
 def j2_of(ell: int, tag: str) -> int:
-    """Doubled spin of the degree-ell representation."""
-    return ell if tag == SU2 else 2 * ell
+    """Doubled spin of the degree-ell representation: dim = 2j + 1."""
+    return dim(ell, tag) - 1
 
 
 def m_values(ell: int, tag: str) -> np.ndarray:
@@ -62,7 +62,7 @@ class WignerMatrix:
 
 
 def little_d_direct(j2: int, beta: float) -> np.ndarray:
-    """Little-d by Wigner's explicit sum; fine for small spins."""
+    """Little-d by Wigner's explicit sum: the reference the recursion is tested against."""
     n = j2 + 1
     out = np.zeros((n, n))
     c = np.cos(beta / 2.0)
@@ -114,26 +114,26 @@ def little_d_stack(j2max: int, betas: np.ndarray) -> list[np.ndarray]:
     return planes
 
 
-def little_d(j2: int, beta: float) -> np.ndarray:
-    """Single little-d plane; direct summation up to spin 1, recursion above."""
-    if j2 <= 2:
-        return little_d_direct(j2, beta)
-    return little_d_stack(j2, np.array([beta]))[j2][0]
+def wigner_all(lmax: int, tag: str, elements: list[GroupElement]) -> list[np.ndarray]:
+    """D_ell(g) for every degree ell <= lmax at every element, z-y-z convention.
 
-
-def _phase_columns(m: np.ndarray, angle: float) -> np.ndarray:
-    return np.exp(-1j * m * angle)
+    Entry ell has shape (N, dim, dim).  One little-d recursion runs over all
+    the elements' betas; the alpha/gamma phases are applied per degree.
+    """
+    if any(g.tag != tag for g in elements):
+        raise TagMismatchError(f"element tag does not match {tag}")
+    ang = np.array([to_euler(g).as_tuple() for g in elements]).reshape(-1, 3)
+    planes = little_d_stack(j2_of(lmax, tag), ang[:, 1])
+    out = []
+    for ell in range(lmax + 1):
+        ph = np.exp(-1j * ang[:, 0::2, None] * m_values(ell, tag))  # alpha, gamma phases: (N, 2, dim)
+        out.append(ph[:, 0, :, None] * planes[j2_of(ell, tag)] * ph[:, 1, None, :])
+    return out
 
 
 def wigner_matrix(ell: int, tag: str, g: GroupElement) -> np.ndarray:
     """D_ell(g) in the z-y-z convention, unitary, dim x dim."""
-    if g.tag != tag:
-        raise TagMismatchError(f"element tag {g.tag} does not match {tag}")
-    ang = to_euler(g)
-    j2 = j2_of(ell, tag)
-    d = little_d(j2, ang.beta)
-    m = m_values(ell, tag)
-    return _phase_columns(m, ang.alpha)[:, None] * d * _phase_columns(m, ang.gamma)[None, :]
+    return wigner_all(ell, tag, [g])[ell][0]
 
 
 def wigner(index: IrrepIndex, g: GroupElement) -> WignerMatrix:

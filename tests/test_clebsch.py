@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -36,15 +37,24 @@ def test_tensor_with_trivial_is_identity():
 def test_su2_one_one_block_structure(rng):
     cg = clebsch_gordan(SU2, 1, 1)
     assert cg.indices == [2, 0]
-    for _ in range(20):
-        assert intertwiner_residual(cg, random_element(SU2, rng)) < 1e-10
+    elements = [random_element(SU2, rng) for _ in range(20)]
+    assert intertwiner_residual(cg, *elements) < 1e-10
+    assert intertwiner_residual(cg) == 0.0
 
 
 def test_so3_one_one_block_structure(rng):
     cg = clebsch_gordan(SO3, 1, 1)
     assert cg.indices == [2, 1, 0]
-    for _ in range(50):
-        assert intertwiner_residual(cg, random_element(SO3, rng)) < 1e-10
+    elements = [random_element(SO3, rng) for _ in range(50)]
+    assert intertwiner_residual(cg, *elements) < 1e-10
+    # negative control: one rephased column breaks the intertwining by an
+    # amount that depends on the element; a multi-element call reports the largest
+    bad = cg.C.astype(complex)
+    bad[:, 0] *= np.exp(0.25j)
+    bad_cg = replace(cg, C=bad)
+    single = [intertwiner_residual(bad_cg, g) for g in elements]
+    assert max(single) > 1e-3
+    assert intertwiner_residual(bad_cg, *elements) == pytest.approx(max(single), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("tag,lmax", [(SU2, 6), (SO3, 4)])
@@ -85,8 +95,7 @@ def test_cg_large_spin(tag, p, q):
     n = dim(p, tag) * dim(q, tag)
     assert np.max(np.abs(cg.C.T @ cg.C - np.eye(n))) <= 1e-11
     rng = np.random.default_rng(100 * p + q)
-    for _ in range(3):
-        assert intertwiner_residual(cg, random_element(tag, rng)) <= 1e-10
+    assert intertwiner_residual(cg, *(random_element(tag, rng) for _ in range(3))) <= 1e-10
 
 
 def _racah(j1, m1, j2, m2, j, m) -> float:

@@ -121,3 +121,27 @@ def test_reconstruct_rejects_descriptor_with_missing_pair(workdir):
     with open(desc_path, "w") as fh:
         json.dump(doc, fh)
     assert main(["reconstruct", desc_path, "--output", str(workdir / "rec.json")]) == 2
+
+
+def _edit_json(path, edit):
+    doc = json.load(open(path))
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+@pytest.mark.parametrize("value", ["zero", 1.0])
+def test_reconstruct_rejects_non_integer_pair_index(workdir, capsys, value):
+    desc_path = str(workdir / "d.json")
+    assert main(["bispectrum", str(workdir / "c.json"), "--output", desc_path]) == 0
+    _edit_json(desc_path, lambda doc: doc["entries"][1].update({"p": value}))
+    assert main(["reconstruct", desc_path, "--output", str(workdir / "rec.json")]) == 2
+    assert "field 'p' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["three", 3.0])
+def test_inverse_rejects_non_integer_bandlimit(workdir, capsys, value):
+    coeff_path = str(workdir / "c.json")
+    _edit_json(coeff_path, lambda doc: doc.update({"bandlimit": value}))
+    assert main(["inverse", coeff_path, "--output", str(workdir / "s.json")]) == 2
+    assert "field 'bandlimit' must be an integer" in capsys.readouterr().err

@@ -326,3 +326,53 @@ def test_glyph_index_rejects_non_object_glyph(tmp_path):
         json.dump(doc, fh)
     with pytest.raises(FormatError, match=r"glyph must be an object.*glyphs\[1\]"):
         bio.load_glyph_index(path)
+
+
+def _save_coefficients(path):
+    bio.save_coefficients(random_bandlimited(1, SO3, seed=1), path)
+
+
+def _save_descriptor(path):
+    bio.save_descriptor(build_descriptor(random_bandlimited(1, SO3, require_real=True, seed=2)), path)
+
+
+def _save_sphere(path):
+    bio.save_sphere(random_sphere_function(6, 2, seed=3), path)
+
+
+def _save_samples(path):
+    bio.save_samples(fourier_inverse(random_bandlimited(1, SU2, seed=4), haar_quadrature(2, SU2)), path)
+
+
+def _save_glyph_index(path):
+    bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
+
+
+# (saver, loader, keys leading to the object that holds the field, field)
+_INTEGER_FIELDS = {
+    "coefficients-bandlimit": (_save_coefficients, bio.load_coefficients, (), "bandlimit"),
+    "descriptor-bandlimit": (_save_descriptor, bio.load_descriptor, (), "bandlimit"),
+    "descriptor-p": (_save_descriptor, bio.load_descriptor, ("entries", 1), "p"),
+    "descriptor-q": (_save_descriptor, bio.load_descriptor, ("entries", 2), "q"),
+    "sphere-resolution": (_save_sphere, bio.load_sphere, (), "resolution"),
+    "samples-rule_bandlimit": (_save_samples, bio.load_samples, (), "rule_bandlimit"),
+    "glyph_index-bandlimit": (_save_glyph_index, bio.load_glyph_index, (), "bandlimit"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+@pytest.mark.parametrize("value", ["zero", 2.7, 1.0, True, None])
+def test_integer_field_rejects_non_integers(tmp_path, field, value):
+    # only JSON integers load: int() would truncate 2.7 and accept true
+    save, load, keys, key = _INTEGER_FIELDS[field]
+    path = str(tmp_path / "f.json")
+    save(path)
+    doc = json.load(open(path))
+    holder = doc
+    for k in keys:
+        holder = holder[k]
+    holder[key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(FormatError, match=rf"field '{key}' must be an integer"):
+        load(path)

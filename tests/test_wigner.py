@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from bispect.groups import SO3, SU2, compose, identity, random_element, rotation_matrix, su2_matrix
+from bispect.errors import DomainError, TagMismatchError
+from bispect.groups import (
+    SO3,
+    SU2,
+    GroupElement,
+    compose,
+    from_euler,
+    identity,
+    random_element,
+    rotation_matrix,
+    su2_matrix,
+    to_euler,
+)
 from bispect.wigner import (
     CARTESIAN_TO_SPHERICAL,
     SU2_BASIS_SWAP,
@@ -12,6 +24,7 @@ from bispect.wigner import (
     little_d_stack,
     m_values,
     wigner,
+    wigner_all,
     wigner_matrix,
 )
 
@@ -120,3 +133,58 @@ def test_wigner_typed_wrapper(rng):
 def test_j2_mapping():
     assert j2_of(3, SU2) == 3
     assert j2_of(3, SO3) == 6
+
+
+def _reference_wigner(ell, tag, g):
+    # Wigner's explicit little-d sum with the z-y-z phases written out, at
+    # the angles to_euler gives; shares no code with the recursion
+    ang = to_euler(g)
+    m = m_values(ell, tag)
+    d = little_d_direct(j2_of(ell, tag), ang.beta)
+    return np.exp(-1j * m * ang.alpha)[:, None] * d * np.exp(-1j * m * ang.gamma)[None, :]
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_wigner_all_matches_direct_reference(tag, rng):
+    elements = [random_element(tag, rng) for _ in range(8)]
+    # the Euler degeneracies beta = 0 and beta = pi
+    elements += [from_euler((a, b, 0.0), tag) for a in (0.0, 1.3) for b in (0.0, np.pi)]
+    if tag == SU2:  # both sheets of the double cover
+        elements += [GroupElement(SU2, -g.data) for g in elements]
+    lmax = 10 if tag == SU2 else 5  # doubled spins up to 10 on both groups
+    stacks = wigner_all(lmax, tag, elements)
+    assert len(stacks) == lmax + 1
+    for ell, stack in enumerate(stacks):
+        reference = np.array([_reference_wigner(ell, tag, g) for g in elements])
+        assert stack.shape == reference.shape == (len(elements), dim(ell, tag), dim(ell, tag))
+        assert np.max(np.abs(stack - reference)) < 1e-14
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_wigner_all_empty_element_list(tag):
+    stacks = wigner_all(3, tag, [])
+    assert [s.shape for s in stacks] == [(0, dim(ell, tag), dim(ell, tag)) for ell in range(4)]
+
+
+def test_negative_degree_is_domain_error(rng):
+    with pytest.raises(DomainError):
+        wigner_all(-1, SU2, [])
+    with pytest.raises(DomainError):
+        wigner_matrix(-1, SO3, random_element(SO3, rng))
+
+
+def test_wigner_all_tag_mismatch(rng):
+    with pytest.raises(TagMismatchError):
+        wigner_all(2, SU2, [random_element(SU2, rng), random_element(SO3, rng)])
+    with pytest.raises(TagMismatchError):
+        wigner_matrix(1, SO3, random_element(SU2, rng))
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_wigner_matrix_is_one_element_of_wigner_all(tag, rng):
+    lmax = 6
+    for _ in range(5):
+        g = random_element(tag, rng)
+        stacks = wigner_all(lmax, tag, [g])
+        for ell in range(lmax):
+            assert np.array_equal(wigner_matrix(ell, tag, g), stacks[ell][0])
