@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io as bio
 from . import verify as bverify
 from .errors import BispectError, FormatError

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BispectError, DomainError, PrecisionWarning, TagMismatchError
 from .groups import GroupElement, QuadratureRule, haar_quadrature
-from .wigner import dim, wigner_all, wigner_stack_on_rule
+from .wigner import dim, j2_of, little_d_stack, wigner_all
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,31 @@ def coefficient_distance(a: CoefficientSet, b: CoefficientSet) -> float:
     return float(np.sqrt(sum(np.linalg.norm(x - y) ** 2 for x, y in zip(a.matrices, b.matrices))))
 
 
+def _separable_factors(
+    tag: str, bandlimit: int, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, slice]]]:
+    """Factors of D_ell[m', m] = e^{-i m' alpha} d_ell(beta)[m', m] e^{-i m gamma} on a product rule.
+
+    Returns e^{i m alpha} and e^{i m gamma} over doubled m = -j2max..j2max, so
+    integer and half-integer m share one grid, and for each degree its
+    little-d planes (nb, dim, dim) with the slice of every second doubled m
+    in its band.
+    """
+    j2max = j2_of(bandlimit, tag)  # DomainError below degree 0
+    j2s = [j2_of(ell, tag) for ell in range(bandlimit + 1)]
+    m = np.arange(-j2max, j2max + 1) / 2.0
+    planes = little_d_stack(j2max, rule.betas)
+    degrees = [(planes[j2], slice(j2max - j2, j2max + j2 + 1, 2)) for j2 in j2s]
+    return np.exp(1j * np.outer(rule.alphas, m)), np.exp(1j * np.outer(rule.gammas, m)), degrees
+
+
 def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
     """F(ell) = sum_i w_i f(g_i) D_ell(g_i)^dagger for ell <= bandlimit.
 
     Exact when f is bandlimited at ``bandlimit`` and the rule's bandlimit is
     at least twice that; otherwise a PrecisionWarning is issued and the
-    result is the quadrature approximation.
+    result is the quadrature approximation.  The alpha and gamma circle sums
+    run once for all degrees; each degree is then a beta quadrature.
     """
     if f.rule.bandlimit < 2 * bandlimit:
         warnings.warn(
@@ -91,25 +110,30 @@ def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
             PrecisionWarning,
             stacklevel=2,
         )
-    w = f.rule.weights
-    mats = []
-    for ell in range(bandlimit + 1):
-        dstack = wigner_stack_on_rule(ell, f.tag, f.rule)
-        mats.append(np.einsum("i,i,ivu->uv", w, f.values, np.conj(dstack), optimize=True))
+    rule = f.rule
+    ea, eg, degrees = _separable_factors(f.tag, bandlimit, rule)
+    v = (rule.weights * f.values).reshape(rule.alphas.size, rule.betas.size, rule.gammas.size)
+    g = np.einsum("abc,am,cn->bmn", v, ea, eg, optimize=True)  # g[b, m', m]
+    mats = [np.einsum("bvu,bvu->uv", planes, g[:, band, band]) for planes, band in degrees]
     return CoefficientSet(f.tag, bandlimit, tuple(mats))
 
 
 def fourier_inverse(coeffs: CoefficientSet, rule: QuadratureRule | None = None) -> SampledFunction:
-    """Evaluate sum_ell dim(ell) Tr[F(ell) D_ell(g_i)] on a rule's nodes."""
+    """Evaluate sum_ell dim(ell) Tr[F(ell) D_ell(g_i)] on a rule's nodes.
+
+    Each degree adds its beta planes into h[b, m', m]; one pass over both
+    circles follows.
+    """
     if rule is None:
         rule = haar_quadrature(2 * coeffs.bandlimit, coeffs.tag)
     if rule.tag != coeffs.tag:
         raise TagMismatchError("rule tag does not match coefficient tag")
-    out = np.zeros(rule.size, dtype=complex)
-    for ell in range(coeffs.bandlimit + 1):
-        dstack = wigner_stack_on_rule(ell, coeffs.tag, rule)
-        out += coeffs.weight(ell) * np.einsum("uv,ivu->i", coeffs[ell], dstack, optimize=True)
-    return SampledFunction(coeffs.tag, rule, out)
+    ea, eg, degrees = _separable_factors(coeffs.tag, coeffs.bandlimit, rule)
+    h = np.zeros((rule.betas.size, ea.shape[1], ea.shape[1]), dtype=complex)
+    for ell, (planes, band) in enumerate(degrees):
+        h[:, band, band] += coeffs.weight(ell) * planes * coeffs[ell].T
+    out = np.einsum("am,bmn,cn->abc", np.conj(ea), h, np.conj(eg), optimize=True)
+    return SampledFunction(coeffs.tag, rule, out.reshape(-1))
 
 
 def evaluate_at(coeffs: CoefficientSet, elements: list[GroupElement]) -> np.ndarray:

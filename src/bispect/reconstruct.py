@@ -30,7 +30,7 @@ from .errors import (
     ZeroMeanError,
 )
 from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, haar_quadrature, su2_matrix, z_rotation
-from .harmonic import COND_REJECT, CoefficientSet
+from .harmonic import COND_REJECT, CoefficientSet, fourier_inverse
 from .bispectrum import BispectrumDescriptor
 from .clebsch import clebsch_gordan
 from .wigner import (
@@ -38,7 +38,6 @@ from .wigner import (
     SU2_BASIS_SWAP,
     dim,
     wigner_all,
-    wigner_stack_on_rule,
 )
 
 _HERMITICITY_TOL = 1e-10
@@ -183,18 +182,13 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
     from scipy.optimize import minimize
 
     tag = truth.tag
-    # score(x) = Re sum_ell dim <recovered, truth D(x)> = Re sum_ell dim Tr[K_ell D(x)]
+    # score(x) = Re sum_ell dim <recovered, truth D(x)> = Re sum_ell dim Tr[K_ell D(x)],
+    # the real part of the inverse transform of {K_ell}
     kmats = [recovered[ell].conj().T @ truth[ell] for ell in range(truth.bandlimit + 1)]
 
-    def score_on_rule(rule):
-        total = np.zeros(rule.size)
-        for ell in range(truth.bandlimit + 1):
-            dstack = wigner_stack_on_rule(ell, tag, rule)
-            total += dim(ell, tag) * np.einsum("uv,ivu->i", kmats[ell], dstack).real
-        return total
-
     rule = haar_quadrature(max(8, truth.bandlimit), tag)
-    best = int(np.argmax(score_on_rule(rule)))
+    scores = fourier_inverse(CoefficientSet(tag, truth.bandlimit, tuple(kmats)), rule).values.real
+    best = int(np.argmax(scores))
     a0, b0, c0 = rule.node_angles[best]
 
     gamma_period = 2 * TWO_PI if tag == SU2 else TWO_PI

@@ -85,33 +85,31 @@ class SphereFunction:
         return self.grid.resolution
 
 
-def _column_planes(grid: SphereGrid, bandlimit: int) -> list[np.ndarray]:
-    """d^ell_{n,0}(theta_j) columns for ell <= bandlimit; entry ell is (2B, 2ell+1)."""
-    cache = grid.__dict__.setdefault("_d_columns", {})
-    if cache.get("bandlimit", -1) < bandlimit:
-        planes = little_d_stack(2 * bandlimit, grid.thetas)
-        cache["cols"] = [planes[2 * ell][:, :, ell] for ell in range(bandlimit + 1)]
-        cache["bandlimit"] = bandlimit
-    return cache["cols"]
+@lru_cache(maxsize=32)
+def _theta_columns(resolution: int, bandlimit: int) -> tuple[np.ndarray, ...]:
+    """d^ell_{n,0}(theta_j) on sphere_grid(resolution) for ell <= bandlimit; entry ell is (2B, 2ell+1)."""
+    planes = little_d_stack(2 * bandlimit, sphere_grid(resolution).thetas)
+    cols = tuple(planes[2 * ell][:, :, ell].copy() for ell in range(bandlimit + 1))
+    for col in cols:
+        col.setflags(write=False)
+    return cols
 
 
 def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     """Harmonic coefficient row vectors a_ell[n], n = -ell..ell ascending.
 
     a_ell[n] = (1/4pi) * integral of s(theta, phi) e^{i n phi} d^ell_{n0}(theta).
-    Exact for functions bandlimited at the grid's resolution - 1.
+    Exact for functions bandlimited at the grid's resolution - 1.  The phi
+    sum runs once for every n, then each degree is a theta quadrature.
     """
     grid = s.grid
     n = 2 * grid.resolution
-    cols = _column_planes(grid, bandlimit)
-    out = []
-    for ell in range(bandlimit + 1):
-        ms = np.arange(-ell, ell + 1)
-        phase = np.exp(1j * np.outer(grid.phis, ms))  # (2B, 2ell+1)
-        theta_part = (grid.theta_weights[:, None] * cols[ell]).T  # (2ell+1, 2B)
-        a = np.einsum("nj,jk,kn->n", theta_part, s.values, phase)
-        out.append(a * (2 * np.pi / n) / (4 * np.pi))
-    return out
+    cols = _theta_columns(grid.resolution, bandlimit)
+    phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))  # (2B, 2L+1)
+    t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
+    return [
+        np.sum(cols[ell] * t[:, bandlimit - ell : bandlimit + ell + 1], axis=0) for ell in range(bandlimit + 1)
+    ]
 
 
 def sphere_lift(s: SphereFunction, bandlimit: int) -> CoefficientSet:
@@ -127,31 +125,27 @@ def sphere_lift(s: SphereFunction, bandlimit: int) -> CoefficientSet:
 
 def sphere_synthesis(coeffs: list[np.ndarray], grid: SphereGrid) -> SphereFunction:
     """Evaluate sum_ell (2ell+1) sum_n a_ell[n] e^{-i n phi} d^ell_{n0}(theta) on the grid."""
-    bandlimit = len(coeffs) - 1
-    cols = _column_planes(grid, bandlimit)
-    vals = np.zeros(grid.shape, dtype=complex)
-    for ell, a in enumerate(coeffs):
-        ms = np.arange(-ell, ell + 1)
-        phase = np.exp(-1j * np.outer(ms, grid.phis))  # (2ell+1, 2B)
-        vals += (2 * ell + 1) * (cols[ell] * a[None, :]) @ phase
-    return SphereFunction(grid, vals)
+    thetas, phis = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
+    return SphereFunction(grid, sphere_eval(coeffs, thetas, phis))
 
 
 def sphere_eval(coeffs: list[np.ndarray], thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Pointwise synthesis at arbitrary (theta, phi) arrays of equal shape."""
+    """Pointwise synthesis at arbitrary (theta, phi) arrays of equal shape.
+
+    The theta part h[t, n] = sum_ell (2ell+1) a_ell[n] d^ell_{n0}(theta_t)
+    runs once per distinct theta (2B of them on a grid mesh); each point
+    then sums h against e^{-i n phi} over n = -L..L.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    flat_t = thetas.reshape(-1)
-    flat_p = phis.reshape(-1)
     bandlimit = len(coeffs) - 1
-    planes = little_d_stack(2 * bandlimit, flat_t)
-    out = np.zeros(flat_t.size, dtype=complex)
+    distinct, which = np.unique(thetas.reshape(-1), return_inverse=True)
+    planes = little_d_stack(2 * bandlimit, distinct)
+    h = np.zeros((distinct.size, 2 * bandlimit + 1), dtype=complex)
     for ell, a in enumerate(coeffs):
-        ms = np.arange(-ell, ell + 1)
-        dcol = planes[2 * ell][:, :, ell]  # (N, 2ell+1)
-        phase = np.exp(-1j * flat_p[:, None] * ms[None, :])
-        out += (2 * ell + 1) * np.sum(dcol * phase * a[None, :], axis=1)
-    return out.reshape(thetas.shape)
+        h[:, bandlimit - ell : bandlimit + ell + 1] += (2 * ell + 1) * planes[2 * ell][:, :, ell] * a
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    phase = np.exp(-1j * np.outer(phis, np.arange(-bandlimit, bandlimit + 1)))
+    return np.sum(h[which] * phase, axis=1).reshape(thetas.shape)
 
 
 def rotate_sphere(

@@ -166,9 +166,10 @@ def suite_quadrature(seed: int = 0) -> list[CheckResult]:
         bandlimit = 4
         rule = haar_quadrature(bandlimit, tag)
         out.append(CheckResult.from_residual(f"{tag}-weights-sum", abs(rule.weights.sum() - 1.0), 1e-12))
+        const = fourier_inverse(CoefficientSet(tag, 0, (np.ones((1, 1)),)), rule)
         out.append(
             CheckResult.from_residual(
-                f"{tag}-constant-integral", abs(np.sum(rule.weights) - 1.0), 1e-12
+                f"{tag}-constant-integral", abs(np.sum(rule.weights * const.values) - 1.0), 1e-12
             )
         )
 

@@ -141,38 +141,25 @@ def wigner(index: IrrepIndex, g: GroupElement) -> WignerMatrix:
     return WignerMatrix(index, wigner_matrix(index.ell, index.tag, g))
 
 
-def _rule_planes(rule: QuadratureRule, j2max: int) -> list[np.ndarray]:
-    cache = rule.__dict__.setdefault("_d_planes", {})
-    have = cache.get("j2max", -1)
-    if have < j2max:
-        cache["planes"] = little_d_stack(j2max, rule.betas)
-        cache["j2max"] = j2max
-    return cache["planes"]
-
-
 def wigner_stack_on_rule(ell: int, tag: str, rule: QuadratureRule) -> np.ndarray:
     """D_ell at every rule node, shape (size, dim, dim), product-grid order.
 
-    Built separably: per-beta little-d planes and phase factors over the
-    alpha/gamma circles.  Cached per rule and degree.
+    Built separably from per-beta little-d planes and phase factors over the
+    alpha/gamma circles.  Not cached: the transforms never build it, and at
+    degree ell it takes size * dim^2 complex entries.
     """
     if rule.tag != tag:
         raise TagMismatchError("rule tag does not match requested tag")
-    stacks = rule.__dict__.setdefault("_wigner_stacks", {})
-    if ell in stacks:
-        return stacks[ell]
     j2 = j2_of(ell, tag)
-    planes = _rule_planes(rule, j2)[j2]  # (nb, d, d)
+    planes = little_d_stack(j2, rule.betas)[j2]  # (nb, d, d)
     m = m_values(ell, tag)
     ea = np.exp(-1j * np.outer(rule.alphas, m))  # (na, d)
     eg = np.exp(-1j * np.outer(rule.gammas, m))  # (ng, d)
-    stack = (
+    return (
         ea[:, None, None, :, None]
         * planes[None, :, None, :, :]
         * eg[None, None, :, None, :]
     ).reshape(rule.size, j2 + 1, j2 + 1)
-    stacks[ell] = stack
-    return stack
 
 
 # Fixed unitary relating the SO3 degree-1 matrix to the rotation itself:

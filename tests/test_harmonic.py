@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +19,7 @@ from bispect.harmonic import (
     random_bandlimited,
     translate,
 )
-from bispect.wigner import wigner_stack_on_rule
+from bispect.wigner import dim, wigner_stack_on_rule
 
 
 def test_constant_function_transforms_to_delta():
@@ -53,6 +58,65 @@ def test_round_trips(tag):
         assert np.max(np.abs(coeffs[ell] - back[ell])) < 1e-10
     again = fourier_inverse(back, rule)
     assert np.max(np.abs(samples.values - again.values)) < 1e-9
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_transforms_match_stack_definition(tag):
+    # reference: the defining sums over the full stack D_ell(g_i) at every node
+    rng = np.random.default_rng(40)
+    for bandlimit in range(7):
+        coeffs = random_bandlimited(bandlimit, tag, seed=bandlimit)
+        # exact, over-resolved, and the under-resolved rule random_bandlimited(require_real=True) uses
+        for rule_bandlimit in sorted({2 * bandlimit, 2 * bandlimit + 3, bandlimit}):
+            rule = haar_quadrature(rule_bandlimit, tag)
+            values = rng.standard_normal(rule.size) + 1j * rng.standard_normal(rule.size)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                forward = fourier_forward(SampledFunction(tag, rule, values), bandlimit)
+            expected = [PrecisionWarning] if rule_bandlimit < 2 * bandlimit else []
+            assert [w.category for w in caught] == expected
+            inverse = fourier_inverse(coeffs, rule).values
+            ref_inverse = np.zeros(rule.size, dtype=complex)
+            for ell in range(bandlimit + 1):
+                stack = wigner_stack_on_rule(ell, tag, rule)
+                ref = np.einsum("i,i,ivu->uv", rule.weights, values, np.conj(stack))
+                assert np.max(np.abs(forward[ell] - ref)) <= 1e-13 * np.max(np.abs(ref))
+                ref_inverse += dim(ell, tag) * np.einsum("uv,ivu->i", coeffs[ell], stack)
+            assert np.max(np.abs(inverse - ref_inverse)) <= 1e-13 * np.max(np.abs(ref_inverse))
+
+
+def test_transforms_keep_no_state_on_rule():
+    bandlimit = 8
+    rule = haar_quadrature(2 * bandlimit, SO3)
+    coeffs = random_bandlimited(bandlimit, SO3, seed=15)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fourier_forward(fourier_inverse(coeffs, rule), bandlimit)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cached_properties = {"weights", "node_angles", "nodes"}
+    assert set(vars(rule)) <= {f.name for f in dataclasses.fields(rule)} | cached_properties
+    assert retained < 8 * 2**20
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_transform_round_trip_reach(tag):
+    bandlimit = 32
+    coeffs = random_bandlimited(bandlimit, tag, seed=16)
+    tracemalloc.start()
+    try:
+        samples = fourier_inverse(coeffs)
+        back = fourier_forward(samples, bandlimit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.rule.bandlimit == 2 * bandlimit
+    assert max(float(np.max(np.abs(coeffs[l] - back[l]))) for l in range(bandlimit + 1)) <= 1e-10
+    assert peak <= 256 * 2**20
 
 
 def test_inverse_single_coefficient():
@@ -114,6 +178,15 @@ def test_precision_warning_on_coarse_rule():
     f = SampledFunction(SU2, rule, np.ones(rule.size, dtype=complex))
     with pytest.warns(PrecisionWarning):
         fourier_forward(f, 4)
+
+
+def test_negative_bandlimit_is_domain_error():
+    rule = haar_quadrature(2, SU2)
+    f = SampledFunction(SU2, rule, np.ones(rule.size, dtype=complex))
+    with pytest.raises(DomainError):
+        fourier_forward(f, -1)
+    with pytest.raises(DomainError):
+        fourier_inverse(CoefficientSet(SU2, -1, ()), rule)
 
 
 def test_parseval():

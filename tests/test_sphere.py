@@ -11,10 +11,12 @@ from bispect.sphere import (
     random_sphere_function,
     rotate_sphere,
     sphere_coefficients,
+    sphere_eval,
     sphere_grid,
     sphere_lift,
     sphere_synthesis,
 )
+from bispect.wigner import little_d_stack
 
 
 def test_theta_weights_integrate_legendre_exactly():
@@ -33,6 +35,39 @@ def test_coefficient_synthesis_round_trip(rng):
     back = sphere_coefficients(s, 6)
     for l in range(7):
         assert np.max(np.abs(coeffs[l] - back[l])) < 1e-12
+
+
+def test_sphere_transforms_match_per_degree_formulas(rng):
+    # reference: one phi phase matrix, theta weight and little-d column per degree
+    resolution, bandlimit = 8, 7
+    grid = sphere_grid(resolution)
+    n = 2 * resolution
+    planes = little_d_stack(2 * bandlimit, grid.thetas)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    harm = [rng.standard_normal(2 * l + 1) + 1j * rng.standard_normal(2 * l + 1) for l in range(bandlimit + 1)]
+    coeffs = sphere_coefficients(SphereFunction(grid, values), bandlimit)
+    synth = sphere_synthesis(harm, grid).values
+    ref_synth = np.zeros(grid.shape, dtype=complex)
+    for ell in range(bandlimit + 1):
+        ms = np.arange(-ell, ell + 1)
+        col = planes[2 * ell][:, :, ell]
+        theta_part = (grid.theta_weights[:, None] * col).T
+        ref = np.einsum("nj,jk,kn->n", theta_part, values, np.exp(1j * np.outer(grid.phis, ms))) / (2 * n)
+        assert np.max(np.abs(coeffs[ell] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref_synth += (2 * ell + 1) * (col * harm[ell][None, :]) @ np.exp(-1j * np.outer(ms, grid.phis))
+    assert np.max(np.abs(synth - ref_synth)) <= 1e-13 * np.max(np.abs(ref_synth))
+
+    # scattered points, one theta repeated, against the per-point sum
+    thetas = np.append(rng.uniform(0.0, np.pi, 40), [0.0, np.pi, 1.0, 1.0]).reshape(4, 11)
+    phis = rng.uniform(0.0, 2 * np.pi, thetas.shape)
+    planes = little_d_stack(2 * bandlimit, thetas.reshape(-1))
+    ref_eval = np.zeros(thetas.size, dtype=complex)
+    for ell in range(bandlimit + 1):
+        phase = np.exp(-1j * np.outer(phis, np.arange(-ell, ell + 1)))
+        ref_eval += (2 * ell + 1) * np.sum(planes[2 * ell][:, :, ell] * phase * harm[ell], axis=1)
+    ref_eval = ref_eval.reshape(thetas.shape)
+    got = sphere_eval(harm, thetas, phis)
+    assert np.max(np.abs(got - ref_eval)) <= 1e-13 * np.max(np.abs(ref_eval))
 
 
 def test_constant_sphere_function_lifts_to_delta():
