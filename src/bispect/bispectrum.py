@@ -5,9 +5,10 @@ The descriptor entry at (p, q) is
     A(p, q) = [F(p) (x) F(q)] C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+
 
 with the a_i the tensor-product decomposition degrees; degrees beyond the
-bandlimit contribute zero blocks.  A brute-force double-quadrature of the
-triple correlation against Wigner matrices serves as the independent
-oracle for the formula at small bandlimits.
+bandlimit contribute zero blocks, which ``CGDecomposition.couple`` skips,
+and ``kron_apply`` applies F(p) (x) F(q) without forming it.  A brute-force
+double-quadrature of the triple correlation against Wigner matrices serves
+as the independent oracle for the formula at small bandlimits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import clebsch_gordan, direct_sum
+from .clebsch import clebsch_gordan, kron_apply
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
@@ -29,15 +30,8 @@ def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
     cg = clebsch_gordan(coeffs.tag, p, q)
-    blocks = []
-    for a in cg.indices:
-        if a <= coeffs.bandlimit:
-            blocks.append(coeffs[a].conj().T)
-        else:
-            d = dim(a, coeffs.tag)
-            blocks.append(np.zeros((d, d), dtype=complex))
-    middle = cg.C @ direct_sum(blocks) @ cg.C.conj().T
-    return np.kron(coeffs[p], coeffs[q]) @ middle
+    middle = cg.couple({a: coeffs[a].conj().T for a in cg.indices if a <= coeffs.bandlimit})
+    return kron_apply(np.matmul, coeffs[p], coeffs[q], middle)
 
 
 @dataclass(frozen=True)

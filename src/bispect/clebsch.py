@@ -9,12 +9,17 @@ every block, with no quadrature and no random trials.  The block phase is
 fixed by making the first significant entry of the block's first column
 positive, which pins the stored matrices to one reproducible convention.
 
+Only this module reads C's layout (Kronecker-ordered rows, column blocks in
+cg_indices order); other modules go through ``CGDecomposition.couple`` and
+``kron_apply``.
+
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +58,23 @@ class CGDecomposition:
         """Columns of C belonging to target degree a."""
         i = self.indices.index(a)
         return self.C[:, self.block_slices[i]]
+
+    def couple(self, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """C [dsum_a M_a] C^dagger from {degree a: M_a}, blocks optionally stacked (N, d, d).
+
+        A missing degree is a zero block: only the given degrees' columns are multiplied."""
+        given = [(a, sl) for a, sl in zip(self.indices, self.block_slices) if a in blocks]
+        left = np.concatenate([self.C[:, sl] @ blocks[a] for a, sl in given], axis=-1)
+        return left @ np.concatenate([self.C[:, sl] for _, sl in given], axis=1).conj().T
+
+
+def kron_apply(op: Callable, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[a (x) b] x (op=np.matmul) or [a (x) b]^-1 x (op=np.linalg.solve), one factor at a time.
+
+    x has Kronecker-ordered rows, row i * d_b + k; a (x) b is never formed."""
+    da, db = a.shape[0], b.shape[0]
+    t = op(a, x.reshape(da, -1)).reshape(da, db, -1)
+    return op(b, t).reshape(da * db, -1)  # b broadcasts over the da slices
 
 
 _CG_CACHE: dict[tuple[str, int, int], CGDecomposition] = {}
@@ -111,6 +133,7 @@ def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
     si, ri, ci = np.nonzero(live[:, :, None] & live[:, None, :])
     c = np.zeros(((jp + 1) * (jq + 1),) * 2)
     c[row[si, ri], col[si, ci]] = vecs[si, ri, ci]
+    c.setflags(write=False)  # cached and shared by the whole process
     return CGDecomposition(tag, p, q, c, cg_indices(tag, p, q))
 
 
@@ -124,24 +147,11 @@ def clebsch_gordan(tag: str, p: int, q: int) -> CGDecomposition:
     return _CG_CACHE[key]
 
 
-def direct_sum(mats: list[np.ndarray]) -> np.ndarray:
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=np.result_type(*[m.dtype for m in mats]))
-    off = 0
-    for m in mats:
-        d = m.shape[0]
-        out[off : off + d, off : off + d] = m
-        off += d
-    return out
-
-
 def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:
     """Largest || D_p (x) D_q  -  C (dsum D_a) C^dagger ||_F over the elements."""
     d = wigner_all(cg.p + cg.q, cg.tag, elements)
     lhs = np.einsum("nij,nkl->nikjl", d[cg.p], d[cg.q]).reshape(len(elements), *cg.C.shape)
-    # C (dsum D_a) one column block at a time, skipping the zeros of the direct sum
-    c_ds = np.concatenate([cg.C[:, sl] @ d[a] for a, sl in zip(cg.indices, cg.block_slices)], axis=-1)
-    rhs = c_ds @ cg.C.conj().T
+    rhs = cg.couple({a: d[a] for a in cg.indices})
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
 
 
@@ -228,8 +238,8 @@ def verify_coset_homomorphism(
         for dlt in range(bandlimit + 1):
             cg = clebsch_gordan(tag, s, dlt)
             lhs = np.kron(projections[s] @ dmats[s], projections[dlt] @ dmats[dlt])
-            ds = direct_sum([projections[a] @ dmats[a] for a in cg.indices])
-            rhs = np.kron(projections[s], projections[dlt]) @ cg.C @ ds @ cg.C.conj().T
+            sand = cg.couple({a: projections[a] @ dmats[a] for a in cg.indices})
+            rhs = kron_apply(np.matmul, projections[s], projections[dlt], sand)
             r = float(np.max(np.abs(lhs - rhs)))
             per_pair[(s, dlt)] = r
             tensor_res = max(tensor_res, r)

@@ -45,6 +45,8 @@ class CoefficientSet:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if self.bandlimit < 0:
+            raise DomainError(f"bandlimit must be nonnegative, got {self.bandlimit}")
         mats = []
         for ell, mat in enumerate(self.matrices):
             m = np.asarray(mat, dtype=complex)

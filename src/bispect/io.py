@@ -157,6 +157,8 @@ def load_coefficients(path: str) -> CoefficientSet:
     _check_header(doc, "coefficients", path)
     tag = _check_group(_require(doc, "group", path), path)
     bandlimit = _require_int(doc, "bandlimit", path)
+    if bandlimit < 0:
+        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
     raw = _require(doc, "matrices", path)
     if len(raw) != bandlimit + 1:
         raise FormatError(f"expected {bandlimit + 1} matrices, found {len(raw)}", path)

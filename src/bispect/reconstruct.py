@@ -4,7 +4,7 @@ The driver inverts the descriptor degree by degree: the mean from the cube
 root of A(0, 0), the degree-1 matrix from a square root of A(1, 0)/F(0)
 (positive root on SU2, where real origin functions force a nonnegative
 determinant; sign-matched root on SO3 using the stored det side
-information), and each higher degree from the leading block of
+information), and each higher degree from the degree-l diagonal block of
 
     C^+ [F(l-1)^-1 (x) F(1)^-1] A(l-1, 1) C .
 
@@ -32,7 +32,7 @@ from .errors import (
 from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, haar_quadrature, su2_matrix, z_rotation
 from .harmonic import COND_REJECT, CoefficientSet, fourier_inverse
 from .bispectrum import BispectrumDescriptor
-from .clebsch import clebsch_gordan
+from .clebsch import clebsch_gordan, kron_apply
 from .wigner import (
     CARTESIAN_TO_SPHERICAL,
     SU2_BASIS_SWAP,
@@ -207,16 +207,6 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
     return element(res.x)
 
 
-def _kron_inverse_apply(fa: np.ndarray, fb: np.ndarray, amat: np.ndarray) -> np.ndarray:
-    """[fa^-1 (x) fb^-1] amat without forming the Kronecker inverse."""
-    da, db = fa.shape[0], fb.shape[0]
-    t = amat.reshape(da, db, -1)
-    t = np.linalg.solve(fa, t.reshape(da, -1)).reshape(da, db, -1)
-    t = np.moveaxis(t, 1, 0)
-    t = np.linalg.solve(fb, t.reshape(db, -1)).reshape(db, da, -1)
-    return np.moveaxis(t, 0, 1).reshape(da * db, -1)
-
-
 def _reconstruct(
     desc: BispectrumDescriptor,
     bandlimit: int | None,
@@ -252,11 +242,9 @@ def _reconstruct(
         conds[1] = cond1
 
     for ell in range(2, L + 1):
-        cg = clebsch_gordan(tag, ell - 1, 1)
+        c = clebsch_gordan(tag, ell - 1, 1).block(ell)
         a = np.asarray(desc[(ell - 1, 1)], dtype=complex)
-        inner = cg.C.conj().T @ _kron_inverse_apply(mats[ell - 1], mats[1], a) @ cg.C
-        d = dim(ell, tag)
-        f_ell = inner[:d, :d].conj().T
+        f_ell = (c.conj().T @ kron_apply(np.linalg.solve, mats[ell - 1], mats[1], a) @ c).conj().T
         cond = float(np.linalg.cond(f_ell))
         if not np.isfinite(cond) or cond > COND_REJECT:
             raise SingularCoefficientError(ell)

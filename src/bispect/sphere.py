@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError, TagMismatchError
 from .groups import SO3, GroupElement
 from .harmonic import CoefficientSet
-from .wigner import little_d_stack
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,16 @@ class SphereFunction:
         return self.grid.resolution
 
 
-@lru_cache(maxsize=32)
-def _theta_columns(resolution: int, bandlimit: int) -> tuple[np.ndarray, ...]:
-    """d^ell_{n,0}(theta_j) on sphere_grid(resolution) for ell <= bandlimit; entry ell is (2B, 2ell+1)."""
-    planes = little_d_stack(2 * bandlimit, sphere_grid(resolution).thetas)
-    cols = tuple(planes[2 * ell][:, :, ell].copy() for ell in range(bandlimit + 1))
-    for col in cols:
-        col.setflags(write=False)
-    return cols
+def _theta_columns(thetas: np.ndarray, bandlimit: int) -> np.ndarray:
+    """d^ell_{n0}(theta_t) = sqrt(4pi/(2ell+1)) Y_ell^n(theta_t, 0) as (ell, t, n), n = -L..L; 0 at |n| > ell."""
+    from scipy.special import sph_legendre_p_all  # local import: group-only runs never load scipy.special
+
+    if bandlimit < 0:
+        raise DomainError(f"bandlimit must be nonnegative, got {bandlimit}")
+    # scipy stores order n at index n mod (2L+1)
+    y = np.roll(sph_legendre_p_all(bandlimit, bandlimit, thetas)[0], bandlimit, axis=1)
+    scale = np.sqrt(4 * np.pi / (2 * np.arange(bandlimit + 1) + 1))
+    return scale[:, None, None] * y.transpose(0, 2, 1)
 
 
 def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
@@ -104,12 +105,11 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     """
     grid = s.grid
     n = 2 * grid.resolution
-    cols = _theta_columns(grid.resolution, bandlimit)
+    cols = _theta_columns(grid.thetas, bandlimit)
     phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))  # (2B, 2L+1)
     t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
-    return [
-        np.sum(cols[ell] * t[:, bandlimit - ell : bandlimit + ell + 1], axis=0) for ell in range(bandlimit + 1)
-    ]
+    a = np.einsum("ltn,tn->ln", cols, t)
+    return [a[ell, bandlimit - ell : bandlimit + ell + 1] for ell in range(bandlimit + 1)]
 
 
 def sphere_lift(s: SphereFunction, bandlimit: int) -> CoefficientSet:
@@ -139,10 +139,8 @@ def sphere_eval(coeffs: list[np.ndarray], thetas: np.ndarray, phis: np.ndarray) 
     thetas = np.asarray(thetas, dtype=float)
     bandlimit = len(coeffs) - 1
     distinct, which = np.unique(thetas.reshape(-1), return_inverse=True)
-    planes = little_d_stack(2 * bandlimit, distinct)
-    h = np.zeros((distinct.size, 2 * bandlimit + 1), dtype=complex)
-    for ell, a in enumerate(coeffs):
-        h[:, bandlimit - ell : bandlimit + ell + 1] += (2 * ell + 1) * planes[2 * ell][:, :, ell] * a
+    padded = np.array([np.pad(np.multiply(2 * ell + 1, a), bandlimit - ell) for ell, a in enumerate(coeffs)])
+    h = np.einsum("ltn,ln->tn", _theta_columns(distinct, bandlimit), padded)
     phis = np.asarray(phis, dtype=float).reshape(-1)
     phase = np.exp(-1j * np.outer(phis, np.arange(-bandlimit, bandlimit + 1)))
     return np.sum(h[which] * phase, axis=1).reshape(thetas.shape)

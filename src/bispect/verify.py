@@ -44,8 +44,8 @@ from .wigner import dim, wigner_all, wigner_stack_on_rule
 from .clebsch import (
     cg_indices,
     clebsch_gordan,
-    direct_sum,
     intertwiner_residual,
+    kron_apply,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -306,7 +306,7 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
             for dlt in range(5):
                 cg = clebsch_gordan(tag, s, dlt)
                 lhs = np.kron(subgroup_projection(tag, s).P, subgroup_projection(tag, dlt).P)
-                sand = cg.C @ direct_sum([subgroup_projection(tag, a).P for a in cg.indices]) @ cg.C.conj().T
+                sand = cg.couple({a: subgroup_projection(tag, a).P for a in cg.indices})
                 worst = max(worst, float(np.max(np.abs(lhs - lhs @ sand))))
                 worst = max(worst, float(np.max(np.abs(lhs - sand @ lhs))))
     out.append(CheckResult.from_residual("projection-tensor-identity", worst, 1e-10))
@@ -564,8 +564,8 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
     cg = clebsch_gordan(SU2, 1, 1)
     bad_c = cg.C.astype(complex)
     bad_c[:, 0] *= np.exp(0.25j)
-    blocks = [coeffs[a].conj().T for a in cg.indices]
-    bad = np.kron(coeffs[1], coeffs[1]) @ bad_c @ direct_sum(blocks) @ bad_c.conj().T
+    middle = replace(cg, C=bad_c).couple({a: coeffs[a].conj().T for a in cg.indices})
+    bad = kron_apply(np.matmul, coeffs[1], coeffs[1], middle)
     rule = haar_quadrature(6, SU2)
     oracle = bispectrum_via_oracle(fourier_inverse(coeffs, rule), 1, 1, 2)
     mismatch = float(np.linalg.norm(bad - oracle)) / max(float(np.linalg.norm(oracle)), 1e-300)

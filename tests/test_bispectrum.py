@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from bispect.errors import DomainError
 from bispect.groups import SO3, SU2, haar_quadrature, identity, random_element
@@ -14,6 +15,9 @@ from bispect.bispectrum import (
     triple_correlation,
     triple_correlation_grid,
 )
+from bispect.clebsch import clebsch_gordan
+from bispect.sphere import random_sphere_function, sphere_lift
+from bispect.wigner import dim
 
 
 def test_a00_is_mean_cubed():
@@ -48,16 +52,24 @@ def test_hermitian_slice_psd():
         assert np.linalg.eigvalsh(herm)[0] > -1e-10
 
 
-def test_out_of_band_blocks_are_zero():
-    # at L = 1 the degree-2 block of A(1,1) is bandlimited away
-    coeffs = random_bandlimited(1, SU2, require_real=True, seed=34)
-    a11 = bispectrum_matrix(coeffs, 1, 1)
-    from bispect.clebsch import clebsch_gordan, direct_sum
-
-    cg = clebsch_gordan(SU2, 1, 1)
-    blocks = [np.zeros((3, 3), dtype=complex), coeffs[0].conj().T]
-    expect = np.kron(coeffs[1], coeffs[1]) @ cg.C @ direct_sum(blocks) @ cg.C.conj().T
-    assert np.max(np.abs(a11 - expect)) < 1e-12
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_bandlimited(4, SU2, require_real=True, seed=34),
+        lambda: random_bandlimited(4, SO3, require_real=True, seed=34),
+        lambda: sphere_lift(random_sphere_function(8, 4, seed=34), 4),
+    ],
+    ids=["SU2", "SO3", "sphere-lift"],
+)
+def test_out_of_band_blocks_are_zero(make):
+    # every A(p, q) against [F(p) (x) F(q)] C [dsum_a F(a)^+, zero blocks past L] C^T
+    coeffs = make()
+    L = coeffs.bandlimit
+    for (p, q), got in build_descriptor(coeffs).entries.items():
+        cg = clebsch_gordan(coeffs.tag, p, q)
+        blocks = [coeffs[a].conj().T if a <= L else np.zeros((dim(a, coeffs.tag),) * 2) for a in cg.indices]
+        expect = np.kron(coeffs[p], coeffs[q]) @ cg.C @ block_diag(*blocks) @ cg.C.T
+        assert np.linalg.norm(got - expect) <= 1e-13 * max(np.linalg.norm(expect), 1e-300)
 
 
 def test_bispectrum_requires_in_band_pair():

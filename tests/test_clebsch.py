@@ -4,13 +4,14 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from bispect.groups import SO3, SU2, compose, identity, random_element, z_rotation
 from bispect.clebsch import (
     cg_indices,
     clebsch_gordan,
-    direct_sum,
     intertwiner_residual,
+    kron_apply,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -181,9 +182,7 @@ def test_projection_tensor_identity():
             for d in range(5):
                 cg = clebsch_gordan(tag, s, d)
                 lhs = np.kron(subgroup_projection(tag, s).P, subgroup_projection(tag, d).P)
-                sand = cg.C @ direct_sum(
-                    [subgroup_projection(tag, a).P for a in cg.indices]
-                ) @ cg.C.conj().T
+                sand = cg.C @ block_diag(*[subgroup_projection(tag, a).P for a in cg.indices]) @ cg.C.T
                 assert np.max(np.abs(lhs - lhs @ sand)) < 1e-10
                 assert np.max(np.abs(lhs - sand @ lhs)) < 1e-10
 
@@ -217,3 +216,37 @@ def test_coset_conditions_negative_control(rng):
     rep = verify_coset_homomorphism(random_element(SO3, rng), 2, corruption=1e-2)
     assert rep.max_residual > 1e-3
     assert not rep.passed
+
+
+def test_cg_tables_are_read_only():
+    cg = clebsch_gordan(SO3, 1, 1)
+    with pytest.raises(ValueError):
+        cg.C[0, 0] = 5.0
+    assert clebsch_gordan(SO3, 1, 1).C[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("tag,p,q", [(SU2, 3, 2), (SO3, 2, 2)])
+def test_couple_matches_block_diag_and_stacks(tag, p, q, rng):
+    cg = clebsch_gordan(tag, p, q)
+    stacks = {a: rng.standard_normal((4, dim(a, tag), dim(a, tag))) + 1j for a in cg.indices}
+    got = cg.couple(stacks)
+    assert got.shape == (4, *cg.C.shape)
+    for k in range(4):
+        single = cg.couple({a: m[k] for a, m in stacks.items()})
+        assert np.array_equal(got[k], single)
+        dense = cg.C @ block_diag(*[m[k] for m in stacks.values()]) @ cg.C.T
+        assert np.max(np.abs(single - dense)) <= 1e-13 * np.max(np.abs(dense))
+    # a missing degree is a zero block
+    top = cg.indices[0]
+    partial = cg.couple({a: m[0] for a, m in stacks.items() if a != top})
+    zeroed = [np.zeros_like(m[0]) if a == top else m[0] for a, m in stacks.items()]
+    assert np.max(np.abs(partial - cg.C @ block_diag(*zeroed) @ cg.C.T)) <= 1e-13 * np.max(np.abs(partial))
+
+
+def test_kron_apply_matches_kron_and_inverts(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    x = rng.standard_normal((15, 7)) + 1j * rng.standard_normal((15, 7))
+    y = kron_apply(np.matmul, a, b, x)
+    assert np.max(np.abs(y - np.kron(a, b) @ x)) <= 1e-13 * np.max(np.abs(y))
+    assert np.max(np.abs(kron_apply(np.linalg.solve, a, b, y) - x)) <= 1e-12 * np.max(np.abs(x))

@@ -145,3 +145,12 @@ def test_inverse_rejects_non_integer_bandlimit(workdir, capsys, value):
     _edit_json(coeff_path, lambda doc: doc.update({"bandlimit": value}))
     assert main(["inverse", coeff_path, "--output", str(workdir / "s.json")]) == 2
     assert "field 'bandlimit' must be an integer" in capsys.readouterr().err
+
+
+def test_bispectrum_rejects_negative_bandlimit(workdir, capsys):
+    coeff_path = str(workdir / "c.json")
+    _edit_json(coeff_path, lambda doc: doc.update({"bandlimit": -1, "matrices": []}))
+    out = workdir / "d.json"
+    assert main(["bispectrum", coeff_path, "--output", str(out)]) == 2
+    assert "bandlimit" in capsys.readouterr().err
+    assert not out.exists()

@@ -247,6 +247,8 @@ def test_coefficient_set_validation():
         CoefficientSet(SU2, 1, (np.zeros((1, 1)), np.zeros((3, 3))))
     with pytest.raises(DomainError):
         CoefficientSet(SO3, 1, (np.zeros((1, 1)),))
+    with pytest.raises(DomainError):
+        CoefficientSet(SO3, -1, ())
 
 
 def test_sampled_function_validation():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bispect.errors import TagMismatchError
-from bispect.groups import SO3, SU2, random_element, z_rotation
+from bispect.errors import DomainError, TagMismatchError
+from bispect.groups import SO3, SU2, inverse, random_element, z_rotation
 from bispect.harmonic import translate
 from bispect.clebsch import subgroup_projection
 from bispect.sphere import (
@@ -15,8 +17,9 @@ from bispect.sphere import (
     sphere_grid,
     sphere_lift,
     sphere_synthesis,
+    _theta_columns,
 )
-from bispect.wigner import little_d_stack
+from bispect.wigner import little_d_direct, little_d_stack
 
 
 def test_theta_weights_integrate_legendre_exactly():
@@ -154,3 +157,34 @@ def test_rotate_sphere_rejects_su2(rng):
     s = random_sphere_function(6, 4, seed=9)
     with pytest.raises(TagMismatchError):
         rotate_sphere(s, random_element(SU2, rng))
+
+
+def test_theta_columns_match_direct_little_d():
+    bandlimit = 10
+    thetas = np.array([0.0, 0.3, 1.0, 2.2, np.pi])
+    cols = _theta_columns(thetas, bandlimit)
+    for ell in range(bandlimit + 1):
+        for t, theta in enumerate(thetas):
+            ref = little_d_direct(2 * ell, theta)[:, ell]
+            assert np.max(np.abs(cols[ell, t, bandlimit - ell : bandlimit + ell + 1] - ref)) <= 1e-13
+        assert not np.any(cols[ell, :, : bandlimit - ell]) and not np.any(cols[ell, :, bandlimit + ell + 1 :])
+
+
+def test_rotate_sphere_memory_at_large_bandlimit():
+    # 4,096 distinct rotated thetas at L = 31; keeping every little-d plane would pass 3 GB
+    s = random_sphere_function(32, 31, seed=8)
+    x = random_element(SO3, np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        rotated = rotate_sphere(s, x, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    back = rotate_sphere(rotated, inverse(x), 31)
+    assert peak <= 256 * 2**20
+    assert np.max(np.abs(back.values - s.values)) <= 1e-9 * np.max(np.abs(s.values))
+
+
+def test_negative_bandlimit_lift_is_domain_error():
+    with pytest.raises(DomainError):
+        sphere_lift(random_sphere_function(4, 2, seed=1), -1)
