@@ -6,9 +6,16 @@ The descriptor entry at (p, q) is
 
 with the a_i the tensor-product decomposition degrees; degrees beyond the
 bandlimit contribute zero blocks, which ``CGDecomposition.couple`` skips,
-and ``kron_apply`` applies F(p) (x) F(q) without forming it.  A brute-force
-double-quadrature of the triple correlation against Wigner matrices serves
-as the independent oracle for the formula at small bandlimits.
+and ``kron_apply`` applies F(p) (x) F(q) without forming it.
+
+The descriptor computes only the entries with p <= q.  The swap S that
+reorders Kronecker rows from p (x) q to q (x) p gives C_qp = S C_pq Sigma,
+with Sigma one sign per block, and Sigma commutes with the block-diagonal
+middle factor, so A(q, p) = S A(p, q) S^T exactly (``kron_swap``).
+
+A brute-force double-quadrature of the triple correlation against Wigner
+matrices serves as the independent oracle for the formula at small
+bandlimits.
 """
 
 from __future__ import annotations
@@ -21,17 +28,22 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import clebsch_gordan, kron_apply
+from .clebsch import clebsch_gordan, kron_apply, kron_swap
 from .wigner import dim, wigner_all, wigner_stack_on_rule
+
+
+def _entry(coeffs: CoefficientSet, daggers: list[np.ndarray], p: int, q: int) -> np.ndarray:
+    """A(p, q) from the in-band F(a)^+, daggers[a] for a <= bandlimit."""
+    cg = clebsch_gordan(coeffs.tag, p, q)
+    middle = cg.couple({a: daggers[a] for a in cg.indices if a <= coeffs.bandlimit})
+    return kron_apply(np.matmul, coeffs[p], coeffs[q], middle)
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
     """A(p, q) by the matrix formula; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
-    cg = clebsch_gordan(coeffs.tag, p, q)
-    middle = cg.couple({a: coeffs[a].conj().T for a in cg.indices if a <= coeffs.bandlimit})
-    return kron_apply(np.matmul, coeffs[p], coeffs[q], middle)
+    return _entry(coeffs, [m.conj().T for m in coeffs.matrices], p, q)
 
 
 @dataclass(frozen=True)
@@ -52,11 +64,17 @@ class BispectrumDescriptor:
 
 def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     """Assemble the full descriptor; SO3 sets with a (near-)real det F(1)
-    store it as side information for the reconstruction sign branch."""
+    store it as side information for the reconstruction sign branch.
+
+    Entries with p <= q come from the formula; A(q, p) = S A(p, q) S^T."""
+    daggers = [m.conj().T for m in coeffs.matrices]
     entries = {}
     for p in range(coeffs.bandlimit + 1):
         for q in range(coeffs.bandlimit + 1):
-            entries[(p, q)] = bispectrum_matrix(coeffs, p, q)
+            if q < p:  # row q, computed earlier, holds A(q, p)
+                entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag))
+            else:
+                entries[(p, q)] = _entry(coeffs, daggers, p, q)
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
@@ -65,23 +83,29 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1)
 
 
-def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
-    """Dimension-weighted Frobenius distance; zero iff entrywise equal."""
+def _check_comparable(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> None:
+    """Raise unless both descriptors share group, bandlimit, entry set and entry shapes."""
     if (d1.tag, d1.bandlimit) != (d2.tag, d2.bandlimit):
         raise TagMismatchError("descriptors differ in group or bandlimit")
     if d1.pairs() != d2.pairs():
         raise DomainError("descriptors carry different entry sets")
+    for pq in d1.pairs():
+        if d1[pq].shape != d2[pq].shape:
+            raise DomainError(f"entry {pq} shapes differ")
+
+
+def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
+    """Dimension-weighted Frobenius distance; zero iff entrywise equal."""
+    _check_comparable(d1, d2)
     total = 0.0
     for p, q in d1.pairs():
-        a, b = d1[(p, q)], d2[(p, q)]
-        if a.shape != b.shape:
-            raise DomainError(f"entry ({p},{q}) shapes differ")
-        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(a - b) ** 2)
+        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(d1[(p, q)] - d2[(p, q)]) ** 2)
     return float(np.sqrt(total))
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Worst per-entry Frobenius gap relative to the first descriptor's scale."""
+    _check_comparable(d1, d2)
     gap = 0.0
     for pq in d1.pairs():
         denom = max(float(np.linalg.norm(d1[pq])), 1e-300)

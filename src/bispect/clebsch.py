@@ -10,8 +10,8 @@ fixed by making the first significant entry of the block's first column
 positive, which pins the stored matrices to one reproducible convention.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
-cg_indices order); other modules go through ``CGDecomposition.couple`` and
-``kron_apply``.
+cg_indices order); other modules go through ``CGDecomposition.couple``,
+``kron_apply`` and ``kron_swap``.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
@@ -62,10 +62,16 @@ class CGDecomposition:
     def couple(self, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
         """C [dsum_a M_a] C^dagger from {degree a: M_a}, blocks optionally stacked (N, d, d).
 
-        A missing degree is a zero block: only the given degrees' columns are multiplied."""
+        A missing degree is a zero block: only the given degrees' columns are
+        multiplied.  The product is C_in @ [stack_a M_a C_a^dagger]; with a real
+        C (every stored table) and complex blocks it runs as one float64 gemm
+        on the complex right factor viewed as real pairs."""
         given = [(a, sl) for a, sl in zip(self.indices, self.block_slices) if a in blocks]
-        left = np.concatenate([self.C[:, sl] @ blocks[a] for a, sl in given], axis=-1)
-        return left @ np.concatenate([self.C[:, sl] for _, sl in given], axis=1).conj().T
+        cols = np.concatenate([self.C[:, sl] for _, sl in given], axis=1)
+        right = np.concatenate([blocks[a] @ self.C[:, sl].conj().T for a, sl in given], axis=-2)
+        if cols.dtype == np.float64 and right.dtype == np.complex128:
+            return (cols @ right.view(np.float64)).view(np.complex128)
+        return cols @ right
 
 
 def kron_apply(op: Callable, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -75,6 +81,14 @@ def kron_apply(op: Callable, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.
     da, db = a.shape[0], b.shape[0]
     t = op(a, x.reshape(da, -1)).reshape(da, db, -1)
     return op(b, t).reshape(da * db, -1)  # b broadcasts over the da slices
+
+
+def kron_swap(x: np.ndarray, da: int, db: int) -> np.ndarray:
+    """S x S^T for square x with Kronecker rows and columns of a (x) b, S the swap to b (x) a.
+
+    S [a (x) b] S^T = b (x) a: row i * db + k moves to row k * da + i, and so
+    do the columns."""
+    return x.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
 
 
 _CG_CACHE: dict[tuple[str, int, int], CGDecomposition] = {}

@@ -85,15 +85,29 @@ class SphereFunction:
 
 
 def _theta_columns(thetas: np.ndarray, bandlimit: int) -> np.ndarray:
-    """d^ell_{n0}(theta_t) = sqrt(4pi/(2ell+1)) Y_ell^n(theta_t, 0) as (ell, t, n), n = -L..L; 0 at |n| > ell."""
-    from scipy.special import sph_legendre_p_all  # local import: group-only runs never load scipy.special
+    """d^ell_{n0}(theta_t) as (ell, t, n), n = -L..L; 0 at |n| > ell.
 
+    For n >= 0, d^ell_{n0}(theta) = sqrt((ell-n)!/(ell+n)!) P_ell^n(cos theta)
+    with the Condon-Shortley phase, run up in ell by the three-term
+    recursion of these normalized Legendre functions (all bounded by 1);
+    d^ell_{-n,0} = (-1)^n d^ell_{n0}.  O(thetas * L^2) memory.
+    """
     if bandlimit < 0:
         raise DomainError(f"bandlimit must be nonnegative, got {bandlimit}")
-    # scipy stores order n at index n mod (2L+1)
-    y = np.roll(sph_legendre_p_all(bandlimit, bandlimit, thetas)[0], bandlimit, axis=1)
-    scale = np.sqrt(4 * np.pi / (2 * np.arange(bandlimit + 1) + 1))
-    return scale[:, None, None] * y.transpose(0, 2, 1)
+    thetas = np.asarray(thetas, dtype=float)
+    x, s = np.cos(thetas)[:, None], np.sin(thetas)
+    out = np.zeros((bandlimit + 1, thetas.size, 2 * bandlimit + 1))
+    pos = out[:, :, bandlimit:]  # n = 0..L
+    pos[0, :, 0] = 1.0
+    for ell in range(1, bandlimit + 1):
+        n = np.arange(ell)
+        # n < ell from rows ell - 1 and ell - 2; the second weight is 0 at
+        # n = ell - 1, which covers ell = 1 (whose row ell - 2 wraps to pos[-1])
+        prev, prev2 = pos[ell - 1, :, :ell], pos[ell - 2, :, :ell]
+        pos[ell, :, :ell] = ((2 * ell - 1) * x * prev - np.sqrt((ell - 1) ** 2 - n**2) * prev2) / np.sqrt(ell**2 - n**2)
+        pos[ell, :, ell] = -np.sqrt((2 * ell - 1) / (2 * ell)) * s * pos[ell - 1, :, ell - 1]
+    out[:, :, :bandlimit] = pos[:, :, :0:-1] * (-1.0) ** np.arange(bandlimit, 0, -1)  # n = -L..-1
+    return out
 
 
 def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from bispect.errors import DomainError
+from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import SO3, SU2, haar_quadrature, identity, random_element
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited, translate
 from bispect.bispectrum import (
+    BispectrumDescriptor,
     bispectrum_matrix,
     bispectrum_via_oracle,
     build_descriptor,
@@ -15,7 +16,7 @@ from bispect.bispectrum import (
     triple_correlation,
     triple_correlation_grid,
 )
-from bispect.clebsch import clebsch_gordan
+from bispect.clebsch import CGDecomposition, clebsch_gordan
 from bispect.sphere import random_sphere_function, sphere_lift
 from bispect.wigner import dim
 
@@ -72,6 +73,41 @@ def test_out_of_band_blocks_are_zero(make):
         assert np.linalg.norm(got - expect) <= 1e-13 * max(np.linalg.norm(expect), 1e-300)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_bandlimited(6, SU2, require_real=True, seed=36),
+        lambda: random_bandlimited(6, SO3, require_real=True, seed=36),
+        lambda: sphere_lift(random_sphere_function(8, 6, seed=36), 6),
+    ],
+    ids=["SU2", "SO3", "sphere-lift"],
+)
+def test_lower_triangle_matches_direct_formula(make):
+    # build_descriptor swaps A(p, q) into A(q, p); the direct formula computes A(q, p) itself
+    coeffs = make()
+    desc = build_descriptor(coeffs)
+    for p in range(coeffs.bandlimit + 1):
+        for q in range(p + 1, coeffs.bandlimit + 1):
+            direct = bispectrum_matrix(coeffs, q, p)
+            assert np.linalg.norm(desc[(q, p)] - direct) <= 1e-13 * max(np.linalg.norm(direct), 1e-300)
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_descriptor_couples_upper_triangle_only(tag, monkeypatch):
+    calls = []
+    couple = CGDecomposition.couple
+
+    def counted(self, blocks):
+        calls.append((self.p, self.q))
+        return couple(self, blocks)
+
+    monkeypatch.setattr(CGDecomposition, "couple", counted)
+    L = 5
+    build_descriptor(random_bandlimited(L, tag, require_real=True, seed=37))
+    assert len(calls) == (L + 1) * (L + 2) // 2
+    assert all(p <= q for p, q in calls)
+
+
 def test_bispectrum_requires_in_band_pair():
     coeffs = random_bandlimited(2, SU2, seed=35)
     with pytest.raises(DomainError):
@@ -113,10 +149,25 @@ def test_distance_axioms(rng):
 def test_distance_shape_mismatch():
     a = build_descriptor(random_bandlimited(2, SU2, seed=44))
     b = build_descriptor(random_bandlimited(3, SU2, seed=44))
-    from bispect.errors import TagMismatchError
 
     with pytest.raises(TagMismatchError):
         descriptor_distance(a, b)
+
+
+@pytest.mark.parametrize("compare", [descriptor_distance, descriptor_max_relative_gap])
+def test_descriptor_comparisons_reject_mismatched_descriptors(compare):
+    shapes = ((SU2, 2), (SU2, 3), (SU2, 0), (SO3, 0))
+    desc = {(tag, L): build_descriptor(random_bandlimited(L, tag, seed=44)) for tag, L in shapes}
+    for a, b in (((SU2, 3), (SU2, 2)), ((SU2, 0), (SO3, 0)), ((SO3, 0), (SU2, 2))):
+        with pytest.raises(TagMismatchError):
+            compare(desc[a], desc[b])
+    su2 = desc[(SU2, 2)]
+    fewer = {pq: m for pq, m in su2.entries.items() if pq != (2, 2)}
+    with pytest.raises(DomainError):
+        compare(su2, BispectrumDescriptor(SU2, 2, fewer))
+    reshaped = {**su2.entries, (1, 1): np.zeros((1, 1), dtype=complex)}
+    with pytest.raises(DomainError):
+        compare(su2, BispectrumDescriptor(SU2, 2, reshaped))
 
 
 def test_triple_correlation_constant(rng):

@@ -12,6 +12,7 @@ from bispect.clebsch import (
     clebsch_gordan,
     intertwiner_residual,
     kron_apply,
+    kron_swap,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -250,3 +251,27 @@ def test_kron_apply_matches_kron_and_inverts(rng):
     y = kron_apply(np.matmul, a, b, x)
     assert np.max(np.abs(y - np.kron(a, b) @ x)) <= 1e-13 * np.max(np.abs(y))
     assert np.max(np.abs(kron_apply(np.linalg.solve, a, b, y) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_couple_with_complex_c_matches_dense(rng):
+    # a phased column makes C complex, which the real-gemm path cannot take
+    cg = clebsch_gordan(SO3, 2, 1)
+    bad_c = cg.C.astype(complex)
+    bad_c[:, 0] *= np.exp(0.25j)
+    bad_cg = replace(cg, C=bad_c)
+    stacks = {a: rng.standard_normal((3, dim(a, SO3), dim(a, SO3))) + 1j for a in cg.indices}
+    got = bad_cg.couple(stacks)
+    for k in range(3):
+        dense = bad_c @ block_diag(*[m[k] for m in stacks.values()]) @ bad_c.conj().T
+        single = bad_cg.couple({a: m[k] for a, m in stacks.items()})
+        for x in (got[k], single):
+            assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_kron_swap_exchanges_kron_factors(rng):
+    # a pure permutation: exact on real factors; complex a (x) b and b (x) a may round apart
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((5, 5))
+    assert np.array_equal(kron_swap(np.kron(a, b), 3, 5), np.kron(b, a))
+    assert np.array_equal(kron_swap(kron_swap(np.kron(a, b), 3, 5), 5, 3), np.kron(a, b))
+    a, b = a + 1j * rng.standard_normal((3, 3)), b + 1j * rng.standard_normal((5, 5))
+    assert np.max(np.abs(kron_swap(np.kron(a, b), 3, 5) - np.kron(b, a))) <= 1e-15 * np.max(np.abs(np.kron(b, a)))
