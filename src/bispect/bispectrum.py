@@ -134,15 +134,16 @@ class TripleCorrelationGrid:
         object.__setattr__(self, "values", vals)
 
 
-def _translated_samples(
-    coeffs: CoefficientSet, shifts: list[GroupElement], rule: QuadratureRule
-) -> np.ndarray:
-    """Rows u[j, i] = f(g_i x_j) = sum_ell dim Tr[D_ell(x_j) F(ell) D_ell(g_i)], one gemm per degree."""
-    u = np.zeros((len(shifts), rule.size), dtype=complex)
-    for ell, dx in enumerate(wigner_all(coeffs.bandlimit, coeffs.tag, shifts)):
+def _translated_samples(coeffs: CoefficientSet, shifts: list[np.ndarray], rule: QuadratureRule) -> np.ndarray:
+    """Rows u[j, i] = f(g_i x_j) = sum_ell dim Tr[D_ell(x_j) F(ell) D_ell(g_i)], one gemm per degree.
+
+    shifts[ell] stacks D_ell(x_j) over the shifts x_j, shape (n, dim, dim)."""
+    n = shifts[0].shape[0]
+    u = np.zeros((n, rule.size), dtype=complex)
+    for ell, dx in enumerate(shifts):
         d = dim(ell, coeffs.tag)
         # Tr[M D] = sum_uv M^T[v, u] D[v, u]: both flattened over (v, u)
-        left = (dx @ coeffs[ell]).transpose(0, 2, 1).reshape(len(shifts), d * d)
+        left = (dx @ coeffs[ell]).transpose(0, 2, 1).reshape(n, d * d)
         u += d * (left @ wigner_stack_on_rule(ell, coeffs.tag, rule).reshape(rule.size, d * d).T)
     return u
 
@@ -163,7 +164,7 @@ def triple_correlation(
             stacklevel=2,
         )
     coeffs = fourier_forward(f, bandlimit)
-    u = _translated_samples(coeffs, [g1, g2], f.rule)
+    u = _translated_samples(coeffs, wigner_all(bandlimit, f.tag, [g1, g2]), f.rule)
     return complex(np.sum(f.rule.weights * np.conj(f.values) * u[0] * u[1]))
 
 
@@ -174,7 +175,8 @@ def triple_correlation_grid(
     if outer_rule is None:
         outer_rule = haar_quadrature(bandlimit, f.tag)
     coeffs = fourier_forward(f, bandlimit)
-    u = _translated_samples(coeffs, outer_rule.nodes, f.rule)
+    shifts = [wigner_stack_on_rule(ell, f.tag, outer_rule) for ell in range(bandlimit + 1)]
+    u = _translated_samples(coeffs, shifts, f.rule)
     wf = (f.rule.weights * np.conj(f.values)).astype(np.complex128)
     u = u.astype(np.complex128)
     # a3[j, k] = sum_i (w_i conj(f_i)) U[j, i] U[k, i], one gemm

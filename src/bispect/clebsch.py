@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,9 +92,6 @@ def kron_swap(x: np.ndarray, da: int, db: int) -> np.ndarray:
     return x.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
 
 
-_CG_CACHE: dict[tuple[str, int, int], CGDecomposition] = {}
-
-
 def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
     """Condon-Shortley coefficients from J^2 on each total-M sector of p x q.
 
@@ -151,14 +149,12 @@ def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
     return CGDecomposition(tag, p, q, c, cg_indices(tag, p, q))
 
 
+@lru_cache(maxsize=None)
 def clebsch_gordan(tag: str, p: int, q: int) -> CGDecomposition:
-    """Unitary C with D_p(g) (x) D_q(g) = C [direct sum D_a(g)] C^dagger."""
+    """Unitary C with D_p(g) (x) D_q(g) = C [direct sum D_a(g)] C^dagger, memoized per (tag, p, q)."""
     if tag not in (SU2, SO3):
         raise TagMismatchError(f"unknown group tag {tag!r}")
-    key = (tag, p, q)
-    if key not in _CG_CACHE:
-        _CG_CACHE[key] = _build_cg(tag, p, q)
-    return _CG_CACHE[key]
+    return _build_cg(tag, p, q)
 
 
 def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:

@@ -36,18 +36,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="group_samples or sphere_samples JSON file")
     p.add_argument("--bandlimit", type=int, required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tolerance", type=float, default=None, help="unused; accepted for uniformity")
 
     p = sub.add_parser("inverse", help="coefficients -> samples on a quadrature rule")
     p.add_argument("input", help="coefficients JSON file")
     p.add_argument("--rule-bandlimit", type=int, default=None, help="default: twice the bandlimit")
     p.add_argument("--output", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("bispectrum", help="coefficients -> invariant descriptor")
     p.add_argument("input")
     p.add_argument("--output", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("reconstruct", help="descriptor -> coefficients (up to translation)")
     p.add_argument("input")
@@ -60,21 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="binary PGM (P5) file")
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--output", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("match", help="rank glyph index labels by descriptor distance")
     p.add_argument("--index", required=True, help="glyph_index JSON file")
     p.add_argument("--query", required=True, help="descriptor JSON, sphere JSON, or PGM image")
     p.add_argument("--resolution", type=int, default=16, help="lift resolution for image queries")
     p.add_argument("--output", default=None, help="optional JSON output of the ranking")
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("index", help="build a glyph index from labeled PGM images")
     p.add_argument("images", nargs="+", help="label=path.pgm entries")
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--bandlimit", type=int, default=6)
     p.add_argument("--output", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="comma-separated suite names or 'all'")

@@ -52,9 +52,7 @@ def planar_motion_to_rotation(motion: PlanarMotion) -> GroupElement:
     map a local isomorphism (moving the image then lifting agrees with
     lifting then rotating, to first order in the motion).
     """
-    tnorm = float(np.hypot(motion.t_x, motion.t_y))
-    if tnorm > 1.0:
-        raise DomainError("translation must satisfy |T| <= 1")
+    tnorm = float(np.hypot(motion.t_x, motion.t_y))  # PlanarMotion bounds it by 1 + 1e-12
     theta = float(np.arcsin(min(tnorm, 1.0)))
     phi = float(np.arctan2(motion.t_y, motion.t_x)) if tnorm > 1e-15 else 0.0
     psi = float(motion.alpha)

@@ -9,8 +9,8 @@ with gamma running over [0, 4*pi) for SU(2) and [0, 2*pi) for SO(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,10 +199,7 @@ def from_euler(angles: EulerAngles | tuple[float, float, float], tag: str) -> Gr
         raise DomainError(f"beta={b} outside [0, pi]")
     if not (0.0 <= c < _gamma_period(tag)):
         raise DomainError(f"gamma={c} outside [0, {_gamma_period(tag):.3f})")
-    if tag == SU2:
-        g = z_rotation(a, SU2) @ y_rotation(b, SU2) @ z_rotation(c, SU2)
-        return g
-    return z_rotation(a) @ y_rotation(b) @ z_rotation(c)
+    return z_rotation(a, tag) @ y_rotation(b, tag) @ z_rotation(c, tag)
 
 
 def _wrap(x: float, period: float) -> float:
@@ -272,7 +269,8 @@ class QuadratureRule:
     Exact for products of two Wigner matrix coefficients of degree up to the
     rule's bandlimit: uniform grids of 2L+2 points in alpha and gamma (the
     gamma grid covering [0, 4*pi) for SU2) and Gauss-Legendre with L+1 nodes
-    in cos(beta).
+    in cos(beta).  Nodes run in product order, alpha slowest and gamma
+    fastest.
     """
 
     tag: str
@@ -281,35 +279,26 @@ class QuadratureRule:
     betas: np.ndarray
     gammas: np.ndarray
     beta_weights: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("alphas", "betas", "gammas", "beta_weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        na, ng = self.alphas.size, self.gammas.size
+        w = np.einsum("a,b,c->abc", np.full(na, 1.0 / na), self.beta_weights, np.full(ng, 1.0 / ng)).reshape(-1)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
         return self.alphas.size * self.betas.size * self.gammas.size
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        na, ng = self.alphas.size, self.gammas.size
-        w = np.einsum("a,b,c->abc", np.full(na, 1.0 / na), self.beta_weights, np.full(ng, 1.0 / ng)).reshape(-1)
-        w.setflags(write=False)
-        return w
-
-    @cached_property
-    def node_angles(self) -> np.ndarray:
-        """All (alpha, beta, gamma) triples, shape (size, 3), product order."""
-        aa, bb, cc = np.meshgrid(self.alphas, self.betas, self.gammas, indexing="ij")
-        angles = np.stack([aa.reshape(-1), bb.reshape(-1), cc.reshape(-1)], axis=1)
-        angles.setflags(write=False)
-        return angles
-
-    @cached_property
+    @property
     def nodes(self) -> list[GroupElement]:
-        return [from_euler(EulerAngles(a, b, c), self.tag) for a, b, c in self.node_angles]
+        """One element per node in product order, built anew on each read."""
+        return [from_euler((a, b, c), self.tag) for a in self.alphas for b in self.betas for c in self.gammas]
 
 
 @lru_cache(maxsize=64)

@@ -74,12 +74,6 @@ class CoefficientSet:
         return all(np.allclose(a, b, atol=atol) for a, b in zip(self.matrices, other.matrices))
 
 
-def coefficient_distance(a: CoefficientSet, b: CoefficientSet) -> float:
-    if (a.tag, a.bandlimit) != (b.tag, b.bandlimit):
-        raise TagMismatchError("coefficient sets differ in group or bandlimit")
-    return float(np.sqrt(sum(np.linalg.norm(x - y) ** 2 for x, y in zip(a.matrices, b.matrices))))
-
-
 def _separable_factors(
     tag: str, bandlimit: int, rule: QuadratureRule
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, slice]]]:
@@ -150,13 +144,6 @@ def translate(coeffs: CoefficientSet, x: GroupElement) -> CoefficientSet:
     """Coefficients of g -> f(x g):  F(ell) -> F(ell) D_ell(x)."""
     dmats = wigner_all(coeffs.bandlimit, coeffs.tag, [x])
     mats = tuple(f @ d[0] for f, d in zip(coeffs.matrices, dmats))
-    return CoefficientSet(coeffs.tag, coeffs.bandlimit, mats)
-
-
-def right_translate(coeffs: CoefficientSet, x: GroupElement) -> CoefficientSet:
-    """Coefficients of g -> f(g x):  F(ell) -> D_ell(x) F(ell)."""
-    dmats = wigner_all(coeffs.bandlimit, coeffs.tag, [x])
-    mats = tuple(d[0] @ f for f, d in zip(coeffs.matrices, dmats))
     return CoefficientSet(coeffs.tag, coeffs.bandlimit, mats)
 
 

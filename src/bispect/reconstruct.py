@@ -188,8 +188,8 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
 
     rule = haar_quadrature(max(8, truth.bandlimit), tag)
     scores = fourier_inverse(CoefficientSet(tag, truth.bandlimit, tuple(kmats)), rule).values.real
-    best = int(np.argmax(scores))
-    a0, b0, c0 = rule.node_angles[best]
+    ia, ib, ic = np.unravel_index(int(np.argmax(scores)), (rule.alphas.size, rule.betas.size, rule.gammas.size))
+    a0, b0, c0 = rule.alphas[ia], rule.betas[ib], rule.gammas[ic]
 
     gamma_period = 2 * TWO_PI if tag == SU2 else TWO_PI
 

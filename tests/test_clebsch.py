@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from bispect.errors import TagMismatchError
 from bispect.groups import SO3, SU2, compose, identity, random_element, z_rotation
 from bispect.clebsch import (
     cg_indices,
@@ -275,3 +276,14 @@ def test_kron_swap_exchanges_kron_factors(rng):
     assert np.array_equal(kron_swap(kron_swap(np.kron(a, b), 3, 5), 5, 3), np.kron(a, b))
     a, b = a + 1j * rng.standard_normal((3, 3)), b + 1j * rng.standard_normal((5, 5))
     assert np.max(np.abs(kron_swap(np.kron(a, b), 3, 5) - np.kron(b, a))) <= 1e-15 * np.max(np.abs(np.kron(b, a)))
+
+
+def test_clebsch_gordan_is_memoized():
+    first = clebsch_gordan(SO3, 2, 3)
+    hits = clebsch_gordan.cache_info().hits
+    assert clebsch_gordan(SO3, 2, 3) is first
+    assert clebsch_gordan.cache_info().hits == hits + 1
+    # a rejected tag is raised on every call, never cached
+    for _ in range(2):
+        with pytest.raises(TagMismatchError):
+            clebsch_gordan("SP4", 1, 1)

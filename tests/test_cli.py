@@ -154,3 +154,10 @@ def test_bispectrum_rejects_negative_bandlimit(workdir, capsys):
     assert main(["bispectrum", coeff_path, "--output", str(out)]) == 2
     assert "bandlimit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tolerance_only_where_read(workdir):
+    # only reconstruct and verify read --tolerance; elsewhere it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bispectrum", str(workdir / "c.json"), "--output", str(workdir / "d.json"), "--tolerance", "1"])
+    assert exc.value.code == 2

@@ -38,6 +38,9 @@ def test_pure_translation_inverts_stated_relations():
 def test_motion_translation_bound():
     with pytest.raises(DomainError):
         PlanarMotion(0.0, 0.9, 0.9)
+    # |T| a rounding step past 1 passes the check and maps to the equator
+    rot = planar_motion_to_rotation(PlanarMotion(0.3, 1.0 + 5e-13, 0.0))
+    assert abs(to_euler(rot).beta - np.pi / 2) < 1e-12
 
 
 def test_uniform_disk_lifts_to_upper_hemisphere():

@@ -98,8 +98,7 @@ def test_transforms_keep_no_state_on_rule():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    cached_properties = {"weights", "node_angles", "nodes"}
-    assert set(vars(rule)) <= {f.name for f in dataclasses.fields(rule)} | cached_properties
+    assert set(vars(rule)) == {f.name for f in dataclasses.fields(rule)}
     assert retained < 8 * 2**20
 
 

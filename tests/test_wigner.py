@@ -8,6 +8,7 @@ from bispect.groups import (
     GroupElement,
     compose,
     from_euler,
+    haar_quadrature,
     identity,
     random_element,
     rotation_matrix,
@@ -26,6 +27,7 @@ from bispect.wigner import (
     wigner,
     wigner_all,
     wigner_matrix,
+    wigner_stack_on_rule,
 )
 
 
@@ -188,3 +190,13 @@ def test_wigner_matrix_is_one_element_of_wigner_all(tag, rng):
         stacks = wigner_all(lmax, tag, [g])
         for ell in range(lmax):
             assert np.array_equal(wigner_matrix(ell, tag, g), stacks[ell][0])
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_stack_on_rule_matches_wigner_all_at_the_nodes(tag):
+    # the separable stack and the per-element primitive agree node by node
+    rule = haar_quadrature(3, tag)
+    lmax = 4
+    stacks = wigner_all(lmax, tag, rule.nodes)
+    for ell in range(lmax + 1):
+        assert np.max(np.abs(wigner_stack_on_rule(ell, tag, rule) - stacks[ell])) < 1e-13
