@@ -13,6 +13,17 @@ reorders Kronecker rows from p (x) q to q (x) p gives C_qp = S C_pq Sigma,
 with Sigma one sign per block, and Sigma commutes with the block-diagonal
 middle factor, so A(q, p) = S A(p, q) S^T exactly (``kron_swap``).
 
+A sphere lift (SO3, every F(l) zero off its m' = 0 row l, with entries a_l)
+has the one-row identity: F(p) (x) F(q) is zero except row p d_q + q, which
+is a_p (x) a_q, so A(p, q) is zero except that row,
+
+    (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+,
+
+the classical spherical bispectrum.  ``build_descriptor`` computes that row
+alone (``CGDecomposition.couple_rows``) on any set of this form, and
+``lift_rows`` reads it back: the weighted rows of two lifted descriptors
+are as far apart as the descriptors are under ``descriptor_distance``.
+
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
 bandlimits.
@@ -26,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PrecisionWarning, TagMismatchError
-from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
+from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
 from .clebsch import clebsch_gordan, kron_apply, kron_swap
 from .wigner import dim, wigner_all, wigner_stack_on_rule
@@ -39,6 +50,35 @@ def _entry(coeffs: CoefficientSet, daggers: list[np.ndarray], p: int, q: int) ->
     return kron_apply(np.matmul, coeffs[p], coeffs[q], middle)
 
 
+def _lift_row(p: int, q: int) -> int:
+    """The row of A(p, q) a sphere lift can make nonzero: m' = 0 in both factors."""
+    return p * dim(q, SO3) + q
+
+
+def _is_lift(coeffs: CoefficientSet) -> bool:
+    """SO3 with every F(l) exactly zero off row l, as ``sphere_lift`` writes them."""
+    return coeffs.tag == SO3 and not any(m[:ell].any() or m[ell + 1 :].any() for ell, m in enumerate(coeffs.matrices))
+
+
+def _lift_rows_of(coeffs: CoefficientSet) -> np.ndarray:
+    """``lift_rows`` of a sphere lift's descriptor, one row per entry (the one-row identity).
+
+    The row of A(p, q), p <= q, is (a_p (x) a_q) C [dsum F(a)^+] C^+; the row
+    of A(q, p) = S A(p, q) S^T holds the same values, column i d_q + k moved
+    to k d_p + i."""
+    L = coeffs.bandlimit
+    daggers = [m.conj().T for m in coeffs.matrices]
+    rows = {}
+    for p in range(L + 1):
+        for q in range(p, L + 1):
+            cg = clebsch_gordan(SO3, p, q)
+            a_pq = np.outer(coeffs[p][p], coeffs[q][q]).ravel()
+            rows[(p, q)] = cg.couple_rows(a_pq, {a: daggers[a] for a in cg.indices if a <= L})
+            if q > p:
+                rows[(q, p)] = rows[(p, q)].reshape(dim(p, SO3), dim(q, SO3)).T.ravel()
+    return np.concatenate([rows[pq] for pq in sorted(rows)])
+
+
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
     """A(p, q) by the matrix formula; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
@@ -46,7 +86,7 @@ def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
     return _entry(coeffs, [m.conj().T for m in coeffs.matrices], p, q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BispectrumDescriptor:
     """All A(p, q) for p, q <= bandlimit, plus optional det side information."""
 
@@ -66,7 +106,15 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     """Assemble the full descriptor; SO3 sets with a (near-)real det F(1)
     store it as side information for the reconstruction sign branch.
 
-    Entries with p <= q come from the formula; A(q, p) = S A(p, q) S^T."""
+    Entries with p <= q come from the formula; A(q, p) = S A(p, q) S^T.  On
+    a sphere lift only each entry's one live row is computed."""
+    det_f1 = None
+    if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
+        det = complex(np.linalg.det(coeffs[1]))
+        if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
+            det_f1 = float(det.real)
+    if _is_lift(coeffs):
+        return lifted_descriptor(coeffs.bandlimit, _lift_rows_of(coeffs), det_f1)
     daggers = [m.conj().T for m in coeffs.matrices]
     entries = {}
     for p in range(coeffs.bandlimit + 1):
@@ -75,11 +123,6 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
                 entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag))
             else:
                 entries[(p, q)] = _entry(coeffs, daggers, p, q)
-    det_f1 = None
-    if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
-        det = complex(np.linalg.det(coeffs[1]))
-        if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
-            det_f1 = float(det.real)
     return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1)
 
 
@@ -103,6 +146,51 @@ def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> f
     return float(np.sqrt(total))
 
 
+def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
+    """The live rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
+
+    Row p d_q + q of each A(p, q), (L + 1)^4 values in all.  Raises
+    DomainError if any entry is nonzero off that row, TagMismatchError for
+    an SU2 descriptor."""
+    if desc.tag != SO3:
+        raise TagMismatchError("only SO3 descriptors can be sphere lifts")
+    rows = []
+    for p, q in desc.pairs():
+        m, r, n = desc[(p, q)], _lift_row(p, q), dim(p, SO3) * dim(q, SO3)
+        if m.shape != (n, n):
+            raise DomainError(f"entry {(p, q)} must be {n}x{n}, found {m.shape}")
+        if m[:r].any() or m[r + 1 :].any():
+            raise DomainError(f"entry {(p, q)} is nonzero off its lift row; not a sphere lift")
+        rows.append(m[r])
+    return np.concatenate(rows)
+
+
+def lift_weights(bandlimit: int) -> np.ndarray:
+    """sqrt(d_p d_q) over each A(p, q)'s row in ``lift_rows`` order.
+
+    lift_weights(L) * lift_rows(d) is a vector whose Euclidean distances
+    are ``descriptor_distance``'s, for lifted descriptors of bandlimit L."""
+    d = np.array([dim(ell, SO3) for ell in range(bandlimit + 1)])
+    sizes = np.outer(d, d).ravel()
+    return np.repeat(np.sqrt(sizes), sizes)
+
+
+def lifted_descriptor(bandlimit: int, rows: np.ndarray, det_f1: float | None = None) -> BispectrumDescriptor:
+    """The dense descriptor whose ``lift_rows`` are ``rows``: the inverse of that reader."""
+    rows = np.asarray(rows, dtype=complex)
+    dims = [dim(ell, SO3) for ell in range(bandlimit + 1)]
+    if rows.shape != (sum(dims) ** 2,):
+        raise DomainError(f"bandlimit {bandlimit} needs {sum(dims) ** 2} row values, found shape {rows.shape}")
+    entries, off = {}, 0
+    for p in range(bandlimit + 1):
+        for q in range(bandlimit + 1):
+            n = dims[p] * dims[q]
+            entries[(p, q)] = np.zeros((n, n), dtype=complex)
+            entries[(p, q)][_lift_row(p, q)] = rows[off : off + n]
+            off += n
+    return BispectrumDescriptor(SO3, bandlimit, entries, det_f1)
+
+
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Worst per-entry Frobenius gap relative to the first descriptor's scale."""
     _check_comparable(d1, d2)
@@ -118,7 +206,7 @@ def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescript
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleCorrelationGrid:
     """a3(g_i, g_j) tabulated on the square of a quadrature rule's nodes."""
 

@@ -11,7 +11,7 @@ positive, which pins the stored matrices to one reproducible convention.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
 cg_indices order); other modules go through ``CGDecomposition.couple``,
-``kron_apply`` and ``kron_swap``.
+``CGDecomposition.couple_rows``, ``kron_apply`` and ``kron_swap``.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
@@ -30,30 +30,26 @@ from .groups import SO3, SU2, GroupElement
 from .wigner import dim, j2_of, m_values, wigner_all
 
 
-def cg_indices(tag: str, p: int, q: int) -> list[int]:
+def cg_indices(tag: str, p: int, q: int) -> tuple[int, ...]:
     """Ordered degrees in the decomposition of degree-p x degree-q."""
     if p < 0 or q < 0:
         raise DomainError("degrees must be nonnegative")
     step = 2 if tag == SU2 else 1
-    return list(range(p + q, abs(p - q) - 1, -step))
+    return tuple(range(p + q, abs(p - q) - 1, -step))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CGDecomposition:
     tag: str
     p: int
     q: int
     C: np.ndarray
-    indices: list[int]
+    indices: tuple[int, ...]
+    block_slices: tuple[slice, ...] = field(init=False, repr=False)  # C's columns per degree, in indices order
 
-    @property
-    def block_slices(self) -> list[slice]:
-        out, off = [], 0
-        for a in self.indices:
-            d = dim(a, self.tag)
-            out.append(slice(off, off + d))
-            off += d
-        return out
+    def __post_init__(self):
+        ends = np.cumsum([dim(a, self.tag) for a in self.indices]).tolist()
+        object.__setattr__(self, "block_slices", tuple(map(slice, [0, *ends[:-1]], ends)))
 
     def block(self, a: int) -> np.ndarray:
         """Columns of C belonging to target degree a."""
@@ -64,15 +60,39 @@ class CGDecomposition:
         """C [dsum_a M_a] C^dagger from {degree a: M_a}, blocks optionally stacked (N, d, d).
 
         A missing degree is a zero block: only the given degrees' columns are
-        multiplied.  The product is C_in @ [stack_a M_a C_a^dagger]; with a real
-        C (every stored table) and complex blocks it runs as one float64 gemm
-        on the complex right factor viewed as real pairs."""
+        multiplied.  The product is C_in @ [stack_a M_a C_a^dagger], with C_in
+        C itself when every degree is given; with a real C (every stored
+        table) and complex blocks it runs as one float64 gemm on the complex
+        right factor viewed as real pairs."""
         given = [(a, sl) for a, sl in zip(self.indices, self.block_slices) if a in blocks]
-        cols = np.concatenate([self.C[:, sl] for _, sl in given], axis=1)
+        if len(given) == len(self.indices):
+            cols = self.C
+        else:
+            cols = np.concatenate([self.C[:, sl] for _, sl in given], axis=1)
         right = np.concatenate([blocks[a] @ self.C[:, sl].conj().T for a, sl in given], axis=-2)
-        if cols.dtype == np.float64 and right.dtype == np.complex128:
-            return (cols @ right.view(np.float64)).view(np.complex128)
-        return cols @ right
+        return _real_times(cols, right)
+
+    def couple_rows(self, rows: np.ndarray, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """rows @ C [dsum_a M_a] C^dagger for rows (..., n) with Kronecker-ordered columns.
+
+        Computed left to right, so the (n, n) product is never formed: the
+        cost is that of a few vector-matrix products when rows is one row.
+        A missing degree is a zero block; stacked blocks (N, d, d) go with
+        stacked rows (N, k, n)."""
+        t = _real_times(self.C.T, rows[..., None])[..., 0]
+        y = np.zeros(t.shape, dtype=np.result_type(t, *blocks.values()))
+        for a, sl in zip(self.indices, self.block_slices):
+            if a in blocks:
+                y[..., sl] = t[..., sl] @ blocks[a]
+        return _real_times(self.C.conj(), y[..., None])[..., 0]
+
+
+def _real_times(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c @ x; a real c times a complex x runs as one float64 gemm on x's
+    [re, im] pairs, so c is never copied to complex."""
+    if c.dtype != np.float64 or x.dtype != np.complex128:
+        return c @ x
+    return (c @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
 def kron_apply(op: Callable, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -170,7 +190,7 @@ def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupProjection:
     tag: str
     ell: int

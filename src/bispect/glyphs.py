@@ -9,6 +9,11 @@ Since lifted descriptors are exactly rotation invariant, matching a moved
 glyph against an index reduces to a nearest-descriptor search; the only
 error budget is the local (not global) character of the plane-to-sphere
 correspondence plus image interpolation.
+
+Each lifted entry A(p, q) is zero but for one row (the one-row identity in
+``bispectrum``), so the index keeps its records' weighted live rows as one
+(records, (L + 1)^4) array and a search is one vectorized Euclidean norm,
+equal to ``descriptor_distance`` against every record.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyImageError, EmptyIndexError
 from .groups import SO3, GroupElement, from_euler
-from .bispectrum import BispectrumDescriptor, build_descriptor, descriptor_distance
+from .bispectrum import BispectrumDescriptor, build_descriptor, lift_rows, lift_weights
 from .sphere import SphereFunction, sphere_grid, sphere_lift
 
 
@@ -181,22 +186,30 @@ def synthetic_glyphs(size: int = 64) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlyphRecord:
     label: str
     descriptor: BispectrumDescriptor
     source: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlyphIndex:
     bandlimit: int
     records: tuple[GlyphRecord, ...]
+    # weighted lift rows of the records' descriptors, one row per record
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for rec in self.records:
             if rec.descriptor.bandlimit != self.bandlimit:
                 raise DomainError("descriptor bandlimit varies within the index")
+        weights = lift_weights(self.bandlimit)
+        rows = np.zeros((len(self.records), weights.size), dtype=complex)
+        for i, rec in enumerate(self.records):
+            rows[i] = weights * lift_rows(rec.descriptor)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
 
 def glyph_descriptor(image: np.ndarray, resolution: int, bandlimit: int) -> BispectrumDescriptor:
@@ -216,10 +229,17 @@ def build_glyph_index(
 
 
 def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, float]]:
-    """Labels ranked by descriptor distance, ties broken by label order."""
+    """Labels ranked by descriptor distance, ties broken by label order.
+
+    The query must be a sphere lift (DomainError otherwise): its distance to
+    each record is the norm of the difference of their weighted lift rows."""
     if not index.records:
         raise EmptyIndexError("glyph index is empty")
     if query.bandlimit != index.bandlimit:
         raise DomainError("query bandlimit does not match the index")
-    scored = [(rec.label, descriptor_distance(query, rec.descriptor)) for rec in index.records]
+    query_rows = lift_weights(query.bandlimit) * lift_rows(query)
+    if query_rows.shape != index.rows.shape[1:]:
+        raise DomainError("query carries a different entry set than the index")
+    distances = np.linalg.norm(index.rows - query_rows, axis=1).tolist()
+    scored = [(rec.label, dist) for rec, dist in zip(index.records, distances)]
     return sorted(scored, key=lambda pair: (pair[1], pair[0]))

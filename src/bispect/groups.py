@@ -35,7 +35,7 @@ class EulerAngles:
         return (self.alpha, self.beta, self.gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """A point of SU(2) (unit quaternion) or SO(3) (rotation matrix)."""
 
@@ -262,7 +262,7 @@ def to_euler(g: GroupElement) -> EulerAngles:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Product rule in z-y-z Euler angles, normalized to total weight 1.
 

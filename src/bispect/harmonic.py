@@ -18,7 +18,7 @@ from .groups import GroupElement, QuadratureRule, haar_quadrature
 from .wigner import dim, j2_of, little_d_stack, wigner_all
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Complex samples of a function at the nodes of a quadrature rule."""
 
@@ -36,7 +36,7 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """The family {F(ell)} of Fourier coefficient matrices up to a bandlimit."""
 

@@ -1,8 +1,12 @@
 """File formats: versioned JSON documents and binary PGM images.
 
-Every JSON file carries ``format_version`` (currently 1) and a ``kind``
-discriminator.  Complex matrices are row-major nested lists with innermost
-``[re, im]`` pairs; numbers are written as shortest-round-trip decimal
+Every JSON file carries ``format_version`` and a ``kind`` discriminator.
+Every kind is at version 1 except ``glyph_index``, which is at version 2:
+each glyph stores only the live rows of its lifted descriptor (see
+``bispectrum.lift_rows``), and loading rebuilds the dense entries exactly.
+Version-1 glyph indexes, which store every dense entry, still load.
+Complex matrices are row-major nested lists with innermost ``[re, im]``
+pairs; numbers are written as shortest-round-trip decimal
 text, so files are platform independent and load back bit-identically.
 Files are written as compact one-line JSON.  Whitespace is not part of the
 format: indented files written by earlier versions load unchanged.
@@ -17,15 +21,16 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import FormatError, VersionError
+from .errors import DomainError, FormatError, TagMismatchError, VersionError
 from .groups import SO3, SU2, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction
-from .bispectrum import BispectrumDescriptor
+from .bispectrum import BispectrumDescriptor, lift_rows, lifted_descriptor
 from .glyphs import GlyphIndex, GlyphRecord
 from .sphere import SphereFunction, sphere_grid
 from .wigner import dim
 
 FORMAT_VERSION = 1
+GLYPH_INDEX_VERSION = 2  # version 1 (dense descriptors) still loads
 
 _KINDS = ("coefficients", "bispectrum_descriptor", "sphere_samples", "group_samples", "glyph_index")
 
@@ -84,15 +89,26 @@ def _require_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
-def _check_header(doc: Any, kind: str, where: str) -> None:
+def _optional_number(doc: dict, key: str, where: str) -> float | None:
+    value = doc.get(key)
+    if value is None:
+        return None
+    if type(value) not in (int, float):  # float() would take "1.5" and true
+        raise FormatError(f"field {key!r} must be a number, found {value!r}", where)
+    return float(value)
+
+
+def _check_header(doc: Any, kind: str, where: str, versions: tuple[int, ...] = (FORMAT_VERSION,)) -> int:
+    """Check the kind and return the version, one of ``versions``."""
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object", where)
     version = _require(doc, "format_version", where)
-    if version != FORMAT_VERSION:
+    if version not in versions:
         raise VersionError(f"unsupported format_version {version!r}", where)
     got = _require(doc, "kind", where)
     if got != kind:
         raise FormatError(f"expected kind {kind!r}, found {got!r}", where)
+    return version
 
 
 def _check_group(tag: Any, where: str) -> str:
@@ -213,8 +229,7 @@ def _descriptor_from_doc(doc: dict, where: str) -> BispectrumDescriptor:
     missing = [(p, q) for p in range(bandlimit + 1) for q in range(bandlimit + 1) if (p, q) not in entries]
     if missing:
         raise FormatError(f"missing entry for pair {missing[0]} ({len(missing)} missing)", where)
-    det = doc.get("det_f1")
-    return BispectrumDescriptor(tag, bandlimit, entries, None if det is None else float(det))
+    return BispectrumDescriptor(tag, bandlimit, entries, _optional_number(doc, "det_f1", where))
 
 
 def load_descriptor(path: str) -> BispectrumDescriptor:
@@ -271,31 +286,42 @@ def load_samples(path: str) -> SampledFunction:
 
 
 def save_glyph_index(index: GlyphIndex, path: str) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "glyph_index",
-        "bandlimit": index.bandlimit,
-        "glyphs": [
-            {"label": rec.label, "source": rec.source, "descriptor": _descriptor_doc(rec.descriptor)}
-            for rec in index.records
-        ],
-    }
+    glyphs = []
+    for rec in index.records:
+        item = {"label": rec.label, "source": rec.source, "rows": lift_rows(rec.descriptor)}
+        if rec.descriptor.det_f1 is not None:
+            item["det_f1"] = float(rec.descriptor.det_f1)
+        glyphs.append(item)
+    doc = {"format_version": GLYPH_INDEX_VERSION, "kind": "glyph_index", "bandlimit": index.bandlimit, "glyphs": glyphs}
     _dump_json(doc, path)
 
 
 def load_glyph_index(path: str) -> GlyphIndex:
     doc = _load_json(path)
-    _check_header(doc, "glyph_index", path)
+    version = _check_header(doc, "glyph_index", path, versions=(1, GLYPH_INDEX_VERSION))
     bandlimit = _require_int(doc, "bandlimit", path)
+    if bandlimit < 0:
+        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
     records = []
     for i, item in enumerate(_require(doc, "glyphs", path)):
         loc = f"{path}:glyphs[{i}]"
         if not isinstance(item, dict):
             raise FormatError("glyph must be an object", loc)
         label = str(_require(item, "label", loc))
-        desc_doc = _require(item, "descriptor", loc)
-        _check_header(desc_doc, "bispectrum_descriptor", loc)
-        desc = _descriptor_from_doc(desc_doc, f"{loc}.descriptor")
+        if version == 1:
+            desc_doc = _require(item, "descriptor", loc)
+            _check_header(desc_doc, "bispectrum_descriptor", loc)
+            desc = _descriptor_from_doc(desc_doc, f"{loc}.descriptor")
+            try:
+                lift_rows(desc)
+            except (DomainError, TagMismatchError) as exc:
+                raise FormatError(str(exc), f"{loc}.descriptor") from None
+        else:
+            rows = _decode_complex_vector(_require(item, "rows", loc), f"{loc}.rows")
+            try:
+                desc = lifted_descriptor(bandlimit, rows, _optional_number(item, "det_f1", loc))
+            except DomainError as exc:
+                raise FormatError(str(exc), f"{loc}.rows") from None
         records.append(GlyphRecord(label, desc, dict(item.get("source", {}))))
     return GlyphIndex(bandlimit, tuple(records))
 

@@ -20,7 +20,7 @@ from .groups import SO3, GroupElement
 from .harmonic import CoefficientSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Equiangular (theta, phi) grid with exactness-matched theta weights."""
 
@@ -65,7 +65,7 @@ def sphere_grid(resolution: int) -> SphereGrid:
     return SphereGrid(resolution, thetas, phis, weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereFunction:
     """Samples on an equiangular grid covering theta in [0, pi], phi in [0, 2pi)."""
 

@@ -248,8 +248,8 @@ def suite_cg(seed: int = 0, corruption: float = 0.0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    su2_expect = {(1, 1): [2, 0], (3, 2): [5, 3, 1], (1, 0): [1]}
-    so3_expect = {(1, 1): [2, 1, 0], (3, 2): [5, 4, 3, 2, 1], (2, 0): [2]}
+    su2_expect = {(1, 1): (2, 0), (3, 2): (5, 3, 1), (1, 0): (1,)}
+    so3_expect = {(1, 1): (2, 1, 0), (3, 2): (5, 4, 3, 2, 1), (2, 0): (2,)}
     index_ok = all(cg_indices(SU2, p, q) == v for (p, q), v in su2_expect.items()) and all(
         cg_indices(SO3, p, q) == v for (p, q), v in so3_expect.items()
     )

@@ -55,7 +55,7 @@ class IrrepIndex:
         return dim(self.ell, self.tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerMatrix:
     index: IrrepIndex
     entries: np.ndarray

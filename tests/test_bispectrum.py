@@ -12,11 +12,14 @@ from bispect.bispectrum import (
     build_descriptor,
     descriptor_distance,
     descriptor_max_relative_gap,
+    lift_rows,
+    lifted_descriptor,
     support_closure_check,
     triple_correlation,
     triple_correlation_grid,
 )
 from bispect.clebsch import CGDecomposition, clebsch_gordan
+from bispect.glyphs import lift_image, synthetic_glyphs
 from bispect.sphere import random_sphere_function, sphere_lift
 from bispect.wigner import dim
 
@@ -90,6 +93,55 @@ def test_lower_triangle_matches_direct_formula(make):
         for q in range(p + 1, coeffs.bandlimit + 1):
             direct = bispectrum_matrix(coeffs, q, p)
             assert np.linalg.norm(desc[(q, p)] - direct) <= 1e-13 * max(np.linalg.norm(direct), 1e-300)
+
+
+def _sphere_lift_at(L):
+    return lambda: sphere_lift(random_sphere_function(10, L, seed=40 + L), L)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(_sphere_lift_at(L) for L in (0, 1, 6, 8)), lambda: sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6)],
+    ids=["L0", "L1", "L6", "L8", "glyph"],
+)
+def test_lifted_descriptor_computes_one_row_per_entry(make, monkeypatch):
+    coeffs = make()
+    L = coeffs.bandlimit
+    calls = []
+    couple_rows = CGDecomposition.couple_rows
+
+    def counted(self, rows, blocks):
+        calls.append((self.p, self.q))
+        return couple_rows(self, rows, blocks)
+
+    monkeypatch.setattr(CGDecomposition, "couple_rows", counted)
+    desc = build_descriptor(coeffs)
+    assert sorted(calls) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    rows = lift_rows(desc)  # raises unless every entry is zero off its lift row
+    assert rows.shape == ((L + 1) ** 4,)
+    for pq in desc.pairs():
+        dense = bispectrum_matrix(coeffs, *pq)
+        assert np.linalg.norm(desc[pq] - dense) <= 1e-13 * max(np.linalg.norm(dense), 1e-300)
+    back = lifted_descriptor(L, rows, desc.det_f1)
+    assert back.det_f1 == desc.det_f1
+    assert all(np.array_equal(back[pq], desc[pq]) for pq in desc.pairs())
+
+
+def test_lift_rows_rejects_other_descriptors(monkeypatch):
+    with pytest.raises(DomainError, match="off its lift row"):
+        lift_rows(build_descriptor(random_bandlimited(3, SO3, seed=41)))
+    with pytest.raises(TagMismatchError):
+        lift_rows(build_descriptor(random_bandlimited(1, SU2, seed=41)))
+    # one off-row value, however small, sends the set down the dense path
+    mats = list(sphere_lift(random_sphere_function(6, 3, seed=42), 3).matrices)
+    mats[2] = mats[2].copy()
+    mats[2][0, 0] = 1e-300
+    monkeypatch.setattr(CGDecomposition, "couple_rows", None)
+    desc = build_descriptor(CoefficientSet(SO3, 3, tuple(mats)))
+    with pytest.raises(DomainError):
+        lift_rows(desc)
+    with pytest.raises(DomainError, match="needs 256 row values"):
+        lifted_descriptor(3, np.zeros(255, dtype=complex))
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])

@@ -21,17 +21,17 @@ from bispect.wigner import dim, j2_of, m_values, wigner_matrix
 
 
 def test_index_lists():
-    assert cg_indices(SU2, 1, 1) == [2, 0]
-    assert cg_indices(SU2, 1, 0) == [1]
-    assert cg_indices(SU2, 3, 2) == [5, 3, 1]
-    assert cg_indices(SO3, 1, 1) == [2, 1, 0]
-    assert cg_indices(SO3, 3, 2) == [5, 4, 3, 2, 1]
-    assert cg_indices(SO3, 4, 0) == [4]
+    assert cg_indices(SU2, 1, 1) == (2, 0)
+    assert cg_indices(SU2, 1, 0) == (1,)
+    assert cg_indices(SU2, 3, 2) == (5, 3, 1)
+    assert cg_indices(SO3, 1, 1) == (2, 1, 0)
+    assert cg_indices(SO3, 3, 2) == (5, 4, 3, 2, 1)
+    assert cg_indices(SO3, 4, 0) == (4,)
 
 
 def test_tensor_with_trivial_is_identity():
     cg = clebsch_gordan(SU2, 1, 0)
-    assert cg.indices == [1]
+    assert cg.indices == (1,)
     assert np.allclose(cg.C, np.eye(2))
     cg = clebsch_gordan(SO3, 0, 3)
     assert np.allclose(cg.C, np.eye(7))
@@ -39,7 +39,7 @@ def test_tensor_with_trivial_is_identity():
 
 def test_su2_one_one_block_structure(rng):
     cg = clebsch_gordan(SU2, 1, 1)
-    assert cg.indices == [2, 0]
+    assert cg.indices == (2, 0)
     elements = [random_element(SU2, rng) for _ in range(20)]
     assert intertwiner_residual(cg, *elements) < 1e-10
     assert intertwiner_residual(cg) == 0.0
@@ -47,7 +47,8 @@ def test_su2_one_one_block_structure(rng):
 
 def test_so3_one_one_block_structure(rng):
     cg = clebsch_gordan(SO3, 1, 1)
-    assert cg.indices == [2, 1, 0]
+    # a tuple: the memo hands the same object to every caller
+    assert cg.indices == (2, 1, 0) and isinstance(cg.indices, tuple)
     elements = [random_element(SO3, rng) for _ in range(50)]
     assert intertwiner_residual(cg, *elements) < 1e-10
     # negative control: one rephased column breaks the intertwining by an
@@ -243,6 +244,35 @@ def test_couple_matches_block_diag_and_stacks(tag, p, q, rng):
     partial = cg.couple({a: m[0] for a, m in stacks.items() if a != top})
     zeroed = [np.zeros_like(m[0]) if a == top else m[0] for a, m in stacks.items()]
     assert np.max(np.abs(partial - cg.C @ block_diag(*zeroed) @ cg.C.T)) <= 1e-13 * np.max(np.abs(partial))
+
+
+@pytest.mark.parametrize("tag, p, q", [(SU2, 3, 2), (SO3, 2, 2)])
+def test_couple_rows_matches_rows_times_couple(tag, p, q, rng):
+    cg = clebsch_gordan(tag, p, q)
+    n = cg.C.shape[0]
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    blocks = {a: cplx(dim(a, tag), dim(a, tag)) for a in cg.indices}
+    rows = cplx(3, n)
+    # all degrees, the top one missing (a zero block), only the bottom one
+    top, bottom = cg.indices[0], cg.indices[-1]
+    for given in (blocks, {a: m for a, m in blocks.items() if a != top}, {bottom: blocks[bottom]}):
+        want = rows @ cg.couple(given)
+        got = cg.couple_rows(rows, given)
+        assert got.shape == (3, n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for k in range(3):  # one row at a time
+            assert np.max(np.abs(cg.couple_rows(rows[k], given) - want[k])) <= 1e-13 * np.max(np.abs(want))
+    # stacked rows (N, k, n) with stacked blocks (N, d, d)
+    stacks = {a: cplx(4, dim(a, tag), dim(a, tag)) for a in cg.indices[1:]}
+    stacked = cplx(4, 2, n)
+    got = cg.couple_rows(stacked, stacks)
+    assert got.shape == (4, 2, n)
+    for k in range(4):
+        want = stacked[k] @ cg.couple({a: m[k] for a, m in stacks.items()})
+        assert np.max(np.abs(got[k] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_kron_apply_matches_kron_and_inverts(rng):

@@ -84,6 +84,9 @@ def test_match_descriptor_query(workdir):
     qpath = str(workdir / "q.json")
     bio.save_descriptor(desc, qpath)
     assert main(["match", "--index", idx, "--query", qpath]) == 0
+    # a descriptor that is not a sphere lift cannot be matched: a usage error
+    bio.save_descriptor(build_descriptor(random_bandlimited(3, SO3)), qpath)
+    assert main(["match", "--index", idx, "--query", qpath]) == 2
 
 
 def test_verify_subcommand(tmp_path):

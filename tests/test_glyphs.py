@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bispect.errors import DomainError, EmptyImageError, EmptyIndexError
-from bispect.groups import SO3, distance, identity, to_euler, z_rotation
+from bispect.bispectrum import build_descriptor, descriptor_distance
+from bispect.errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchError
+from bispect.groups import SO3, SU2, distance, identity, to_euler, z_rotation
+from bispect.harmonic import random_bandlimited
 from bispect.glyphs import (
     GlyphIndex,
     PlanarMotion,
@@ -106,8 +108,32 @@ def test_match_moved_glyph(rng):
     assert ranked[0][0] == "hook"
 
 
+def test_match_distances_equal_descriptor_distance():
+    glyphs = synthetic_glyphs(64)
+    index = build_glyph_index(glyphs, 16, 6)
+    assert index.rows.shape == (5, 7**4)
+    motions = [PlanarMotion(0.7, 0.05, -0.02), PlanarMotion(2.9, -0.08, 0.03)]
+    for label in ("cross", "ring"):
+        for motion in motions:
+            query = glyph_descriptor(apply_planar_motion(glyphs[label], motion), 16, 6)
+            ranked = match(query, index)
+            want = {rec.label: descriptor_distance(query, rec.descriptor) for rec in index.records}
+            assert [lab for lab, _ in ranked] == sorted(want, key=lambda lab: (want[lab], lab))
+            for lab, dist in ranked:
+                assert abs(dist - want[lab]) <= 1e-13 * want[lab]
+
+
+def test_match_rejects_a_query_that_is_not_a_lift():
+    index = build_glyph_index(synthetic_glyphs(32), 8, 3)
+    with pytest.raises(DomainError, match="not a sphere lift"):
+        match(build_descriptor(random_bandlimited(3, SO3)), index)
+    with pytest.raises(TagMismatchError):
+        match(build_descriptor(random_bandlimited(3, SU2)), index)
+
+
 def test_empty_index_errors():
     index = GlyphIndex(3, ())
+    assert index.rows.shape == (0, 4**4)
     glyphs = synthetic_glyphs(32)
     with pytest.raises(EmptyIndexError):
         match(glyph_descriptor(glyphs["bar"], 8, 3), index)

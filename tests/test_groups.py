@@ -9,6 +9,7 @@ from bispect.groups import (
     SU2,
     EulerAngles,
     GroupElement,
+    QuadratureRule,
     compose,
     distance,
     from_euler,
@@ -136,6 +137,18 @@ def test_group_element_validation():
         GroupElement(SO3, np.diag([1.0, 1.0, -1.0]))  # det -1
     with pytest.raises(TagMismatchError):
         GroupElement("SP4", np.eye(3))
+
+
+def test_array_holding_values_compare_by_identity():
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    rule = haar_quadrature(2, SO3)
+    rebuilt = QuadratureRule(rule.tag, rule.bandlimit, rule.alphas, rule.betas, rule.gammas, rule.beta_weights)
+    assert (rule == rebuilt) is False
+    assert rule == rule
+    assert hash(rule) == hash(rule) and hash(rule) != hash(rebuilt)
+    g = identity(SO3)
+    assert (g == GroupElement(SO3, g.data)) is False
+    assert isinstance(hash(g), int)
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])

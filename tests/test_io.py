@@ -7,8 +7,8 @@ import pytest
 from bispect.errors import FormatError, VersionError
 from bispect.groups import SO3, SU2, haar_quadrature
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
-from bispect.bispectrum import build_descriptor
-from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, synthetic_glyphs
+from bispect.bispectrum import build_descriptor, lift_rows
+from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, glyph_descriptor, match, synthetic_glyphs
 from bispect.sphere import random_sphere_function
 from bispect import io as bio
 
@@ -68,12 +68,85 @@ def test_glyph_index_round_trip(tmp_path):
     index = build_glyph_index(synthetic_glyphs(32), 8, 3)
     path = str(tmp_path / "idx.json")
     bio.save_glyph_index(index, path)
+    doc = json.load(open(path))
+    assert doc["format_version"] == 2
+    assert all(set(g) == {"label", "source", "rows", "det_f1"} for g in doc["glyphs"])  # rows only
     back = bio.load_glyph_index(path)
     assert back.bandlimit == 3
     assert [r.label for r in back.records] == [r.label for r in index.records]
     for a, b in zip(index.records, back.records):
+        assert a.source == b.source
+        assert a.descriptor.det_f1 is not None and b.descriptor.det_f1 == a.descriptor.det_f1
+        assert a.descriptor.pairs() == b.descriptor.pairs()
         for pq in a.descriptor.pairs():
             assert np.array_equal(a.descriptor[pq], b.descriptor[pq])
+    assert np.array_equal(back.rows, index.rows)
+
+
+def _save_glyph_index_v1(records, bandlimit, path):
+    """The version-1 layout: each glyph's dense descriptor document."""
+    glyphs = [{"label": label, "source": {}, "descriptor": bio._descriptor_doc(desc)} for label, desc in records]
+    bio._dump_json({"format_version": 1, "kind": "glyph_index", "bandlimit": bandlimit, "glyphs": glyphs}, path)
+
+
+def test_glyph_index_version_1_still_loads(tmp_path):
+    glyphs = synthetic_glyphs(32)
+    index = build_glyph_index(glyphs, 8, 3)
+    path = str(tmp_path / "v1.json")
+    _save_glyph_index_v1([(r.label, r.descriptor) for r in index.records], 3, path)
+    back = bio.load_glyph_index(path)
+    for a, b in zip(index.records, back.records, strict=True):
+        assert a.descriptor.det_f1 == b.descriptor.det_f1
+        assert all(np.array_equal(a.descriptor[pq], b.descriptor[pq]) for pq in a.descriptor.pairs())
+    query = glyph_descriptor(np.rot90(glyphs["hook"]), 8, 3)
+    assert match(query, back) == match(query, index)
+
+
+def test_glyph_index_version_1_rejects_a_record_that_is_not_a_lift(tmp_path):
+    lifted = build_glyph_index(synthetic_glyphs(32), 8, 1).records[0].descriptor
+    path = str(tmp_path / "v1.json")
+    _save_glyph_index_v1([("ok", lifted), ("dense", build_descriptor(random_bandlimited(1, SO3, seed=7)))], 1, path)
+    with pytest.raises(FormatError, match=r"not a sphere lift.*glyphs\[1\]\.descriptor"):
+        bio.load_glyph_index(path)
+    _save_glyph_index_v1([("su2", build_descriptor(random_bandlimited(1, SU2, seed=7)))], 1, path)
+    with pytest.raises(FormatError, match=r"glyphs\[0\]\.descriptor"):
+        bio.load_glyph_index(path)
+
+
+def test_glyph_index_rows_are_checked(tmp_path):
+    path = str(tmp_path / "idx.json")
+    bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
+    doc = json.load(open(path))
+    for rows, want in ((doc["glyphs"][0]["rows"][:-1], "needs 16 row values"), ([["x", 0.0]] * 16, "not numeric")):
+        doc["glyphs"][1]["rows"] = rows
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(FormatError, match=rf"{want}.*glyphs\[1\]\.rows"):
+            bio.load_glyph_index(path)
+    doc["glyphs"][1] = dict(doc["glyphs"][0], det_f1="0.5")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(FormatError, match=r"field 'det_f1' must be a number.*glyphs\[1\]"):
+        bio.load_glyph_index(path)
+
+
+def test_only_glyph_indexes_are_at_version_2(tmp_path):
+    path = str(tmp_path / "idx.json")
+    bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
+    doc = json.load(open(path))
+    doc["format_version"] = 3
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(VersionError):
+        bio.load_glyph_index(path)
+    _save_descriptor(path)
+    doc = json.load(open(path))
+    assert doc["format_version"] == 1
+    doc["format_version"] = 2
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(VersionError):
+        bio.load_descriptor(path)
 
 
 def test_version_mismatch(tmp_path):
@@ -181,6 +254,10 @@ def test_indented_layout_loads_bit_identically(tmp_path):
     sphere = random_sphere_function(6, 4, seed=12)
     samples = fourier_inverse(random_bandlimited(1, SU2, seed=13), haar_quadrature(3, SU2))
     index = build_glyph_index(synthetic_glyphs(32), 8, 2)
+
+    def save_v1(ix, path):
+        _save_glyph_index_v1([(r.label, r.descriptor) for r in ix.records], ix.bandlimit, path)
+
     cases = [
         (bio.save_coefficients, bio.load_coefficients, coeffs,
          lambda c: list(c.matrices), lambda d: d["matrices"]),
@@ -189,6 +266,8 @@ def test_indented_layout_loads_bit_identically(tmp_path):
         (bio.save_sphere, bio.load_sphere, sphere, lambda s: [s.values], lambda d: [d["values"]]),
         (bio.save_samples, bio.load_samples, samples, lambda f: [f.values], lambda d: [d["values"]]),
         (bio.save_glyph_index, bio.load_glyph_index, index,
+         lambda ix: [lift_rows(r.descriptor) for r in ix.records], lambda d: [g["rows"] for g in d["glyphs"]]),
+        (save_v1, bio.load_glyph_index, index,
          lambda ix: [r.descriptor[pq] for r in ix.records for pq in r.descriptor.pairs()],
          lambda d: [e["matrix"] for g in d["glyphs"] for e in g["descriptor"]["entries"]]),
     ]
@@ -319,13 +398,14 @@ def test_descriptor_negative_bandlimit(tmp_path):
 
 def test_glyph_index_rejects_non_object_glyph(tmp_path):
     path = str(tmp_path / "idx.json")
-    bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
-    doc = json.load(open(path))
-    doc["glyphs"][1] = 5
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(FormatError, match=r"glyph must be an object.*glyphs\[1\]"):
-        bio.load_glyph_index(path)
+    for save in (_save_glyph_index, _save_glyph_index_v1_file):
+        save(path)
+        doc = json.load(open(path))
+        doc["glyphs"][1] = 5
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(FormatError, match=r"glyph must be an object.*glyphs\[1\]"):
+            bio.load_glyph_index(path)
 
 
 def _save_coefficients(path):
@@ -348,6 +428,11 @@ def _save_glyph_index(path):
     bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
 
 
+def _save_glyph_index_v1_file(path):
+    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
+    _save_glyph_index_v1([(r.label, r.descriptor) for r in index.records], 1, path)
+
+
 # (saver, loader, keys leading to the object that holds the field, field)
 _INTEGER_FIELDS = {
     "coefficients-bandlimit": (_save_coefficients, bio.load_coefficients, (), "bandlimit"),
@@ -357,6 +442,10 @@ _INTEGER_FIELDS = {
     "sphere-resolution": (_save_sphere, bio.load_sphere, (), "resolution"),
     "samples-rule_bandlimit": (_save_samples, bio.load_samples, (), "rule_bandlimit"),
     "glyph_index-bandlimit": (_save_glyph_index, bio.load_glyph_index, (), "bandlimit"),
+    "glyph_index_v1-bandlimit": (_save_glyph_index_v1_file, bio.load_glyph_index, (), "bandlimit"),
+    "glyph_index_v1-descriptor-p": (
+        _save_glyph_index_v1_file, bio.load_glyph_index, ("glyphs", 0, "descriptor", "entries", 1), "p"
+    ),
 }
 
 
