@@ -5,8 +5,9 @@ The descriptor entry at (p, q) is
     A(p, q) = [F(p) (x) F(q)] C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+
 
 with the a_i the tensor-product decomposition degrees; degrees beyond the
-bandlimit contribute zero blocks, which ``CGDecomposition.couple`` skips,
-and ``kron_apply`` applies F(p) (x) F(q) without forming it.
+bandlimit contribute zero blocks.  ``CGDecomposition.couple`` evaluates it
+left to right on the nonzero rows of F(p) and F(q) only, and the rows of
+F(p) (x) F(q) that are zero give zero rows of A(p, q).
 
 The descriptor computes only the entries with p <= q.  The swap S that
 reorders Kronecker rows from p (x) q to q (x) p gives C_qp = S C_pq Sigma,
@@ -14,15 +15,16 @@ with Sigma one sign per block, and Sigma commutes with the block-diagonal
 middle factor, so A(q, p) = S A(p, q) S^T exactly (``kron_swap``).
 
 A sphere lift (SO3, every F(l) zero off its m' = 0 row l, with entries a_l)
-has the one-row identity: F(p) (x) F(q) is zero except row p d_q + q, which
-is a_p (x) a_q, so A(p, q) is zero except that row,
+is the same formula on one live row per factor: F(p) (x) F(q) is zero
+except row p d_q + q, which is a_p (x) a_q, so A(p, q) is zero except that
+row,
 
     (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+,
 
-the classical spherical bispectrum.  ``build_descriptor`` computes that row
-alone (``CGDecomposition.couple_rows``) on any set of this form, and
-``lift_rows`` reads it back: the weighted rows of two lifted descriptors
-are as far apart as the descriptors are under ``descriptor_distance``.
+the classical spherical bispectrum, and ``build_descriptor`` couples that
+one row per entry.  ``lift_rows`` reads it back: the weighted rows of two
+lifted descriptors are as far apart as the descriptors are under
+``descriptor_distance``.
 
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
@@ -39,15 +41,31 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import clebsch_gordan, kron_apply, kron_swap
+from .clebsch import clebsch_gordan, kron_swap
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
-def _entry(coeffs: CoefficientSet, daggers: list[np.ndarray], p: int, q: int) -> np.ndarray:
-    """A(p, q) from the in-band F(a)^+, daggers[a] for a <= bandlimit."""
-    cg = clebsch_gordan(coeffs.tag, p, q)
-    middle = cg.couple({a: daggers[a] for a in cg.indices if a <= coeffs.bandlimit})
-    return kron_apply(np.matmul, coeffs[p], coeffs[q], middle)
+def _entry(
+    tag: str, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray], p: int, q: int
+) -> np.ndarray:
+    """A(p, q) from the nonzero rows of F(p) and F(q), live[l] = (indices, rows)
+    as ``_live_rows`` gives them, and the in-band F(a)^+, daggers[a]."""
+    cg = clebsch_gordan(tag, p, q)
+    (rp, fp), (rq, fq) = live[p], live[q]
+    rows = cg.couple(fp, fq, {a: daggers[a] for a in cg.indices if a < len(daggers)})
+    n = cg.C.shape[0]
+    if len(rows) == n:
+        return rows
+    # row i d_q + k of A(p, q) comes from row i of F(p) and row k of F(q); the others are zero
+    out = np.zeros((n, n), dtype=complex)
+    out.reshape(dim(p, tag), dim(q, tag), n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
+    return out
+
+
+def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, rows) of each F(l)'s nonzero rows."""
+    indices = [np.flatnonzero(m.any(axis=1)) for m in coeffs.matrices]
+    return [(r, m[r]) for r, m in zip(indices, coeffs.matrices)]
 
 
 def _lift_row(p: int, q: int) -> int:
@@ -55,35 +73,11 @@ def _lift_row(p: int, q: int) -> int:
     return p * dim(q, SO3) + q
 
 
-def _is_lift(coeffs: CoefficientSet) -> bool:
-    """SO3 with every F(l) exactly zero off row l, as ``sphere_lift`` writes them."""
-    return coeffs.tag == SO3 and not any(m[:ell].any() or m[ell + 1 :].any() for ell, m in enumerate(coeffs.matrices))
-
-
-def _lift_rows_of(coeffs: CoefficientSet) -> np.ndarray:
-    """``lift_rows`` of a sphere lift's descriptor, one row per entry (the one-row identity).
-
-    The row of A(p, q), p <= q, is (a_p (x) a_q) C [dsum F(a)^+] C^+; the row
-    of A(q, p) = S A(p, q) S^T holds the same values, column i d_q + k moved
-    to k d_p + i."""
-    L = coeffs.bandlimit
-    daggers = [m.conj().T for m in coeffs.matrices]
-    rows = {}
-    for p in range(L + 1):
-        for q in range(p, L + 1):
-            cg = clebsch_gordan(SO3, p, q)
-            a_pq = np.outer(coeffs[p][p], coeffs[q][q]).ravel()
-            rows[(p, q)] = cg.couple_rows(a_pq, {a: daggers[a] for a in cg.indices if a <= L})
-            if q > p:
-                rows[(q, p)] = rows[(p, q)].reshape(dim(p, SO3), dim(q, SO3)).T.ravel()
-    return np.concatenate([rows[pq] for pq in sorted(rows)])
-
-
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
     """A(p, q) by the matrix formula; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
-    return _entry(coeffs, [m.conj().T for m in coeffs.matrices], p, q)
+    return _entry(coeffs.tag, _live_rows(coeffs), [m.conj().T for m in coeffs.matrices], p, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,23 +100,21 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     """Assemble the full descriptor; SO3 sets with a (near-)real det F(1)
     store it as side information for the reconstruction sign branch.
 
-    Entries with p <= q come from the formula; A(q, p) = S A(p, q) S^T.  On
-    a sphere lift only each entry's one live row is computed."""
+    Entries with p <= q come from the formula on the live rows of F(p) and
+    F(q), one row per entry on a sphere lift; A(q, p) = S A(p, q) S^T."""
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
         if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
             det_f1 = float(det.real)
-    if _is_lift(coeffs):
-        return lifted_descriptor(coeffs.bandlimit, _lift_rows_of(coeffs), det_f1)
-    daggers = [m.conj().T for m in coeffs.matrices]
+    live, daggers = _live_rows(coeffs), [m.conj().T for m in coeffs.matrices]
     entries = {}
     for p in range(coeffs.bandlimit + 1):
         for q in range(coeffs.bandlimit + 1):
             if q < p:  # row q, computed earlier, holds A(q, p)
                 entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag))
             else:
-                entries[(p, q)] = _entry(coeffs, daggers, p, q)
+                entries[(p, q)] = _entry(coeffs.tag, live, daggers, p, q)
     return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1)
 
 

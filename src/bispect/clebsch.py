@@ -10,8 +10,9 @@ fixed by making the first significant entry of the block's first column
 positive, which pins the stored matrices to one reproducible convention.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
-cg_indices order); other modules go through ``CGDecomposition.couple``,
-``CGDecomposition.couple_rows``, ``kron_apply`` and ``kron_swap``.
+cg_indices order); other modules go through ``CGDecomposition.couple``, the
+one coupling primitive, ``CGDecomposition.block``, ``kron_apply`` and
+``kron_swap``.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
@@ -56,35 +57,32 @@ class CGDecomposition:
         i = self.indices.index(a)
         return self.C[:, self.block_slices[i]]
 
-    def couple(self, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """C [dsum_a M_a] C^dagger from {degree a: M_a}, blocks optionally stacked (N, d, d).
+    def couple(self, a: np.ndarray | None, b: np.ndarray | None, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """[a (x) b] C [dsum_d M_d] C^dagger from {degree d: M_d}, computed left to right.
 
-        A missing degree is a zero block: only the given degrees' columns are
-        multiplied.  The product is C_in @ [stack_a M_a C_a^dagger], with C_in
-        C itself when every degree is given; with a real C (every stored
-        table) and complex blocks it runs as one float64 gemm on the complex
-        right factor viewed as real pairs."""
-        given = [(a, sl) for a, sl in zip(self.indices, self.block_slices) if a in blocks]
-        if len(given) == len(self.indices):
-            cols = self.C
-        else:
-            cols = np.concatenate([self.C[:, sl] for _, sl in given], axis=1)
-        right = np.concatenate([blocks[a] @ self.C[:, sl].conj().T for a, sl in given], axis=-2)
-        return _real_times(cols, right)
-
-    def couple_rows(self, rows: np.ndarray, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """rows @ C [dsum_a M_a] C^dagger for rows (..., n) with Kronecker-ordered columns.
-
-        Computed left to right, so the (n, n) product is never formed: the
-        cost is that of a few vector-matrix products when rows is one row.
-        A missing degree is a zero block; stacked blocks (N, d, d) go with
-        stacked rows (N, k, n)."""
-        t = _real_times(self.C.T, rows[..., None])[..., 0]
-        y = np.zeros(t.shape, dtype=np.result_type(t, *blocks.values()))
-        for a, sl in zip(self.indices, self.block_slices):
-            if a in blocks:
-                y[..., sl] = t[..., sl] @ blocks[a]
-        return _real_times(self.C.conj(), y[..., None])[..., 0]
+        a and b are rows of the two factors, shapes (k_a, d_p) and (k_b, d_q),
+        or None for the identity; result row r k_b + s comes from a[r] and
+        b[s].  Blocks stacked (N, d, d) give stacked results.  A missing
+        degree is a zero block: C's columns before the first given degree
+        and after the last are never multiplied.  With a real C (every
+        stored table) both products with C are float64 gemms on the complex
+        factor's [re, im] pairs; the second runs transposed, so the result is
+        a transposed view."""
+        given = [(d, sl) for d, sl in zip(self.indices, self.block_slices) if d in blocks]
+        lo, hi = given[0][1].start, given[-1][1].stop  # C's columns from the first given block to the last
+        dp, dq, n = dim(self.p, self.tag), dim(self.q, self.tag), hi - lo
+        a = np.eye(dp) if a is None else a
+        b = np.eye(dq) if b is None else b
+        # [a (x) b] C one factor at a time: t[k, c, r] = sum_i C[i k, c] a[r, i],
+        # then t[r k_b + s, c] = sum_k b[s, k] t[k, c, r]
+        t = _real_times(self.C.reshape(dp, dq, -1)[:, :, lo:hi].transpose(1, 2, 0), a.T)
+        t = (t.reshape(dq, n * len(a)).T @ b.T).reshape(n, len(a) * len(b)).T
+        y = np.zeros((*blocks[given[0][0]].shape[:-2], len(t), n), dtype=np.result_type(t, *blocks.values()))
+        for d, sl in given:
+            cols = slice(sl.start - lo, sl.stop - lo)
+            np.matmul(t[:, cols], blocks[d], out=y[..., cols])
+        # y C^dagger, run transposed so that C is the left factor
+        return _real_times(self.C[:, lo:hi].conj(), y.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _real_times(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -181,7 +179,7 @@ def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:
     """Largest || D_p (x) D_q  -  C (dsum D_a) C^dagger ||_F over the elements."""
     d = wigner_all(cg.p + cg.q, cg.tag, elements)
     lhs = np.einsum("nij,nkl->nikjl", d[cg.p], d[cg.q]).reshape(len(elements), *cg.C.shape)
-    rhs = cg.couple({a: d[a] for a in cg.indices})
+    rhs = cg.couple(None, None, {a: d[a] for a in cg.indices})
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
 
 
@@ -268,8 +266,7 @@ def verify_coset_homomorphism(
         for dlt in range(bandlimit + 1):
             cg = clebsch_gordan(tag, s, dlt)
             lhs = np.kron(projections[s] @ dmats[s], projections[dlt] @ dmats[dlt])
-            sand = cg.couple({a: projections[a] @ dmats[a] for a in cg.indices})
-            rhs = kron_apply(np.matmul, projections[s], projections[dlt], sand)
+            rhs = cg.couple(projections[s], projections[dlt], {a: projections[a] @ dmats[a] for a in cg.indices})
             r = float(np.max(np.abs(lhs - rhs)))
             per_pair[(s, dlt)] = r
             tensor_res = max(tensor_res, r)

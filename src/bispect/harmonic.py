@@ -174,6 +174,7 @@ def max_condition(coeffs: CoefficientSet) -> float:
 # consumers reject outright above the hard ceiling
 COND_TARGET = 1e4
 COND_REJECT = 1e8
+MAX_RETRIES = 64  # draws random_bandlimited makes for a well-conditioned set
 
 
 def random_bandlimited(
@@ -182,7 +183,6 @@ def random_bandlimited(
     require_nonsingular: bool = False,
     require_real: bool = False,
     seed: int = 0,
-    max_retries: int = 64,
 ) -> CoefficientSet:
     """Seeded random coefficient set, optionally well-conditioned / real-origin.
 
@@ -193,7 +193,7 @@ def random_bandlimited(
     """
     rng = np.random.default_rng(seed)
     rule = haar_quadrature(bandlimit, tag) if require_real else None
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         if require_real:
             # scaled so coefficient entries come out O(1/sqrt(dim)), matching
             # the complex branch

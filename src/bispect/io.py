@@ -103,7 +103,7 @@ def _check_header(doc: Any, kind: str, where: str, versions: tuple[int, ...] = (
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object", where)
     version = _require(doc, "format_version", where)
-    if version not in versions:
+    if type(version) is not int or version not in versions:  # true and 1.0 compare equal to 1
         raise VersionError(f"unsupported format_version {version!r}", where)
     got = _require(doc, "kind", where)
     if got != kind:

@@ -45,7 +45,6 @@ from .clebsch import (
     cg_indices,
     clebsch_gordan,
     intertwiner_residual,
-    kron_apply,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -305,10 +304,12 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
         for s in range(5):
             for dlt in range(5):
                 cg = clebsch_gordan(tag, s, dlt)
-                lhs = np.kron(subgroup_projection(tag, s).P, subgroup_projection(tag, dlt).P)
-                sand = cg.couple({a: subgroup_projection(tag, a).P for a in cg.indices})
-                worst = max(worst, float(np.max(np.abs(lhs - lhs @ sand))))
-                worst = max(worst, float(np.max(np.abs(lhs - sand @ lhs))))
+                ps, pd = subgroup_projection(tag, s).P, subgroup_projection(tag, dlt).P
+                lhs = np.kron(ps, pd)
+                # lhs C (dsum P_a) C^+, and its adjoint C (dsum P_a) C^+ lhs
+                left = cg.couple(ps, pd, {a: subgroup_projection(tag, a).P for a in cg.indices})
+                worst = max(worst, float(np.max(np.abs(lhs - left))))
+                worst = max(worst, float(np.max(np.abs(lhs - left.conj().T))))
     out.append(CheckResult.from_residual("projection-tensor-identity", worst, 1e-10))
 
     # left H-invariance of the projected rows
@@ -564,8 +565,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
     cg = clebsch_gordan(SU2, 1, 1)
     bad_c = cg.C.astype(complex)
     bad_c[:, 0] *= np.exp(0.25j)
-    middle = replace(cg, C=bad_c).couple({a: coeffs[a].conj().T for a in cg.indices})
-    bad = kron_apply(np.matmul, coeffs[1], coeffs[1], middle)
+    bad = replace(cg, C=bad_c).couple(coeffs[1], coeffs[1], {a: coeffs[a].conj().T for a in cg.indices})
     rule = haar_quadrature(6, SU2)
     oracle = bispectrum_via_oracle(fourier_inverse(coeffs, rule), 1, 1, 2)
     mismatch = float(np.linalg.norm(bad - oracle)) / max(float(np.linalg.norm(oracle)), 1e-300)

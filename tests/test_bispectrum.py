@@ -95,6 +95,13 @@ def test_lower_triangle_matches_direct_formula(make):
             assert np.linalg.norm(desc[(q, p)] - direct) <= 1e-13 * max(np.linalg.norm(direct), 1e-300)
 
 
+def _dense_entry(coeffs, p, q):
+    """A(p, q) with every factor formed: [F(p) (x) F(q)] C [dsum_a F(a)^+] C^T, out-of-band blocks zero."""
+    cg = clebsch_gordan(coeffs.tag, p, q)
+    blocks = [coeffs[a].conj().T if a <= coeffs.bandlimit else np.zeros((dim(a, coeffs.tag),) * 2) for a in cg.indices]
+    return np.kron(coeffs[p], coeffs[q]) @ cg.C @ block_diag(*blocks) @ cg.C.T
+
+
 def _sphere_lift_at(L):
     return lambda: sphere_lift(random_sphere_function(10, L, seed=40 + L), L)
 
@@ -108,35 +115,54 @@ def test_lifted_descriptor_computes_one_row_per_entry(make, monkeypatch):
     coeffs = make()
     L = coeffs.bandlimit
     calls = []
-    couple_rows = CGDecomposition.couple_rows
+    couple = CGDecomposition.couple
 
-    def counted(self, rows, blocks):
-        calls.append((self.p, self.q))
-        return couple_rows(self, rows, blocks)
+    def counted(self, a, b, blocks):
+        calls.append((self.p, self.q, a.shape[0] * b.shape[0]))
+        return couple(self, a, b, blocks)
 
-    monkeypatch.setattr(CGDecomposition, "couple_rows", counted)
+    monkeypatch.setattr(CGDecomposition, "couple", counted)
     desc = build_descriptor(coeffs)
-    assert sorted(calls) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    assert sorted(calls) == [(p, q, 1) for p in range(L + 1) for q in range(p, L + 1)]
     rows = lift_rows(desc)  # raises unless every entry is zero off its lift row
     assert rows.shape == ((L + 1) ** 4,)
     for pq in desc.pairs():
-        dense = bispectrum_matrix(coeffs, *pq)
+        dense = _dense_entry(coeffs, *pq)
         assert np.linalg.norm(desc[pq] - dense) <= 1e-13 * max(np.linalg.norm(dense), 1e-300)
     back = lifted_descriptor(L, rows, desc.det_f1)
     assert back.det_f1 == desc.det_f1
     assert all(np.array_equal(back[pq], desc[pq]) for pq in desc.pairs())
 
 
-def test_lift_rows_rejects_other_descriptors(monkeypatch):
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_descriptor_with_zero_rows_and_a_zero_degree_matches_dense(tag):
+    L = 4
+    mats = [m.copy() for m in random_bandlimited(L, tag, seed=43).matrices]
+    mats[1][0] = 0
+    mats[3][[0, 2]] = 0
+    mats[2][:] = 0  # no live rows at all
+    coeffs = CoefficientSet(tag, L, tuple(mats))
+    desc = build_descriptor(coeffs)
+    norms = [np.linalg.norm(m) for m in mats]
+    for p, q in desc.pairs():
+        kron = np.kron(mats[p], mats[q])
+        # relative to ||F(p)|| ||F(q)|| ||dsum F(a)^+||, which bounds the entry: the SU2 selection
+        # rule makes some entries exactly zero, so their own norm is rounding noise
+        scale = max(norms[p] * norms[q] * np.linalg.norm(norms), 1e-300)
+        assert np.linalg.norm(desc[(p, q)] - _dense_entry(coeffs, p, q)) <= 1e-13 * scale
+        # zero rows of F(p) (x) F(q), all of them when p or q is 2, stay exactly zero
+        assert not desc[(p, q)][~kron.any(axis=1)].any()
+
+
+def test_lift_rows_rejects_other_descriptors():
     with pytest.raises(DomainError, match="off its lift row"):
         lift_rows(build_descriptor(random_bandlimited(3, SO3, seed=41)))
     with pytest.raises(TagMismatchError):
         lift_rows(build_descriptor(random_bandlimited(1, SU2, seed=41)))
-    # one off-row value, however small, sends the set down the dense path
+    # one off-row value, however small, makes a second live row
     mats = list(sphere_lift(random_sphere_function(6, 3, seed=42), 3).matrices)
     mats[2] = mats[2].copy()
     mats[2][0, 0] = 1e-300
-    monkeypatch.setattr(CGDecomposition, "couple_rows", None)
     desc = build_descriptor(CoefficientSet(SO3, 3, tuple(mats)))
     with pytest.raises(DomainError):
         lift_rows(desc)
@@ -149,9 +175,9 @@ def test_descriptor_couples_upper_triangle_only(tag, monkeypatch):
     calls = []
     couple = CGDecomposition.couple
 
-    def counted(self, blocks):
+    def counted(self, a, b, blocks):
         calls.append((self.p, self.q))
-        return couple(self, blocks)
+        return couple(self, a, b, blocks)
 
     monkeypatch.setattr(CGDecomposition, "couple", counted)
     L = 5

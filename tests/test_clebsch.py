@@ -228,51 +228,44 @@ def test_cg_tables_are_read_only():
     assert clebsch_gordan(SO3, 1, 1).C[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("tag,p,q", [(SU2, 3, 2), (SO3, 2, 2)])
-def test_couple_matches_block_diag_and_stacks(tag, p, q, rng):
+@pytest.mark.parametrize(
+    "tag, p, q, complex_c",
+    [(SU2, 3, 2, False), (SO3, 2, 2, False), (SO3, 2, 1, True)],
+    ids=["SU2-3-2", "SO3-2-2", "SO3-2-1-complex-C"],
+)
+def test_couple_matches_block_diag_and_stacks(tag, p, q, complex_c, rng):
     cg = clebsch_gordan(tag, p, q)
-    stacks = {a: rng.standard_normal((4, dim(a, tag), dim(a, tag))) + 1j for a in cg.indices}
-    got = cg.couple(stacks)
-    assert got.shape == (4, *cg.C.shape)
-    for k in range(4):
-        single = cg.couple({a: m[k] for a, m in stacks.items()})
-        assert np.array_equal(got[k], single)
-        dense = cg.C @ block_diag(*[m[k] for m in stacks.values()]) @ cg.C.T
-        assert np.max(np.abs(single - dense)) <= 1e-13 * np.max(np.abs(dense))
-    # a missing degree is a zero block
-    top = cg.indices[0]
-    partial = cg.couple({a: m[0] for a, m in stacks.items() if a != top})
-    zeroed = [np.zeros_like(m[0]) if a == top else m[0] for a, m in stacks.items()]
-    assert np.max(np.abs(partial - cg.C @ block_diag(*zeroed) @ cg.C.T)) <= 1e-13 * np.max(np.abs(partial))
-
-
-@pytest.mark.parametrize("tag, p, q", [(SU2, 3, 2), (SO3, 2, 2)])
-def test_couple_rows_matches_rows_times_couple(tag, p, q, rng):
-    cg = clebsch_gordan(tag, p, q)
-    n = cg.C.shape[0]
+    if complex_c:  # a phased column makes C complex, which the real-gemm path cannot take
+        bad_c = cg.C.astype(complex)
+        bad_c[:, 0] *= np.exp(0.25j)
+        cg = replace(cg, C=bad_c)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    blocks = {a: cplx(dim(a, tag), dim(a, tag)) for a in cg.indices}
-    rows = cplx(3, n)
-    # all degrees, the top one missing (a zero block), only the bottom one
+    def dense(a, b, given):
+        mid = block_diag(*[given.get(d, np.zeros((dim(d, tag),) * 2)) for d in cg.indices])
+        return np.kron(a, b) @ cg.C @ mid @ cg.C.conj().T
+
+    fp, fq = cplx(dim(p, tag), dim(p, tag)), cplx(dim(q, tag), dim(q, tag))
+    stacks = {a: cplx(4, dim(a, tag), dim(a, tag)) for a in cg.indices}
     top, bottom = cg.indices[0], cg.indices[-1]
-    for given in (blocks, {a: m for a, m in blocks.items() if a != top}, {bottom: blocks[bottom]}):
-        want = rows @ cg.couple(given)
-        got = cg.couple_rows(rows, given)
-        assert got.shape == (3, n)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        for k in range(3):  # one row at a time
-            assert np.max(np.abs(cg.couple_rows(rows[k], given) - want[k])) <= 1e-13 * np.max(np.abs(want))
-    # stacked rows (N, k, n) with stacked blocks (N, d, d)
-    stacks = {a: cplx(4, dim(a, tag), dim(a, tag)) for a in cg.indices[1:]}
-    stacked = cplx(4, 2, n)
-    got = cg.couple_rows(stacked, stacks)
-    assert got.shape == (4, 2, n)
-    for k in range(4):
-        want = stacked[k] @ cg.couple({a: m[k] for a, m in stacks.items()})
-        assert np.max(np.abs(got[k] - want)) <= 1e-13 * np.max(np.abs(want))
+    # identity, square factors, row subsets, one row each
+    for a, b in ((None, None), (fp, fq), (fp[[0, -1]], fq[1:]), (fp[-1:], fq[:1])):
+        rows_a = np.eye(len(fp)) if a is None else a
+        rows_b = np.eye(len(fq)) if b is None else b
+        got = cg.couple(a, b, stacks)
+        assert got.shape == (4, len(rows_a) * len(rows_b), cg.C.shape[0])
+        for k in range(4):
+            blocks = {d: m[k] for d, m in stacks.items()}
+            single = cg.couple(a, b, blocks)
+            assert np.array_equal(got[k], single)
+            # every degree; one missing (a zero block) at the top or inside; only the bottom one
+            inner = cg.indices[len(cg.indices) // 2]
+            dropped = [{d: m for d, m in blocks.items() if d != x} for x in (top, inner)]
+            for given in (blocks, *dropped, {bottom: blocks[bottom]}):
+                want = dense(rows_a, rows_b, given)
+                assert np.max(np.abs(cg.couple(a, b, given) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_kron_apply_matches_kron_and_inverts(rng):
@@ -282,21 +275,6 @@ def test_kron_apply_matches_kron_and_inverts(rng):
     y = kron_apply(np.matmul, a, b, x)
     assert np.max(np.abs(y - np.kron(a, b) @ x)) <= 1e-13 * np.max(np.abs(y))
     assert np.max(np.abs(kron_apply(np.linalg.solve, a, b, y) - x)) <= 1e-12 * np.max(np.abs(x))
-
-
-def test_couple_with_complex_c_matches_dense(rng):
-    # a phased column makes C complex, which the real-gemm path cannot take
-    cg = clebsch_gordan(SO3, 2, 1)
-    bad_c = cg.C.astype(complex)
-    bad_c[:, 0] *= np.exp(0.25j)
-    bad_cg = replace(cg, C=bad_c)
-    stacks = {a: rng.standard_normal((3, dim(a, SO3), dim(a, SO3))) + 1j for a in cg.indices}
-    got = bad_cg.couple(stacks)
-    for k in range(3):
-        dense = bad_c @ block_diag(*[m[k] for m in stacks.values()]) @ bad_c.conj().T
-        single = bad_cg.couple({a: m[k] for a, m in stacks.items()})
-        for x in (got[k], single):
-            assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_kron_swap_exchanges_kron_factors(rng):

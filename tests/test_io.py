@@ -157,6 +157,19 @@ def test_version_mismatch(tmp_path):
         bio.load_coefficients(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+def test_version_must_be_a_json_integer(tmp_path, version):
+    # both compare equal to 1, so a membership test alone would load them as version 1
+    path = str(tmp_path / "c.json")
+    _save_coefficients(path)
+    doc = json.load(open(path))
+    doc["format_version"] = version
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(VersionError, match="unsupported format_version"):
+        bio.load_coefficients(path)
+
+
 def test_wrong_kind(tmp_path):
     coeffs = random_bandlimited(1, SU2, seed=6)
     path = str(tmp_path / "c.json")
