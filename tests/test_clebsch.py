@@ -228,6 +228,36 @@ def test_cg_tables_are_read_only():
     assert clebsch_gordan(SO3, 1, 1).C[0, 0] == 1.0
 
 
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _dense_couple(cg, a, b, given):
+    """[a (x) b] C [dsum M_d] C^dagger formed densely; a missing degree is a zero block."""
+    mid = block_diag(*[given.get(d, np.zeros((dim(d, cg.tag),) * 2)) for d in cg.indices])
+    return np.kron(a, b) @ cg.C @ mid @ cg.C.conj().T
+
+
+def _assert_couple_matches_dense(cg, a, b, stacks):
+    """couple(a, b, .) on stacked blocks equals it one block at a time, and each
+    equals the dense product with every degree, one missing at the top or
+    inside, or only the bottom one given."""
+    rows_a = np.eye(dim(cg.p, cg.tag)) if a is None else a
+    rows_b = np.eye(dim(cg.q, cg.tag)) if b is None else b
+    top, inner, bottom = cg.indices[0], cg.indices[len(cg.indices) // 2], cg.indices[-1]
+    n_stack = len(next(iter(stacks.values())))
+    got = cg.couple(a, b, stacks)
+    assert got.shape == (n_stack, len(rows_a) * len(rows_b), cg.C.shape[0])
+    for k in range(n_stack):
+        blocks = {d: m[k] for d, m in stacks.items()}
+        single = cg.couple(a, b, blocks)
+        assert np.array_equal(got[k], single)
+        dropped = [{d: m for d, m in blocks.items() if d != x} for x in (top, inner)]
+        for given in (blocks, *dropped, {bottom: blocks[bottom]}):
+            want = _dense_couple(cg, rows_a, rows_b, given)
+            assert np.max(np.abs(cg.couple(a, b, given) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "tag, p, q, complex_c",
     [(SU2, 3, 2, False), (SO3, 2, 2, False), (SO3, 2, 1, True)],
@@ -239,33 +269,21 @@ def test_couple_matches_block_diag_and_stacks(tag, p, q, complex_c, rng):
         bad_c = cg.C.astype(complex)
         bad_c[:, 0] *= np.exp(0.25j)
         cg = replace(cg, C=bad_c)
+    stacks = {a: _cplx(rng, 4, dim(a, tag), dim(a, tag)) for a in cg.indices}
+    _assert_couple_matches_dense(cg, None, None, stacks)
 
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def dense(a, b, given):
-        mid = block_diag(*[given.get(d, np.zeros((dim(d, tag),) * 2)) for d in cg.indices])
-        return np.kron(a, b) @ cg.C @ mid @ cg.C.conj().T
-
-    fp, fq = cplx(dim(p, tag), dim(p, tag)), cplx(dim(q, tag), dim(q, tag))
-    stacks = {a: cplx(4, dim(a, tag), dim(a, tag)) for a in cg.indices}
-    top, bottom = cg.indices[0], cg.indices[-1]
-    # identity, square factors, row subsets, one row each
-    for a, b in ((None, None), (fp, fq), (fp[[0, -1]], fq[1:]), (fp[-1:], fq[:1])):
-        rows_a = np.eye(len(fp)) if a is None else a
-        rows_b = np.eye(len(fq)) if b is None else b
-        got = cg.couple(a, b, stacks)
-        assert got.shape == (4, len(rows_a) * len(rows_b), cg.C.shape[0])
-        for k in range(4):
-            blocks = {d: m[k] for d, m in stacks.items()}
-            single = cg.couple(a, b, blocks)
-            assert np.array_equal(got[k], single)
-            # every degree; one missing (a zero block) at the top or inside; only the bottom one
-            inner = cg.indices[len(cg.indices) // 2]
-            dropped = [{d: m for d, m in blocks.items() if d != x} for x in (top, inner)]
-            for given in (blocks, *dropped, {bottom: blocks[bottom]}):
-                want = dense(rows_a, rows_b, given)
-                assert np.max(np.abs(cg.couple(a, b, given) - want)) <= 1e-13 * np.max(np.abs(want))
+@pytest.mark.parametrize("tag, p, q", [(SU2, 3, 2), (SO3, 2, 2)], ids=["SU2-3-2", "SO3-2-2"])
+def test_couple_rows_matches_rows_times_couple(tag, p, q, rng):
+    cg = clebsch_gordan(tag, p, q)
+    fp, fq = _cplx(rng, dim(p, tag), dim(p, tag)), _cplx(rng, dim(q, tag), dim(q, tag))
+    stacks = {a: _cplx(rng, 4, dim(a, tag), dim(a, tag)) for a in cg.indices}
+    whole = cg.couple(None, None, stacks)
+    # square factors, row subsets, one row each
+    for a, b in ((fp, fq), (fp[[0, -1]], fq[1:]), (fp[-1:], fq[:1])):
+        _assert_couple_matches_dense(cg, a, b, stacks)
+        want = np.kron(a, b) @ whole
+        assert np.max(np.abs(cg.couple(a, b, stacks) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_kron_apply_matches_kron_and_inverts(rng):
