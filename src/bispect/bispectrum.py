@@ -24,7 +24,7 @@ row,
 the classical spherical bispectrum, and ``build_descriptor`` couples that
 one row per entry.  ``lift_rows`` reads it back: the weighted rows of two
 lifted descriptors are as far apart as the descriptors are under
-``descriptor_distance``.
+``descriptor_distance``, so the glyph index keeps only these rows.
 
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
@@ -66,11 +66,6 @@ def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
     """(indices, rows) of each F(l)'s nonzero rows."""
     indices = [np.flatnonzero(m.any(axis=1)) for m in coeffs.matrices]
     return [(r, m[r]) for r, m in zip(indices, coeffs.matrices)]
-
-
-def _lift_row(p: int, q: int) -> int:
-    """The row of A(p, q) a sphere lift can make nonzero: m' = 0 in both factors."""
-    return p * dim(q, SO3) + q
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
@@ -148,7 +143,8 @@ def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
     rows = []
     for p, q in desc.pairs():
-        m, r, n = desc[(p, q)], _lift_row(p, q), dim(p, SO3) * dim(q, SO3)
+        m, n = desc[(p, q)], dim(p, SO3) * dim(q, SO3)
+        r = p * dim(q, SO3) + q  # the row with m' = 0 in both factors
         if m.shape != (n, n):
             raise DomainError(f"entry {(p, q)} must be {n}x{n}, found {m.shape}")
         if m[:r].any() or m[r + 1 :].any():
@@ -165,22 +161,6 @@ def lift_weights(bandlimit: int) -> np.ndarray:
     d = np.array([dim(ell, SO3) for ell in range(bandlimit + 1)])
     sizes = np.outer(d, d).ravel()
     return np.repeat(np.sqrt(sizes), sizes)
-
-
-def lifted_descriptor(bandlimit: int, rows: np.ndarray, det_f1: float | None = None) -> BispectrumDescriptor:
-    """The dense descriptor whose ``lift_rows`` are ``rows``: the inverse of that reader."""
-    rows = np.asarray(rows, dtype=complex)
-    dims = [dim(ell, SO3) for ell in range(bandlimit + 1)]
-    if rows.shape != (sum(dims) ** 2,):
-        raise DomainError(f"bandlimit {bandlimit} needs {sum(dims) ** 2} row values, found shape {rows.shape}")
-    entries, off = {}, 0
-    for p in range(bandlimit + 1):
-        for q in range(bandlimit + 1):
-            n = dims[p] * dims[q]
-            entries[(p, q)] = np.zeros((n, n), dtype=complex)
-            entries[(p, q)][_lift_row(p, q)] = rows[off : off + n]
-            off += n
-    return BispectrumDescriptor(SO3, bandlimit, entries, det_f1)
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:

@@ -11,7 +11,7 @@ positive, which pins the stored matrices to one reproducible convention.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
 cg_indices order); other modules go through ``CGDecomposition.couple``, the
-one coupling primitive, ``CGDecomposition.block``, ``kron_apply`` and
+one coupling primitive, ``CGDecomposition.block``, ``kron_solve`` and
 ``kron_swap``.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
@@ -20,7 +20,7 @@ diagonal circle preimage).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -93,13 +93,13 @@ def _real_times(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (c @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def kron_apply(op: Callable, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[a (x) b] x (op=np.matmul) or [a (x) b]^-1 x (op=np.linalg.solve), one factor at a time.
+def kron_solve(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[a (x) b]^-1 x, one factor at a time.
 
     x has Kronecker-ordered rows, row i * d_b + k; a (x) b is never formed."""
     da, db = a.shape[0], b.shape[0]
-    t = op(a, x.reshape(da, -1)).reshape(da, db, -1)
-    return op(b, t).reshape(da * db, -1)  # b broadcasts over the da slices
+    t = np.linalg.solve(a, x.reshape(da, -1)).reshape(da, db, -1)
+    return np.linalg.solve(b, t).reshape(da * db, -1)  # b broadcasts over the da slices
 
 
 def kron_swap(x: np.ndarray, da: int, db: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import sys
 from . import io as bio
 from . import verify as bverify
 from .errors import BispectError, FormatError
-from .groups import SO3, SU2, haar_quadrature
+from .groups import SU2, haar_quadrature
 from .harmonic import fourier_forward, fourier_inverse
 from .bispectrum import build_descriptor
 from .glyphs import build_glyph_index, glyph_descriptor, match as match_query
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="descriptor -> coefficients (up to translation)")
     p.add_argument("input")
-    p.add_argument("--group", choices=[SU2, SO3], default=None, help="default: group in the file")
     p.add_argument("--det-f1", type=float, default=None, help="SO3 determinant side information")
     p.add_argument("--output", required=True)
     p.add_argument("--tolerance", type=float, default=None, help="descriptor round-trip check tolerance")
@@ -74,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="comma-separated suite names or 'all'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="optional JSON report path")
-    p.add_argument("--tolerance", type=float, default=None, help="scale factor applied to all tolerances")
     return parser
 
 
@@ -112,14 +110,11 @@ def _cmd_bispectrum(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     desc = bio.load_descriptor(args.input)
-    group = args.group or desc.tag
-    if group != desc.tag:
-        raise FormatError(f"descriptor group {desc.tag} does not match --group {group}", args.input)
     if args.det_f1 is not None:
         from .bispectrum import BispectrumDescriptor
 
         desc = BispectrumDescriptor(desc.tag, desc.bandlimit, desc.entries, args.det_f1)
-    report = reconstruct_su2(desc) if group == SU2 else reconstruct_so3(desc)
+    report = reconstruct_su2(desc) if desc.tag == SU2 else reconstruct_so3(desc)
     bio.save_coefficients(report.recovered, args.output)
     from .bispectrum import descriptor_max_relative_gap
 
@@ -179,20 +174,16 @@ def _cmd_index(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.suite == "all" else [s.strip() for s in args.suite.split(",") if s.strip()]
     report = bverify.run(names, seed=args.seed)
-    scale = args.tolerance if args.tolerance is not None else 1.0
-    overall = True
     for name, checks in report.suites.items():
         for c in checks:
-            passed = c.passed if scale == 1.0 else (c.residual <= c.tolerance * scale)
-            overall = overall and passed
-            flag = "PASS" if passed else "FAIL"
+            flag = "PASS" if c.passed else "FAIL"
             info = f"  [{c.info}]" if c.info else ""
             print(f"{flag} {name}/{c.name}: residual {c.residual:.3e} tolerance {c.tolerance:.1e}{info}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=1)
-    print(f"verify: {'all suites passed' if overall else 'FAILURES detected'}")
-    return 0 if overall else VERIFY_FAILURE
+    print(f"verify: {'all suites passed' if report.passed else 'FAILURES detected'}")
+    return 0 if report.passed else VERIFY_FAILURE
 
 
 _DISPATCH = {

@@ -11,9 +11,10 @@ error budget is the local (not global) character of the plane-to-sphere
 correspondence plus image interpolation.
 
 Each lifted entry A(p, q) is zero but for one row (the one-row identity in
-``bispectrum``), so the index keeps its records' weighted live rows as one
-(records, (L + 1)^4) array and a search is one vectorized Euclidean norm,
-equal to ``descriptor_distance`` against every record.
+``bispectrum``), so the index keeps only its records' live rows, one
+(records, (L + 1)^4) array of ``lift_rows``, and no dense descriptors.  A
+search is one vectorized Euclidean norm weighted by ``lift_weights``, equal
+to ``descriptor_distance`` against every record.
 """
 
 from __future__ import annotations
@@ -189,7 +190,6 @@ def synthetic_glyphs(size: int = 64) -> dict[str, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class GlyphRecord:
     label: str
-    descriptor: BispectrumDescriptor
     source: dict = field(default_factory=dict)
 
 
@@ -197,17 +197,16 @@ class GlyphRecord:
 class GlyphIndex:
     bandlimit: int
     records: tuple[GlyphRecord, ...]
-    # weighted lift rows of the records' descriptors, one row per record
-    rows: np.ndarray = field(init=False, repr=False)
+    # the records' descriptors as ``lift_rows``, one row per record, unweighted
+    rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for rec in self.records:
-            if rec.descriptor.bandlimit != self.bandlimit:
-                raise DomainError("descriptor bandlimit varies within the index")
-        weights = lift_weights(self.bandlimit)
-        rows = np.zeros((len(self.records), weights.size), dtype=complex)
-        for i, rec in enumerate(self.records):
-            rows[i] = weights * lift_rows(rec.descriptor)
+        rows = np.array(self.rows, dtype=complex)
+        want = (len(self.records), (self.bandlimit + 1) ** 4)
+        if rows.shape != want:
+            raise DomainError(
+                f"{want[0]} records at bandlimit {self.bandlimit} need rows of shape {want}, found {rows.shape}"
+            )
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -219,27 +218,25 @@ def glyph_descriptor(image: np.ndarray, resolution: int, bandlimit: int) -> Bisp
 def build_glyph_index(
     images: dict[str, np.ndarray], resolution: int, bandlimit: int
 ) -> GlyphIndex:
-    records = []
-    for label in sorted(images):
-        desc = glyph_descriptor(images[label], resolution, bandlimit)
-        records.append(
-            GlyphRecord(label, desc, {"resolution": resolution, "pixels": list(images[label].shape)})
-        )
-    return GlyphIndex(bandlimit, tuple(records))
+    records, rows = [], np.zeros((len(images), (bandlimit + 1) ** 4), dtype=complex)
+    for i, label in enumerate(sorted(images)):
+        rows[i] = lift_rows(glyph_descriptor(images[label], resolution, bandlimit))
+        records.append(GlyphRecord(label, {"resolution": resolution, "pixels": list(images[label].shape)}))
+    return GlyphIndex(bandlimit, tuple(records), rows)
 
 
 def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, float]]:
     """Labels ranked by descriptor distance, ties broken by label order.
 
     The query must be a sphere lift (DomainError otherwise): its distance to
-    each record is the norm of the difference of their weighted lift rows."""
+    each record is the weighted norm of the difference of their lift rows."""
     if not index.records:
         raise EmptyIndexError("glyph index is empty")
     if query.bandlimit != index.bandlimit:
         raise DomainError("query bandlimit does not match the index")
-    query_rows = lift_weights(query.bandlimit) * lift_rows(query)
+    query_rows = lift_rows(query)
     if query_rows.shape != index.rows.shape[1:]:
         raise DomainError("query carries a different entry set than the index")
-    distances = np.linalg.norm(index.rows - query_rows, axis=1).tolist()
+    distances = np.linalg.norm((index.rows - query_rows) * lift_weights(index.bandlimit), axis=1).tolist()
     scored = [(rec.label, dist) for rec, dist in zip(index.records, distances)]
     return sorted(scored, key=lambda pair: (pair[1], pair[0]))

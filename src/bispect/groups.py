@@ -61,15 +61,6 @@ class GroupElement:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return inverse(self)
-
-    def rotation_matrix(self) -> np.ndarray:
-        return rotation_matrix(self)
-
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return compose(self, other)
 

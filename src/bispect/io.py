@@ -3,8 +3,9 @@
 Every JSON file carries ``format_version`` and a ``kind`` discriminator.
 Every kind is at version 1 except ``glyph_index``, which is at version 2:
 each glyph stores only the live rows of its lifted descriptor (see
-``bispectrum.lift_rows``), and loading rebuilds the dense entries exactly.
-Version-1 glyph indexes, which store every dense entry, still load.
+``bispectrum.lift_rows``), and loading stacks them into ``GlyphIndex.rows``.
+Version-1 glyph indexes, which store every dense entry, still load to the
+same rows, and a ``det_f1`` left on a glyph by earlier writers is ignored.
 Complex matrices are row-major nested lists with innermost ``[re, im]``
 pairs; numbers are written as shortest-round-trip decimal
 text, so files are platform independent and load back bit-identically.
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DomainError, FormatError, TagMismatchError, VersionError
 from .groups import SO3, SU2, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction
-from .bispectrum import BispectrumDescriptor, lift_rows, lifted_descriptor
+from .bispectrum import BispectrumDescriptor, lift_rows
 from .glyphs import GlyphIndex, GlyphRecord
 from .sphere import SphereFunction, sphere_grid
 from .wigner import dim
@@ -286,12 +287,7 @@ def load_samples(path: str) -> SampledFunction:
 
 
 def save_glyph_index(index: GlyphIndex, path: str) -> None:
-    glyphs = []
-    for rec in index.records:
-        item = {"label": rec.label, "source": rec.source, "rows": lift_rows(rec.descriptor)}
-        if rec.descriptor.det_f1 is not None:
-            item["det_f1"] = float(rec.descriptor.det_f1)
-        glyphs.append(item)
+    glyphs = [{"label": rec.label, "source": rec.source, "rows": row} for rec, row in zip(index.records, index.rows)]
     doc = {"format_version": GLYPH_INDEX_VERSION, "kind": "glyph_index", "bandlimit": index.bandlimit, "glyphs": glyphs}
     _dump_json(doc, path)
 
@@ -302,7 +298,8 @@ def load_glyph_index(path: str) -> GlyphIndex:
     bandlimit = _require_int(doc, "bandlimit", path)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
-    records = []
+    size = (bandlimit + 1) ** 4
+    records, rows = [], []
     for i, item in enumerate(_require(doc, "glyphs", path)):
         loc = f"{path}:glyphs[{i}]"
         if not isinstance(item, dict):
@@ -312,18 +309,21 @@ def load_glyph_index(path: str) -> GlyphIndex:
             desc_doc = _require(item, "descriptor", loc)
             _check_header(desc_doc, "bispectrum_descriptor", loc)
             desc = _descriptor_from_doc(desc_doc, f"{loc}.descriptor")
+            if desc.bandlimit != bandlimit:
+                raise FormatError(f"descriptor bandlimit {desc.bandlimit} is not the index's {bandlimit}", loc)
             try:
-                lift_rows(desc)
+                row = lift_rows(desc)
             except (DomainError, TagMismatchError) as exc:
                 raise FormatError(str(exc), f"{loc}.descriptor") from None
         else:
-            rows = _decode_complex_vector(_require(item, "rows", loc), f"{loc}.rows")
-            try:
-                desc = lifted_descriptor(bandlimit, rows, _optional_number(item, "det_f1", loc))
-            except DomainError as exc:
-                raise FormatError(str(exc), f"{loc}.rows") from None
-        records.append(GlyphRecord(label, desc, dict(item.get("source", {}))))
-    return GlyphIndex(bandlimit, tuple(records))
+            row = _decode_complex_vector(_require(item, "rows", loc), f"{loc}.rows")
+            if row.shape != (size,):
+                raise FormatError(
+                    f"bandlimit {bandlimit} needs {size} row values, found shape {row.shape}", f"{loc}.rows"
+                )
+        records.append(GlyphRecord(label, dict(item.get("source", {}))))
+        rows.append(row)
+    return GlyphIndex(bandlimit, tuple(records), np.stack(rows) if rows else np.zeros((0, size), dtype=complex))
 
 
 # -- PGM (binary P5) ---------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
 from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, haar_quadrature, su2_matrix, z_rotation
 from .harmonic import COND_REJECT, CoefficientSet, fourier_inverse
 from .bispectrum import BispectrumDescriptor
-from .clebsch import clebsch_gordan, kron_apply
+from .clebsch import clebsch_gordan, kron_solve
 from .wigner import (
     CARTESIAN_TO_SPHERICAL,
     SU2_BASIS_SWAP,
@@ -244,7 +244,7 @@ def _reconstruct(
     for ell in range(2, L + 1):
         c = clebsch_gordan(tag, ell - 1, 1).block(ell)
         a = np.asarray(desc[(ell - 1, 1)], dtype=complex)
-        f_ell = (c.conj().T @ kron_apply(np.linalg.solve, mats[ell - 1], mats[1], a) @ c).conj().T
+        f_ell = (c.conj().T @ kron_solve(mats[ell - 1], mats[1], a) @ c).conj().T
         cond = float(np.linalg.cond(f_ell))
         if not np.isfinite(cond) or cond > COND_REJECT:
             raise SingularCoefficientError(ell)

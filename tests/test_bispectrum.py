@@ -13,7 +13,6 @@ from bispect.bispectrum import (
     descriptor_distance,
     descriptor_max_relative_gap,
     lift_rows,
-    lifted_descriptor,
     support_closure_check,
     triple_correlation,
     triple_correlation_grid,
@@ -129,9 +128,6 @@ def test_lifted_descriptor_computes_one_row_per_entry(make, monkeypatch):
     for pq in desc.pairs():
         dense = _dense_entry(coeffs, *pq)
         assert np.linalg.norm(desc[pq] - dense) <= 1e-13 * max(np.linalg.norm(dense), 1e-300)
-    back = lifted_descriptor(L, rows, desc.det_f1)
-    assert back.det_f1 == desc.det_f1
-    assert all(np.array_equal(back[pq], desc[pq]) for pq in desc.pairs())
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])
@@ -166,8 +162,6 @@ def test_lift_rows_rejects_other_descriptors():
     desc = build_descriptor(CoefficientSet(SO3, 3, tuple(mats)))
     with pytest.raises(DomainError):
         lift_rows(desc)
-    with pytest.raises(DomainError, match="needs 256 row values"):
-        lifted_descriptor(3, np.zeros(255, dtype=complex))
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])

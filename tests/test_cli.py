@@ -9,6 +9,7 @@ from bispect.harmonic import fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
 from bispect.glyphs import synthetic_glyphs
 from bispect import io as bio
+from bispect import verify as bverify
 
 
 @pytest.fixture()
@@ -56,7 +57,7 @@ def test_reconstruct_so3_det_flag(tmp_path):
     path = str(tmp_path / "d.json")
     bio.save_descriptor(desc, path)
     out = str(tmp_path / "rec.json")
-    assert main(["reconstruct", path, "--group", "SO3", "--det-f1", str(desc.det_f1), "--output", out]) == 0
+    assert main(["reconstruct", path, "--det-f1", str(desc.det_f1), "--output", out]) == 0
 
 
 def test_lift_and_index_and_match(workdir):
@@ -98,9 +99,15 @@ def test_verify_subcommand(tmp_path):
     assert set(report["suites"]) == {"closure", "reality"}
 
 
-def test_verify_tolerance_scale_can_fail(tmp_path):
-    # scaling tolerances down must drive the exit code to 1
-    assert main(["verify", "--suite", "quadrature", "--tolerance", "1e-20"]) == 1
+def test_verify_failure_exits_1_and_reports_failed(tmp_path, monkeypatch):
+    failing = [bverify.CheckResult.from_residual("always-fails", 1.0, 0.0)]
+    monkeypatch.setitem(bverify.SUITES, "failing", lambda seed: failing)
+    report_path = str(tmp_path / "report.json")
+    assert main(["verify", "--suite", "closure,failing", "--output", report_path]) == 1
+    report = json.load(open(report_path))
+    assert report["passed"] is False
+    assert report["suites"]["closure"]["passed"] is True
+    assert report["suites"]["failing"]["passed"] is False
 
 
 def test_usage_error_on_bad_file(tmp_path):

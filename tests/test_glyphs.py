@@ -112,12 +112,13 @@ def test_match_distances_equal_descriptor_distance():
     glyphs = synthetic_glyphs(64)
     index = build_glyph_index(glyphs, 16, 6)
     assert index.rows.shape == (5, 7**4)
+    descs = {lab: glyph_descriptor(img, 16, 6) for lab, img in glyphs.items()}
     motions = [PlanarMotion(0.7, 0.05, -0.02), PlanarMotion(2.9, -0.08, 0.03)]
     for label in ("cross", "ring"):
         for motion in motions:
             query = glyph_descriptor(apply_planar_motion(glyphs[label], motion), 16, 6)
             ranked = match(query, index)
-            want = {rec.label: descriptor_distance(query, rec.descriptor) for rec in index.records}
+            want = {lab: descriptor_distance(query, desc) for lab, desc in descs.items()}
             assert [lab for lab, _ in ranked] == sorted(want, key=lambda lab: (want[lab], lab))
             for lab, dist in ranked:
                 assert abs(dist - want[lab]) <= 1e-13 * want[lab]
@@ -131,8 +132,15 @@ def test_match_rejects_a_query_that_is_not_a_lift():
         match(build_descriptor(random_bandlimited(3, SU2)), index)
 
 
+def test_glyph_index_checks_row_shape():
+    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
+    for rows in (index.rows[:4], index.rows[:, :-1], np.zeros((5, 3**4))):
+        with pytest.raises(DomainError, match=r"5 records at bandlimit 1 need rows of shape \(5, 16\)"):
+            GlyphIndex(1, index.records, rows)
+
+
 def test_empty_index_errors():
-    index = GlyphIndex(3, ())
+    index = build_glyph_index({}, 8, 3)
     assert index.rows.shape == (0, 4**4)
     glyphs = synthetic_glyphs(32)
     with pytest.raises(EmptyIndexError):

@@ -7,7 +7,7 @@ import pytest
 from bispect.errors import FormatError, VersionError
 from bispect.groups import SO3, SU2, haar_quadrature
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
-from bispect.bispectrum import build_descriptor, lift_rows
+from bispect.bispectrum import build_descriptor
 from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, glyph_descriptor, match, synthetic_glyphs
 from bispect.sphere import random_sphere_function
 from bispect import io as bio
@@ -70,17 +70,28 @@ def test_glyph_index_round_trip(tmp_path):
     bio.save_glyph_index(index, path)
     doc = json.load(open(path))
     assert doc["format_version"] == 2
-    assert all(set(g) == {"label", "source", "rows", "det_f1"} for g in doc["glyphs"])  # rows only
+    assert all(set(g) == {"label", "source", "rows"} for g in doc["glyphs"])  # rows only
     back = bio.load_glyph_index(path)
     assert back.bandlimit == 3
     assert [r.label for r in back.records] == [r.label for r in index.records]
-    for a, b in zip(index.records, back.records):
-        assert a.source == b.source
-        assert a.descriptor.det_f1 is not None and b.descriptor.det_f1 == a.descriptor.det_f1
-        assert a.descriptor.pairs() == b.descriptor.pairs()
-        for pq in a.descriptor.pairs():
-            assert np.array_equal(a.descriptor[pq], b.descriptor[pq])
-    assert np.array_equal(back.rows, index.rows)
+    assert [r.source for r in back.records] == [r.source for r in index.records]
+    assert _same_bits(back.rows, index.rows)
+    resaved = str(tmp_path / "idx2.json")
+    bio.save_glyph_index(back, resaved)
+    assert _same_bits(bio.load_glyph_index(resaved).rows, back.rows)
+    # earlier writers left each glyph's det F(1), always 0.0 for a lift: it is ignored
+    for g in doc["glyphs"]:
+        g["det_f1"] = 0.0
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert _same_bits(bio.load_glyph_index(path).rows, index.rows)
+
+
+def test_empty_glyph_index_round_trip(tmp_path):
+    path = str(tmp_path / "idx.json")
+    bio.save_glyph_index(build_glyph_index({}, 8, 2), path)
+    back = bio.load_glyph_index(path)
+    assert back.records == () and back.rows.shape == (0, 3**4)
 
 
 def _save_glyph_index_v1(records, bandlimit, path):
@@ -89,27 +100,36 @@ def _save_glyph_index_v1(records, bandlimit, path):
     bio._dump_json({"format_version": 1, "kind": "glyph_index", "bandlimit": bandlimit, "glyphs": glyphs}, path)
 
 
+def _v1_records(glyphs, resolution, bandlimit):
+    """(label, dense descriptor) in index order, as version-1 files stored them."""
+    return [(label, glyph_descriptor(glyphs[label], resolution, bandlimit)) for label in sorted(glyphs)]
+
+
 def test_glyph_index_version_1_still_loads(tmp_path):
     glyphs = synthetic_glyphs(32)
     index = build_glyph_index(glyphs, 8, 3)
-    path = str(tmp_path / "v1.json")
-    _save_glyph_index_v1([(r.label, r.descriptor) for r in index.records], 3, path)
-    back = bio.load_glyph_index(path)
-    for a, b in zip(index.records, back.records, strict=True):
-        assert a.descriptor.det_f1 == b.descriptor.det_f1
-        assert all(np.array_equal(a.descriptor[pq], b.descriptor[pq]) for pq in a.descriptor.pairs())
+    v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+    _save_glyph_index_v1(_v1_records(glyphs, 8, 3), 3, v1)
+    bio.save_glyph_index(index, v2)
+    back = bio.load_glyph_index(v1)
+    assert [r.label for r in back.records] == [r.label for r in index.records]
+    assert _same_bits(back.rows, bio.load_glyph_index(v2).rows)  # same glyphs, same rows in either version
     query = glyph_descriptor(np.rot90(glyphs["hook"]), 8, 3)
     assert match(query, back) == match(query, index)
 
 
 def test_glyph_index_version_1_rejects_a_record_that_is_not_a_lift(tmp_path):
-    lifted = build_glyph_index(synthetic_glyphs(32), 8, 1).records[0].descriptor
+    glyphs = synthetic_glyphs(32)
+    lifted = glyph_descriptor(glyphs["bar"], 8, 1)
     path = str(tmp_path / "v1.json")
     _save_glyph_index_v1([("ok", lifted), ("dense", build_descriptor(random_bandlimited(1, SO3, seed=7)))], 1, path)
     with pytest.raises(FormatError, match=r"not a sphere lift.*glyphs\[1\]\.descriptor"):
         bio.load_glyph_index(path)
     _save_glyph_index_v1([("su2", build_descriptor(random_bandlimited(1, SU2, seed=7)))], 1, path)
     with pytest.raises(FormatError, match=r"glyphs\[0\]\.descriptor"):
+        bio.load_glyph_index(path)
+    _save_glyph_index_v1([("ok", lifted), ("L2", glyph_descriptor(glyphs["bar"], 8, 2))], 1, path)
+    with pytest.raises(FormatError, match=r"descriptor bandlimit 2 is not the index's 1.*glyphs\[1\]"):
         bio.load_glyph_index(path)
 
 
@@ -123,11 +143,6 @@ def test_glyph_index_rows_are_checked(tmp_path):
             json.dump(doc, fh)
         with pytest.raises(FormatError, match=rf"{want}.*glyphs\[1\]\.rows"):
             bio.load_glyph_index(path)
-    doc["glyphs"][1] = dict(doc["glyphs"][0], det_f1="0.5")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(FormatError, match=r"field 'det_f1' must be a number.*glyphs\[1\]"):
-        bio.load_glyph_index(path)
 
 
 def test_only_glyph_indexes_are_at_version_2(tmp_path):
@@ -266,10 +281,21 @@ def test_indented_layout_loads_bit_identically(tmp_path):
     desc = build_descriptor(coeffs)
     sphere = random_sphere_function(6, 4, seed=12)
     samples = fourier_inverse(random_bandlimited(1, SU2, seed=13), haar_quadrature(3, SU2))
-    index = build_glyph_index(synthetic_glyphs(32), 8, 2)
+    glyphs = synthetic_glyphs(32)
+    index = build_glyph_index(glyphs, 8, 2)
 
-    def save_v1(ix, path):
-        _save_glyph_index_v1([(r.label, r.descriptor) for r in ix.records], ix.bandlimit, path)
+    def save_v1(ix, path):  # the dense descriptors of the index's glyphs
+        _save_glyph_index_v1(_v1_records(glyphs, 8, 2), ix.bandlimit, path)
+
+    def v1_live_rows(doc):  # row p d_q + q of each dense entry, concatenated per glyph; the rest is zero
+        live = []
+        for g in doc["glyphs"]:
+            live.append([])
+            for e in g["descriptor"]["entries"]:
+                r = e["p"] * (2 * e["q"] + 1) + e["q"]
+                assert all(z == [0.0, 0.0] for i, row in enumerate(e["matrix"]) if i != r for z in row)
+                live[-1] += e["matrix"][r]
+        return live
 
     cases = [
         (bio.save_coefficients, bio.load_coefficients, coeffs,
@@ -279,10 +305,8 @@ def test_indented_layout_loads_bit_identically(tmp_path):
         (bio.save_sphere, bio.load_sphere, sphere, lambda s: [s.values], lambda d: [d["values"]]),
         (bio.save_samples, bio.load_samples, samples, lambda f: [f.values], lambda d: [d["values"]]),
         (bio.save_glyph_index, bio.load_glyph_index, index,
-         lambda ix: [lift_rows(r.descriptor) for r in ix.records], lambda d: [g["rows"] for g in d["glyphs"]]),
-        (save_v1, bio.load_glyph_index, index,
-         lambda ix: [r.descriptor[pq] for r in ix.records for pq in r.descriptor.pairs()],
-         lambda d: [e["matrix"] for g in d["glyphs"] for e in g["descriptor"]["entries"]]),
+         lambda ix: list(ix.rows), lambda d: [g["rows"] for g in d["glyphs"]]),
+        (save_v1, bio.load_glyph_index, index, lambda ix: list(ix.rows), v1_live_rows),
     ]
     for i, (save, load, obj, arrays, doc_arrays) in enumerate(cases):
         compact, indented = str(tmp_path / f"c{i}.json"), str(tmp_path / f"i{i}.json")
@@ -329,8 +353,7 @@ def test_json_default_rejects_other_types(tmp_path):
         bio._dump_json({"values": np.zeros(2, dtype=complex), "stray": object()}, str(path))
     assert not path.exists()  # nothing written, not even a partial file
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
-    rec = index.records[0]
-    bad = GlyphIndex(index.bandlimit, (GlyphRecord(rec.label, rec.descriptor, {"size": np.int64(32)}),))
+    bad = GlyphIndex(index.bandlimit, (GlyphRecord(index.records[0].label, {"size": np.int64(32)}),), index.rows[:1])
     with pytest.raises(TypeError):
         bio.save_glyph_index(bad, str(path))
     assert not path.exists()
@@ -442,8 +465,7 @@ def _save_glyph_index(path):
 
 
 def _save_glyph_index_v1_file(path):
-    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
-    _save_glyph_index_v1([(r.label, r.descriptor) for r in index.records], 1, path)
+    _save_glyph_index_v1(_v1_records(synthetic_glyphs(32), 8, 1), 1, path)
 
 
 # (saver, loader, keys leading to the object that holds the field, field)
