@@ -17,7 +17,7 @@ from .groups import (  # noqa: F401
     rotation_matrix,
     to_euler,
 )
-from .wigner import IrrepIndex, WignerMatrix, wigner, wigner_all, wigner_matrix  # noqa: F401
+from .wigner import wigner_all, wigner_matrix  # noqa: F401
 from .clebsch import (  # noqa: F401
     CGDecomposition,
     SubgroupProjection,

@@ -228,12 +228,9 @@ def triple_correlation(
     return complex(np.sum(f.rule.weights * np.conj(f.values) * u[0] * u[1]))
 
 
-def triple_correlation_grid(
-    f: SampledFunction, bandlimit: int, outer_rule: QuadratureRule | None = None
-) -> TripleCorrelationGrid:
-    """Tabulate a3 on the product of an outer rule's nodes with itself."""
-    if outer_rule is None:
-        outer_rule = haar_quadrature(bandlimit, f.tag)
+def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> TripleCorrelationGrid:
+    """Tabulate a3 on the square of the nodes of the bandlimit's quadrature rule."""
+    outer_rule = haar_quadrature(bandlimit, f.tag)
     coeffs = fourier_forward(f, bandlimit)
     shifts = [wigner_stack_on_rule(ell, f.tag, outer_rule) for ell in range(bandlimit + 1)]
     u = _translated_samples(coeffs, shifts, f.rule)
@@ -249,8 +246,8 @@ def bispectrum_via_oracle(f: SampledFunction, p: int, q: int, bandlimit: int) ->
     Independent of the matrix formula (no Clebsch-Gordan data); meant for
     small bandlimits only.
     """
-    outer = haar_quadrature(bandlimit, f.tag)
-    a3 = triple_correlation_grid(f, bandlimit, outer).values
+    grid = triple_correlation_grid(f, bandlimit)
+    outer, a3 = grid.rule, grid.values
     dp = wigner_stack_on_rule(p, f.tag, outer)
     dq = wigner_stack_on_rule(q, f.tag, outer)
     w = outer.weights

@@ -4,8 +4,9 @@ Every JSON file carries ``format_version`` and a ``kind`` discriminator.
 Every kind is at version 1 except ``glyph_index``, which is at version 2:
 each glyph stores only the live rows of its lifted descriptor (see
 ``bispectrum.lift_rows``), and loading stacks them into ``GlyphIndex.rows``.
-Version-1 glyph indexes, which store every dense entry, still load to the
-same rows, and a ``det_f1`` left on a glyph by earlier writers is ignored.
+A ``det_f1`` left on a glyph by earlier writers is ignored.  Version-1 glyph
+indexes, which stored every dense entry, raise VersionError; rebuild them
+from their images with ``bispect index``.
 Complex matrices are row-major nested lists with innermost ``[re, im]``
 pairs; numbers are written as shortest-round-trip decimal
 text, so files are platform independent and load back bit-identically.
@@ -22,16 +23,16 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import DomainError, FormatError, TagMismatchError, VersionError
+from .errors import FormatError, VersionError
 from .groups import SO3, SU2, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction
-from .bispectrum import BispectrumDescriptor, lift_rows
+from .bispectrum import BispectrumDescriptor
 from .glyphs import GlyphIndex, GlyphRecord
 from .sphere import SphereFunction, sphere_grid
 from .wigner import dim
 
 FORMAT_VERSION = 1
-GLYPH_INDEX_VERSION = 2  # version 1 (dense descriptors) still loads
+GLYPH_INDEX_VERSION = 2  # version 1 (dense descriptors) no longer loads
 
 _KINDS = ("coefficients", "bispectrum_descriptor", "sphere_samples", "group_samples", "glyph_index")
 
@@ -90,6 +91,13 @@ def _require_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
+def _require_list(doc: dict, key: str, where: str) -> list:
+    value = _require(doc, key, where)
+    if not isinstance(value, list):
+        raise FormatError(f"field {key!r} must be a list, found {value!r}", where)
+    return value
+
+
 def _optional_number(doc: dict, key: str, where: str) -> float | None:
     value = doc.get(key)
     if value is None:
@@ -99,17 +107,15 @@ def _optional_number(doc: dict, key: str, where: str) -> float | None:
     return float(value)
 
 
-def _check_header(doc: Any, kind: str, where: str, versions: tuple[int, ...] = (FORMAT_VERSION,)) -> int:
-    """Check the kind and return the version, one of ``versions``."""
+def _check_header(doc: Any, kind: str, where: str, version: int = FORMAT_VERSION) -> None:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object", where)
-    version = _require(doc, "format_version", where)
-    if type(version) is not int or version not in versions:  # true and 1.0 compare equal to 1
-        raise VersionError(f"unsupported format_version {version!r}", where)
+    found = _require(doc, "format_version", where)
+    if type(found) is not int or found != version:  # true and 1.0 compare equal to 1
+        raise VersionError(f"unsupported format_version {found!r}", where)
     got = _require(doc, "kind", where)
     if got != kind:
         raise FormatError(f"expected kind {kind!r}, found {got!r}", where)
-    return version
 
 
 def _check_group(tag: Any, where: str) -> str:
@@ -176,7 +182,7 @@ def load_coefficients(path: str) -> CoefficientSet:
     bandlimit = _require_int(doc, "bandlimit", path)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
-    raw = _require(doc, "matrices", path)
+    raw = _require_list(doc, "matrices", path)
     if len(raw) != bandlimit + 1:
         raise FormatError(f"expected {bandlimit + 1} matrices, found {len(raw)}", path)
     mats = tuple(_decode_complex_matrix(m, f"{path}:matrices[{i}]") for i, m in enumerate(raw))
@@ -186,7 +192,7 @@ def load_coefficients(path: str) -> CoefficientSet:
 # -- descriptors -------------------------------------------------------------
 
 
-def _descriptor_doc(desc: BispectrumDescriptor) -> dict:
+def save_descriptor(desc: BispectrumDescriptor, path: str) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "bispectrum_descriptor",
@@ -198,21 +204,19 @@ def _descriptor_doc(desc: BispectrumDescriptor) -> dict:
     }
     if desc.det_f1 is not None:
         doc["det_f1"] = float(desc.det_f1)
-    return doc
+    _dump_json(doc, path)
 
 
-def save_descriptor(desc: BispectrumDescriptor, path: str) -> None:
-    _dump_json(_descriptor_doc(desc), path)
-
-
-def _descriptor_from_doc(doc: dict, where: str) -> BispectrumDescriptor:
-    tag = _check_group(_require(doc, "group", where), where)
-    bandlimit = _require_int(doc, "bandlimit", where)
+def load_descriptor(path: str) -> BispectrumDescriptor:
+    doc = _load_json(path)
+    _check_header(doc, "bispectrum_descriptor", path)
+    tag = _check_group(_require(doc, "group", path), path)
+    bandlimit = _require_int(doc, "bandlimit", path)
     if bandlimit < 0:
-        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", where)
+        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
     entries = {}
-    for i, item in enumerate(_require(doc, "entries", where)):
-        loc = f"{where}:entries[{i}]"
+    for i, item in enumerate(_require_list(doc, "entries", path)):
+        loc = f"{path}:entries[{i}]"
         if not isinstance(item, dict):
             raise FormatError("entry must be an object", loc)
         p, q = _require_int(item, "p", loc), _require_int(item, "q", loc)
@@ -229,14 +233,8 @@ def _descriptor_from_doc(doc: dict, where: str) -> BispectrumDescriptor:
         entries[(p, q)] = matrix
     missing = [(p, q) for p in range(bandlimit + 1) for q in range(bandlimit + 1) if (p, q) not in entries]
     if missing:
-        raise FormatError(f"missing entry for pair {missing[0]} ({len(missing)} missing)", where)
-    return BispectrumDescriptor(tag, bandlimit, entries, _optional_number(doc, "det_f1", where))
-
-
-def load_descriptor(path: str) -> BispectrumDescriptor:
-    doc = _load_json(path)
-    _check_header(doc, "bispectrum_descriptor", path)
-    return _descriptor_from_doc(doc, path)
+        raise FormatError(f"missing entry for pair {missing[0]} ({len(missing)} missing)", path)
+    return BispectrumDescriptor(tag, bandlimit, entries, _optional_number(doc, "det_f1", path))
 
 
 # -- sphere samples ----------------------------------------------------------
@@ -294,34 +292,24 @@ def save_glyph_index(index: GlyphIndex, path: str) -> None:
 
 def load_glyph_index(path: str) -> GlyphIndex:
     doc = _load_json(path)
-    version = _check_header(doc, "glyph_index", path, versions=(1, GLYPH_INDEX_VERSION))
+    _check_header(doc, "glyph_index", path, GLYPH_INDEX_VERSION)
     bandlimit = _require_int(doc, "bandlimit", path)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
     size = (bandlimit + 1) ** 4
     records, rows = [], []
-    for i, item in enumerate(_require(doc, "glyphs", path)):
+    for i, item in enumerate(_require_list(doc, "glyphs", path)):
         loc = f"{path}:glyphs[{i}]"
         if not isinstance(item, dict):
             raise FormatError("glyph must be an object", loc)
         label = str(_require(item, "label", loc))
-        if version == 1:
-            desc_doc = _require(item, "descriptor", loc)
-            _check_header(desc_doc, "bispectrum_descriptor", loc)
-            desc = _descriptor_from_doc(desc_doc, f"{loc}.descriptor")
-            if desc.bandlimit != bandlimit:
-                raise FormatError(f"descriptor bandlimit {desc.bandlimit} is not the index's {bandlimit}", loc)
-            try:
-                row = lift_rows(desc)
-            except (DomainError, TagMismatchError) as exc:
-                raise FormatError(str(exc), f"{loc}.descriptor") from None
-        else:
-            row = _decode_complex_vector(_require(item, "rows", loc), f"{loc}.rows")
-            if row.shape != (size,):
-                raise FormatError(
-                    f"bandlimit {bandlimit} needs {size} row values, found shape {row.shape}", f"{loc}.rows"
-                )
-        records.append(GlyphRecord(label, dict(item.get("source", {}))))
+        source = item.get("source", {})
+        if not isinstance(source, dict):
+            raise FormatError(f"field 'source' must be an object, found {source!r}", loc)
+        row = _decode_complex_vector(_require(item, "rows", loc), f"{loc}.rows")
+        if row.shape != (size,):
+            raise FormatError(f"bandlimit {bandlimit} needs {size} row values, found shape {row.shape}", f"{loc}.rows")
+        records.append(GlyphRecord(label, dict(source)))
         rows.append(row)
     return GlyphIndex(bandlimit, tuple(records), np.stack(rows) if rows else np.zeros((0, size), dtype=complex))
 

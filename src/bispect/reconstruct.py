@@ -43,9 +43,9 @@ from .wigner import (
 _HERMITICITY_TOL = 1e-10
 
 
-def _check_hermitian(m: np.ndarray, tol: float = _HERMITICITY_TOL) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     scale = max(float(np.linalg.norm(m)), 1.0)
-    if np.max(np.abs(m - m.conj().T)) > tol * scale:
+    if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL * scale:
         raise DomainError("matrix is not Hermitian within tolerance")
     return 0.5 * (m + m.conj().T)
 
@@ -208,15 +208,9 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
 
 
 def _reconstruct(
-    desc: BispectrumDescriptor,
-    bandlimit: int | None,
-    ground_truth: CoefficientSet | None,
-    so3_branch: bool,
+    desc: BispectrumDescriptor, ground_truth: CoefficientSet | None, so3_branch: bool
 ) -> ReconstructionReport:
-    tag = desc.tag
-    L = desc.bandlimit if bandlimit is None else bandlimit
-    if L > desc.bandlimit:
-        raise DomainError("requested bandlimit exceeds the descriptor's")
+    tag, L = desc.tag, desc.bandlimit
 
     a00 = complex(np.asarray(desc[(0, 0)]).ravel()[0])
     if abs(a00) < 1e-300:
@@ -259,35 +253,31 @@ def _reconstruct(
 
 
 def reconstruct_su2(
-    desc: BispectrumDescriptor,
-    bandlimit: int | None = None,
-    ground_truth: CoefficientSet | None = None,
+    desc: BispectrumDescriptor, ground_truth: CoefficientSet | None = None
 ) -> ReconstructionReport:
     """Recover a real-origin SU2 coefficient set up to a left translation."""
     if desc.tag != SU2:
         raise TagMismatchError("descriptor is not SU2")
-    return _reconstruct(desc, bandlimit, ground_truth, so3_branch=False)
+    return _reconstruct(desc, ground_truth, so3_branch=False)
 
 
 def reconstruct_so3(
-    desc: BispectrumDescriptor,
-    bandlimit: int | None = None,
-    ground_truth: CoefficientSet | None = None,
+    desc: BispectrumDescriptor, ground_truth: CoefficientSet | None = None
 ) -> ReconstructionReport:
     """SO3 variant: the degree-1 square root sign comes from det side info."""
     if desc.tag != SO3:
         raise TagMismatchError("descriptor is not SO3")
-    return _reconstruct(desc, bandlimit, ground_truth, so3_branch=True)
+    return _reconstruct(desc, ground_truth, so3_branch=True)
 
 
-def check_sphere_witness(x: GroupElement, samples: int = 16, tol: float = 1e-9) -> bool:
+def check_sphere_witness(x: GroupElement) -> bool:
     """Does x normalize the z-axis circle: x R_z(t) x^-1 in H for sampled t?"""
     if x.tag != SO3:
         raise TagMismatchError("sphere witnesses live in SO3")
     r = x.data
-    for t in np.linspace(0.0, 2 * np.pi, samples, endpoint=False):
+    for t in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
         m = r @ z_rotation(t).data @ r.T
         phi = np.arctan2(m[1, 0], m[0, 0])
-        if np.max(np.abs(m - z_rotation(phi).data)) > tol:
+        if np.max(np.abs(m - z_rotation(phi).data)) > 1e-9:
             return False
     return True

@@ -209,20 +209,15 @@ def _bilinear_sample(s: SphereFunction, thetas: np.ndarray, phis: np.ndarray) ->
     )
 
 
-def random_sphere_function(
-    resolution: int, bandlimit: int, seed: int = 0, real: bool = True
-) -> SphereFunction:
-    """Seeded random bandlimited sphere function (bandlimit-projected noise)."""
+def random_sphere_function(resolution: int, bandlimit: int, seed: int = 0) -> SphereFunction:
+    """Seeded random real bandlimited sphere function (bandlimit-projected noise)."""
     grid = sphere_grid(resolution)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(grid.shape)
-    if not real:
-        raw = raw + 1j * rng.standard_normal(grid.shape)
+    raw = np.random.default_rng(seed).standard_normal(grid.shape)
     coeffs = sphere_coefficients(SphereFunction(grid, raw.astype(complex)), bandlimit)
     return sphere_synthesis(coeffs, grid)
 
 
-def h_rank_report(coeffs: CoefficientSet, tol: float = 1e-9) -> dict[int, dict]:
+def h_rank_report(coeffs: CoefficientSet) -> dict[int, dict]:
     """Numerical rank of each F(ell) against the projection rank (1 on SO3).
 
     A lifted coefficient set has maximal H-rank exactly when every degree's
@@ -236,6 +231,6 @@ def h_rank_report(coeffs: CoefficientSet, tol: float = 1e-9) -> dict[int, dict]:
     report = {}
     for ell in range(coeffs.bandlimit + 1):
         svals = np.linalg.svd(coeffs[ell], compute_uv=False)
-        rank = int(np.sum(svals > tol * max(scale, 1e-300)))
+        rank = int(np.sum(svals > 1e-9 * max(scale, 1e-300)))
         report[ell] = {"rank": rank, "projection_rank": 1, "maximal": rank == 1}
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MissingSideInfoError, PrecisionWarning
+from .errors import DomainError, MissingSideInfoError, PrecisionWarning
 from .groups import (
     SO3,
     SU2,
@@ -230,20 +230,15 @@ def suite_wigner(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def _cg_residual_sweep(tag: str, pairs, per_pair: int, rng, corruption: float = 0.0) -> float:
+def _cg_residual_sweep(tag: str, pairs, per_pair: int, rng) -> float:
     worst = 0.0
     for p, q in pairs:
         cg = clebsch_gordan(tag, p, q)
-        if corruption:
-            # single-column phase: breaks intertwining without cancelling
-            c = cg.C.astype(complex)
-            c[:, 0] *= np.exp(1j * corruption)
-            cg = replace(cg, C=c)
         worst = max(worst, intertwiner_residual(cg, *(random_element(tag, rng) for _ in range(per_pair))))
     return worst
 
 
-def suite_cg(seed: int = 0, corruption: float = 0.0) -> list[CheckResult]:
+def suite_cg(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -273,9 +268,9 @@ def suite_cg(seed: int = 0, corruption: float = 0.0) -> list[CheckResult]:
 
     for tag, lmax, name, note in ((SU2, 6, "su2-intertwiner", "p,q <= 6"), (SO3, 4, "so3-intertwiner", "n,m <= 4")):
         pairs = itertools.product(range(lmax + 1), repeat=2)
-        worst = _cg_residual_sweep(tag, pairs, 100, rng, corruption)
+        worst = _cg_residual_sweep(tag, pairs, 100, rng)
         out.append(CheckResult.from_residual(name, worst, 1e-10, f"{note}, 100 elements/pair"))
-    worst = _cg_residual_sweep(SO3, [(9, 7), (16, 16)], 3, rng, corruption)
+    worst = _cg_residual_sweep(SO3, [(9, 7), (16, 16)], 3, rng)
     out.append(CheckResult.from_residual("large-spin-intertwiner", worst, 1e-10, "SO3 (9,7), (16,16), 3 elements/pair"))
     return out
 
@@ -746,26 +741,23 @@ SUITES = {
 }
 
 
-def run(
-    suites: list[str] | None = None, seed: int = 0, cg_corruption: float = 0.0
-) -> VerifyReport:
+def run(suites: list[str] | None = None, seed: int = 0) -> VerifyReport:
     """Run the selected suites (all by default) and collect results.
 
-    ``cg_corruption`` is a test hook: a nonzero value rotates the phase of
-    one Clebsch-Gordan block inside the cg suite, which must make that
-    suite fail (negative control for the verification machinery itself).
+    Raises DomainError, before any suite runs, for an empty selection or an
+    unknown suite name.
     """
     names = list(SUITES) if suites is None else list(suites)
+    if not names:
+        raise DomainError("no verification suite selected")
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise DomainError(f"unknown suite {unknown[0]!r}; available: {', '.join(SUITES)}")
     report = VerifyReport(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PrecisionWarning)
         for name in names:
-            if name not in SUITES:
-                raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
             start = time.perf_counter()
-            if name == "cg":
-                report.suites[name] = suite_cg(seed, corruption=cg_corruption)
-            else:
-                report.suites[name] = SUITES[name](seed)
+            report.suites[name] = SUITES[name](seed)
             report.timings[name] = time.perf_counter() - start
     return report

@@ -13,13 +13,12 @@ formula is kept as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from .errors import DomainError, TagMismatchError
-from .groups import SO3, SU2, GroupElement, QuadratureRule, to_euler
+from .groups import SU2, GroupElement, QuadratureRule, to_euler
 
 
 def dim(ell: int, tag: str) -> int:
@@ -37,28 +36,6 @@ def m_values(ell: int, tag: str) -> np.ndarray:
     """Ascending m grid; half-integers for odd SU2 degrees."""
     j2 = j2_of(ell, tag)
     return (np.arange(j2 + 1) - j2 / 2.0) if j2 % 2 else (np.arange(j2 + 1) - j2 // 2).astype(float)
-
-
-@dataclass(frozen=True)
-class IrrepIndex:
-    ell: int
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in (SU2, SO3):
-            raise TagMismatchError(f"unknown group tag {self.tag!r}")
-        if self.ell < 0:
-            raise DomainError("degree must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return dim(self.ell, self.tag)
-
-
-@dataclass(frozen=True, eq=False)
-class WignerMatrix:
-    index: IrrepIndex
-    entries: np.ndarray
 
 
 def little_d_direct(j2: int, beta: float) -> np.ndarray:
@@ -134,11 +111,6 @@ def wigner_all(lmax: int, tag: str, elements: list[GroupElement]) -> list[np.nda
 def wigner_matrix(ell: int, tag: str, g: GroupElement) -> np.ndarray:
     """D_ell(g) in the z-y-z convention, unitary, dim x dim."""
     return wigner_all(ell, tag, [g])[ell][0]
-
-
-def wigner(index: IrrepIndex, g: GroupElement) -> WignerMatrix:
-    """Spec-facing wrapper returning the typed matrix."""
-    return WignerMatrix(index, wigner_matrix(index.ell, index.tag, g))
 
 
 def wigner_stack_on_rule(ell: int, tag: str, rule: QuadratureRule) -> np.ndarray:

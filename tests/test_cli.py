@@ -110,6 +110,13 @@ def test_verify_failure_exits_1_and_reports_failed(tmp_path, monkeypatch):
     assert report["suites"]["failing"]["passed"] is False
 
 
+@pytest.mark.parametrize("suite", ["nosuch", " , "])
+def test_verify_rejects_unknown_or_empty_suite_selection(capsys, suite):
+    assert main(["verify", "--suite", suite]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_on_bad_file(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["bispectrum", missing, "--output", str(tmp_path / "o.json")]) == 2
@@ -140,6 +147,43 @@ def _edit_json(path, edit):
         json.dump(doc, fh)
 
 
+def _glyph_index_file(workdir):
+    path = str(workdir / "idx.json")
+    args = ["index", f"bar={workdir / 'bar.pgm'}", f"cross={workdir / 'cross.pgm'}"]
+    assert main(args + ["--resolution", "8", "--bandlimit", "2", "--output", path]) == 0
+    return path, ["match", "--index", path, "--query", str(workdir / "bar.pgm"), "--resolution", "8"]
+
+
+def _coefficient_file(workdir):
+    path = str(workdir / "c.json")
+    return path, ["bispectrum", path, "--output", str(workdir / "d.json")]
+
+
+def _descriptor_file(workdir):
+    path = str(workdir / "d.json")
+    assert main(["bispectrum", str(workdir / "c.json"), "--output", path]) == 0
+    return path, ["reconstruct", path, "--output", str(workdir / "rec.json")]
+
+
+# field: (writes the file and gives the command that reads it, edit putting a number in the field)
+_CONTAINER_FIELDS = {
+    "glyphs": (_glyph_index_file, lambda doc: doc.update({"glyphs": 5})),
+    "source": (_glyph_index_file, lambda doc: doc["glyphs"][0].update({"source": 5})),
+    "matrices": (_coefficient_file, lambda doc: doc.update({"matrices": 5})),
+    "entries": (_descriptor_file, lambda doc: doc.update({"entries": 5})),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CONTAINER_FIELDS))
+def test_container_field_of_wrong_type_is_a_usage_error(workdir, capsys, field):
+    make, edit = _CONTAINER_FIELDS[field]
+    path, argv = make(workdir)
+    _edit_json(path, edit)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"field {field!r} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["zero", 1.0])
 def test_reconstruct_rejects_non_integer_pair_index(workdir, capsys, value):
     desc_path = str(workdir / "d.json")
@@ -167,7 +211,7 @@ def test_bispectrum_rejects_negative_bandlimit(workdir, capsys):
 
 
 def test_tolerance_only_where_read(workdir):
-    # only reconstruct and verify read --tolerance; elsewhere it is a usage error
+    # only reconstruct reads --tolerance; elsewhere it is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["bispectrum", str(workdir / "c.json"), "--output", str(workdir / "d.json"), "--tolerance", "1"])
     assert exc.value.code == 2

@@ -8,7 +8,7 @@ from bispect.errors import FormatError, VersionError
 from bispect.groups import SO3, SU2, haar_quadrature
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
-from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, glyph_descriptor, match, synthetic_glyphs
+from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, synthetic_glyphs
 from bispect.sphere import random_sphere_function
 from bispect import io as bio
 
@@ -94,45 +94,6 @@ def test_empty_glyph_index_round_trip(tmp_path):
     assert back.records == () and back.rows.shape == (0, 3**4)
 
 
-def _save_glyph_index_v1(records, bandlimit, path):
-    """The version-1 layout: each glyph's dense descriptor document."""
-    glyphs = [{"label": label, "source": {}, "descriptor": bio._descriptor_doc(desc)} for label, desc in records]
-    bio._dump_json({"format_version": 1, "kind": "glyph_index", "bandlimit": bandlimit, "glyphs": glyphs}, path)
-
-
-def _v1_records(glyphs, resolution, bandlimit):
-    """(label, dense descriptor) in index order, as version-1 files stored them."""
-    return [(label, glyph_descriptor(glyphs[label], resolution, bandlimit)) for label in sorted(glyphs)]
-
-
-def test_glyph_index_version_1_still_loads(tmp_path):
-    glyphs = synthetic_glyphs(32)
-    index = build_glyph_index(glyphs, 8, 3)
-    v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
-    _save_glyph_index_v1(_v1_records(glyphs, 8, 3), 3, v1)
-    bio.save_glyph_index(index, v2)
-    back = bio.load_glyph_index(v1)
-    assert [r.label for r in back.records] == [r.label for r in index.records]
-    assert _same_bits(back.rows, bio.load_glyph_index(v2).rows)  # same glyphs, same rows in either version
-    query = glyph_descriptor(np.rot90(glyphs["hook"]), 8, 3)
-    assert match(query, back) == match(query, index)
-
-
-def test_glyph_index_version_1_rejects_a_record_that_is_not_a_lift(tmp_path):
-    glyphs = synthetic_glyphs(32)
-    lifted = glyph_descriptor(glyphs["bar"], 8, 1)
-    path = str(tmp_path / "v1.json")
-    _save_glyph_index_v1([("ok", lifted), ("dense", build_descriptor(random_bandlimited(1, SO3, seed=7)))], 1, path)
-    with pytest.raises(FormatError, match=r"not a sphere lift.*glyphs\[1\]\.descriptor"):
-        bio.load_glyph_index(path)
-    _save_glyph_index_v1([("su2", build_descriptor(random_bandlimited(1, SU2, seed=7)))], 1, path)
-    with pytest.raises(FormatError, match=r"glyphs\[0\]\.descriptor"):
-        bio.load_glyph_index(path)
-    _save_glyph_index_v1([("ok", lifted), ("L2", glyph_descriptor(glyphs["bar"], 8, 2))], 1, path)
-    with pytest.raises(FormatError, match=r"descriptor bandlimit 2 is not the index's 1.*glyphs\[1\]"):
-        bio.load_glyph_index(path)
-
-
 def test_glyph_index_rows_are_checked(tmp_path):
     path = str(tmp_path / "idx.json")
     bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
@@ -149,11 +110,12 @@ def test_only_glyph_indexes_are_at_version_2(tmp_path):
     path = str(tmp_path / "idx.json")
     bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
     doc = json.load(open(path))
-    doc["format_version"] = 3
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(VersionError):
-        bio.load_glyph_index(path)
+    for version in (1, 3):  # version 1 stored dense descriptors and no longer loads
+        doc["format_version"] = version
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(VersionError, match=f"unsupported format_version {version}"):
+            bio.load_glyph_index(path)
     _save_descriptor(path)
     doc = json.load(open(path))
     assert doc["format_version"] == 1
@@ -281,21 +243,7 @@ def test_indented_layout_loads_bit_identically(tmp_path):
     desc = build_descriptor(coeffs)
     sphere = random_sphere_function(6, 4, seed=12)
     samples = fourier_inverse(random_bandlimited(1, SU2, seed=13), haar_quadrature(3, SU2))
-    glyphs = synthetic_glyphs(32)
-    index = build_glyph_index(glyphs, 8, 2)
-
-    def save_v1(ix, path):  # the dense descriptors of the index's glyphs
-        _save_glyph_index_v1(_v1_records(glyphs, 8, 2), ix.bandlimit, path)
-
-    def v1_live_rows(doc):  # row p d_q + q of each dense entry, concatenated per glyph; the rest is zero
-        live = []
-        for g in doc["glyphs"]:
-            live.append([])
-            for e in g["descriptor"]["entries"]:
-                r = e["p"] * (2 * e["q"] + 1) + e["q"]
-                assert all(z == [0.0, 0.0] for i, row in enumerate(e["matrix"]) if i != r for z in row)
-                live[-1] += e["matrix"][r]
-        return live
+    index = build_glyph_index(synthetic_glyphs(32), 8, 2)
 
     cases = [
         (bio.save_coefficients, bio.load_coefficients, coeffs,
@@ -306,7 +254,6 @@ def test_indented_layout_loads_bit_identically(tmp_path):
         (bio.save_samples, bio.load_samples, samples, lambda f: [f.values], lambda d: [d["values"]]),
         (bio.save_glyph_index, bio.load_glyph_index, index,
          lambda ix: list(ix.rows), lambda d: [g["rows"] for g in d["glyphs"]]),
-        (save_v1, bio.load_glyph_index, index, lambda ix: list(ix.rows), v1_live_rows),
     ]
     for i, (save, load, obj, arrays, doc_arrays) in enumerate(cases):
         compact, indented = str(tmp_path / f"c{i}.json"), str(tmp_path / f"i{i}.json")
@@ -434,14 +381,13 @@ def test_descriptor_negative_bandlimit(tmp_path):
 
 def test_glyph_index_rejects_non_object_glyph(tmp_path):
     path = str(tmp_path / "idx.json")
-    for save in (_save_glyph_index, _save_glyph_index_v1_file):
-        save(path)
-        doc = json.load(open(path))
-        doc["glyphs"][1] = 5
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(FormatError, match=r"glyph must be an object.*glyphs\[1\]"):
-            bio.load_glyph_index(path)
+    _save_glyph_index(path)
+    doc = json.load(open(path))
+    doc["glyphs"][1] = 5
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(FormatError, match=r"glyph must be an object.*glyphs\[1\]"):
+        bio.load_glyph_index(path)
 
 
 def _save_coefficients(path):
@@ -464,10 +410,6 @@ def _save_glyph_index(path):
     bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
 
 
-def _save_glyph_index_v1_file(path):
-    _save_glyph_index_v1(_v1_records(synthetic_glyphs(32), 8, 1), 1, path)
-
-
 # (saver, loader, keys leading to the object that holds the field, field)
 _INTEGER_FIELDS = {
     "coefficients-bandlimit": (_save_coefficients, bio.load_coefficients, (), "bandlimit"),
@@ -477,10 +419,6 @@ _INTEGER_FIELDS = {
     "sphere-resolution": (_save_sphere, bio.load_sphere, (), "resolution"),
     "samples-rule_bandlimit": (_save_samples, bio.load_samples, (), "rule_bandlimit"),
     "glyph_index-bandlimit": (_save_glyph_index, bio.load_glyph_index, (), "bandlimit"),
-    "glyph_index_v1-bandlimit": (_save_glyph_index_v1_file, bio.load_glyph_index, (), "bandlimit"),
-    "glyph_index_v1-descriptor-p": (
-        _save_glyph_index_v1_file, bio.load_glyph_index, ("glyphs", 0, "descriptor", "entries", 1), "p"
-    ),
 }
 
 

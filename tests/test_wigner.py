@@ -18,13 +18,11 @@ from bispect.groups import (
 from bispect.wigner import (
     CARTESIAN_TO_SPHERICAL,
     SU2_BASIS_SWAP,
-    IrrepIndex,
     dim,
     j2_of,
     little_d_direct,
     little_d_stack,
     m_values,
-    wigner,
     wigner_all,
     wigner_matrix,
     wigner_stack_on_rule,
@@ -34,8 +32,8 @@ from bispect.wigner import (
 def test_dimensions():
     assert [dim(l, SU2) for l in range(5)] == [1, 2, 3, 4, 5]
     assert [dim(l, SO3) for l in range(5)] == [1, 3, 5, 7, 9]
-    assert IrrepIndex(3, SU2).dim == 4
-    assert IrrepIndex(3, SO3).dim == 7
+    with pytest.raises(DomainError):
+        dim(-1, SO3)
 
 
 def test_m_values_half_integers():
@@ -121,15 +119,6 @@ def test_half_integer_sheet_distinction():
     assert np.max(np.abs(d1 + d2)) < 1e-12  # differ exactly by sign
     e1, e2 = wigner_matrix(2, SU2, q), wigner_matrix(2, SU2, minus_q)
     assert np.max(np.abs(e1 - e2)) < 1e-12  # even degrees cannot see it
-
-
-def test_wigner_typed_wrapper(rng):
-    idx = IrrepIndex(2, SO3)
-    g = random_element(SO3, rng)
-    wm = wigner(idx, g)
-    assert wm.index == idx
-    assert wm.entries.shape == (5, 5)
-    assert np.allclose(wm.entries, wigner_matrix(2, SO3, g))
 
 
 def test_j2_mapping():
