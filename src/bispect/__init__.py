@@ -63,7 +63,6 @@ from .reconstruct import (  # noqa: F401
 )
 from .glyphs import (  # noqa: F401
     GlyphIndex,
-    GlyphRecord,
     PlanarMotion,
     lift_image,
     match,

@@ -22,9 +22,8 @@ row,
     (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+,
 
 the classical spherical bispectrum, and ``build_descriptor`` couples that
-one row per entry.  ``lift_rows`` reads it back: the weighted rows of two
-lifted descriptors are as far apart as the descriptors are under
-``descriptor_distance``, so the glyph index keeps only these rows.
+one row per entry.  The glyph index (``glyphs.lift_rows``) keeps only
+these rows.
 
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PrecisionWarning, TagMismatchError
-from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
+from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
 from .clebsch import clebsch_gordan, kron_swap
 from .wigner import dim, wigner_all, wigner_stack_on_rule
@@ -131,36 +130,6 @@ def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> f
     for p, q in d1.pairs():
         total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(d1[(p, q)] - d2[(p, q)]) ** 2)
     return float(np.sqrt(total))
-
-
-def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
-    """The live rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
-
-    Row p d_q + q of each A(p, q), (L + 1)^4 values in all.  Raises
-    DomainError if any entry is nonzero off that row, TagMismatchError for
-    an SU2 descriptor."""
-    if desc.tag != SO3:
-        raise TagMismatchError("only SO3 descriptors can be sphere lifts")
-    rows = []
-    for p, q in desc.pairs():
-        m, n = desc[(p, q)], dim(p, SO3) * dim(q, SO3)
-        r = p * dim(q, SO3) + q  # the row with m' = 0 in both factors
-        if m.shape != (n, n):
-            raise DomainError(f"entry {(p, q)} must be {n}x{n}, found {m.shape}")
-        if m[:r].any() or m[r + 1 :].any():
-            raise DomainError(f"entry {(p, q)} is nonzero off its lift row; not a sphere lift")
-        rows.append(m[r])
-    return np.concatenate(rows)
-
-
-def lift_weights(bandlimit: int) -> np.ndarray:
-    """sqrt(d_p d_q) over each A(p, q)'s row in ``lift_rows`` order.
-
-    lift_weights(L) * lift_rows(d) is a vector whose Euclidean distances
-    are ``descriptor_distance``'s, for lifted descriptors of bandlimit L."""
-    d = np.array([dim(ell, SO3) for ell in range(bandlimit + 1)])
-    sizes = np.outer(d, d).ravel()
-    return np.repeat(np.sqrt(sizes), sizes)
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:

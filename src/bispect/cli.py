@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="rank glyph index labels by descriptor distance")
     p.add_argument("--index", required=True, help="glyph_index JSON file")
-    p.add_argument("--query", required=True, help="descriptor JSON, sphere JSON, or PGM image")
-    p.add_argument("--resolution", type=int, default=16, help="lift resolution for image queries")
+    p.add_argument("--query", required=True,
+                   help="descriptor JSON, sphere JSON, or PGM image (lifted at the index's resolution)")
     p.add_argument("--output", default=None, help="optional JSON output of the ranking")
 
     p = sub.add_parser("index", help="build a glyph index from labeled PGM images")
@@ -140,7 +140,7 @@ def _cmd_lift(args) -> int:
 def _cmd_match(args) -> int:
     index = bio.load_glyph_index(args.index)
     if args.query.endswith(".pgm"):
-        query = glyph_descriptor(bio.read_pgm(args.query), args.resolution, index.bandlimit)
+        query = glyph_descriptor(bio.read_pgm(args.query), index.resolution, index.bandlimit)
     else:
         kind = bio.peek_kind(args.query)
         if kind == "bispectrum_descriptor":
@@ -167,7 +167,7 @@ def _cmd_index(args) -> int:
         images[label] = bio.read_pgm(path)
     index = build_glyph_index(images, args.resolution, args.bandlimit)
     bio.save_glyph_index(index, args.output)
-    print(f"wrote {args.output} ({len(index.records)} glyphs, bandlimit {args.bandlimit})")
+    print(f"wrote {args.output} ({len(index.labels)} glyphs, resolution {index.resolution}, bandlimit {index.bandlimit})")
     return 0
 
 

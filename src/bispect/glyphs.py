@@ -10,11 +10,13 @@ glyph against an index reduces to a nearest-descriptor search; the only
 error budget is the local (not global) character of the plane-to-sphere
 correspondence plus image interpolation.
 
-Each lifted entry A(p, q) is zero but for one row (the one-row identity in
-``bispectrum``), so the index keeps only its records' live rows, one
-(records, (L + 1)^4) array of ``lift_rows``, and no dense descriptors.  A
-search is one vectorized Euclidean norm weighted by ``lift_weights``, equal
-to ``descriptor_distance`` against every record.
+This module alone knows how the glyph index is laid out.  Each lifted
+entry A(p, q) is zero but for row p d_q + q (the one-row identity in
+``bispectrum``), so a ``GlyphIndex`` keeps one (glyphs, (L + 1)^4) array
+of ``lift_rows`` beside its labels, and the one resolution its images
+were lifted at, which a query image must be lifted at too.  A search is
+one vectorized Euclidean norm weighted by ``lift_weights``, equal to
+``descriptor_distance`` against every glyph.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyImageError, EmptyIndexError
+from .errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchError
 from .groups import SO3, GroupElement, from_euler
-from .bispectrum import BispectrumDescriptor, build_descriptor, lift_rows, lift_weights
+from .bispectrum import BispectrumDescriptor, build_descriptor
 from .sphere import SphereFunction, sphere_grid, sphere_lift
+from .wigner import dim
 
 
 @dataclass(frozen=True)
@@ -187,27 +190,65 @@ def synthetic_glyphs(size: int = 64) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GlyphRecord:
-    label: str
-    source: dict = field(default_factory=dict)
+def lift_row_count(bandlimit: int) -> int:
+    """Values in ``lift_rows`` at a bandlimit: d_p d_q per A(p, q), (L + 1)^4 in all."""
+    return (bandlimit + 1) ** 4
+
+
+def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
+    """The live rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
+
+    Row p d_q + q of each A(p, q), ``lift_row_count`` values in all.  Raises
+    DomainError if any entry is nonzero off that row, TagMismatchError for
+    an SU2 descriptor."""
+    if desc.tag != SO3:
+        raise TagMismatchError("only SO3 descriptors can be sphere lifts")
+    rows = []
+    for p, q in desc.pairs():
+        m, n = desc[(p, q)], dim(p, SO3) * dim(q, SO3)
+        r = p * dim(q, SO3) + q  # the row with m' = 0 in both factors
+        if m.shape != (n, n):
+            raise DomainError(f"entry {(p, q)} must be {n}x{n}, found {m.shape}")
+        if m[:r].any() or m[r + 1 :].any():
+            raise DomainError(f"entry {(p, q)} is nonzero off its lift row; not a sphere lift")
+        rows.append(m[r])
+    return np.concatenate(rows)
+
+
+def lift_weights(bandlimit: int) -> np.ndarray:
+    """sqrt(d_p d_q) over each A(p, q)'s row in ``lift_rows`` order.
+
+    lift_weights(L) * lift_rows(d) is a vector whose Euclidean distances
+    are ``descriptor_distance``'s, for lifted descriptors of bandlimit L."""
+    d = np.array([dim(ell, SO3) for ell in range(bandlimit + 1)])
+    sizes = np.outer(d, d).ravel()
+    return np.repeat(np.sqrt(sizes), sizes)
 
 
 @dataclass(frozen=True, eq=False)
 class GlyphIndex:
+    """Labelled glyphs lifted at one resolution; never empty (EmptyIndexError).
+
+    Row i of ``rows`` is the unweighted ``lift_rows`` of ``labels[i]``'s
+    descriptor."""
+
     bandlimit: int
-    records: tuple[GlyphRecord, ...]
-    # the records' descriptors as ``lift_rows``, one row per record, unweighted
+    resolution: int
+    labels: tuple[str, ...]
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        labels = tuple(self.labels)
+        if not labels:
+            raise EmptyIndexError("a glyph index holds at least one glyph")
         rows = np.array(self.rows, dtype=complex)
-        want = (len(self.records), (self.bandlimit + 1) ** 4)
+        want = (len(labels), lift_row_count(self.bandlimit))
         if rows.shape != want:
             raise DomainError(
-                f"{want[0]} records at bandlimit {self.bandlimit} need rows of shape {want}, found {rows.shape}"
+                f"{want[0]} glyphs at bandlimit {self.bandlimit} need rows of shape {want}, found {rows.shape}"
             )
         rows.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rows", rows)
 
 
@@ -218,25 +259,23 @@ def glyph_descriptor(image: np.ndarray, resolution: int, bandlimit: int) -> Bisp
 def build_glyph_index(
     images: dict[str, np.ndarray], resolution: int, bandlimit: int
 ) -> GlyphIndex:
-    records, rows = [], np.zeros((len(images), (bandlimit + 1) ** 4), dtype=complex)
-    for i, label in enumerate(sorted(images)):
+    """Index the images under their labels in sorted order; EmptyIndexError if there are none."""
+    labels = sorted(images)
+    rows = np.zeros((len(labels), lift_row_count(bandlimit)), dtype=complex)
+    for i, label in enumerate(labels):
         rows[i] = lift_rows(glyph_descriptor(images[label], resolution, bandlimit))
-        records.append(GlyphRecord(label, {"resolution": resolution, "pixels": list(images[label].shape)}))
-    return GlyphIndex(bandlimit, tuple(records), rows)
+    return GlyphIndex(bandlimit, resolution, tuple(labels), rows)
 
 
 def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, float]]:
     """Labels ranked by descriptor distance, ties broken by label order.
 
     The query must be a sphere lift (DomainError otherwise): its distance to
-    each record is the weighted norm of the difference of their lift rows."""
-    if not index.records:
-        raise EmptyIndexError("glyph index is empty")
+    each glyph is the weighted norm of the difference of their lift rows."""
     if query.bandlimit != index.bandlimit:
         raise DomainError("query bandlimit does not match the index")
     query_rows = lift_rows(query)
     if query_rows.shape != index.rows.shape[1:]:
         raise DomainError("query carries a different entry set than the index")
     distances = np.linalg.norm((index.rows - query_rows) * lift_weights(index.bandlimit), axis=1).tolist()
-    scored = [(rec.label, dist) for rec, dist in zip(index.records, distances)]
-    return sorted(scored, key=lambda pair: (pair[1], pair[0]))
+    return sorted(zip(index.labels, distances), key=lambda pair: (pair[1], pair[0]))

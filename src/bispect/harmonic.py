@@ -65,14 +65,6 @@ class CoefficientSet:
     def weight(self, ell: int) -> int:
         return dim(ell, self.tag)
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in self.matrices)))
-
-    def allclose(self, other: "CoefficientSet") -> bool:
-        if (self.tag, self.bandlimit) != (other.tag, other.bandlimit):
-            return False
-        return all(np.allclose(a, b, atol=1e-10) for a, b in zip(self.matrices, other.matrices))
-
 
 def _separable_factors(
     tag: str, bandlimit: int, rule: QuadratureRule

@@ -2,11 +2,13 @@
 
 Every JSON file carries ``format_version`` and a ``kind`` discriminator.
 Every kind is at version 1 except ``glyph_index``, which is at version 2:
-each glyph stores only the live rows of its lifted descriptor (see
-``bispectrum.lift_rows``), and loading stacks them into ``GlyphIndex.rows``.
-A ``det_f1`` left on a glyph by earlier writers is ignored.  Version-1 glyph
-indexes, which stored every dense entry, raise VersionError; rebuild them
-from their images with ``bispect index``.
+a nonempty list of glyphs, each a string ``label``, a ``source`` holding
+the integer ``resolution`` its image was lifted at (the same on every
+glyph) and its ``rows`` (see ``glyphs.lift_rows``), which loading stacks
+into ``GlyphIndex.rows``.  A ``det_f1`` on a glyph or a ``pixels`` in its
+source, left by earlier writers, is ignored.  Version-1 glyph indexes,
+which stored every dense entry, raise a VersionError that says to rebuild
+them from their images with ``bispect index``.
 Complex matrices are row-major nested lists with innermost ``[re, im]``
 pairs; numbers are written as shortest-round-trip decimal
 text, so files are platform independent and load back bit-identically.
@@ -27,7 +29,7 @@ from .errors import FormatError, VersionError
 from .groups import SO3, SU2, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction
 from .bispectrum import BispectrumDescriptor
-from .glyphs import GlyphIndex, GlyphRecord
+from .glyphs import GlyphIndex, lift_row_count
 from .sphere import SphereFunction, sphere_grid
 from .wigner import dim
 
@@ -52,49 +54,31 @@ def _json_default(obj: Any) -> list:
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
-    # Reinterpret [re, im] float pairs in place; re + 1j * im would turn a
-    # -0.0 into 0.0 and an infinite imaginary part into a NaN real part.
+def _decode_complex(data: Any, where: str, rank: int) -> np.ndarray:
+    """A vector (rank 1) or matrix (rank 2) of [re, im] pairs as a complex array."""
+    noun = ("vector", "matrix")[rank - 1]
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{noun} is not numeric: {exc}", where) from None
+    if arr.ndim != rank + 1 or arr.shape[-1] != 2:
+        raise FormatError(f"{noun} entries must be [re, im] pairs", where)
+    # Reinterpret the pairs in place; re + 1j * im would turn a -0.0 into
+    # 0.0 and an infinite imaginary part into a NaN real part.
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
-def _decode_complex_matrix(data: Any, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"matrix is not numeric: {exc}", where) from None
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise FormatError("matrix entries must be [re, im] pairs", where)
-    return _pairs_to_complex(arr)
+# JSON types a field may be required to have, by name
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
-def _decode_complex_vector(data: Any, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"vector is not numeric: {exc}", where) from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise FormatError("vector entries must be [re, im] pairs", where)
-    return _pairs_to_complex(arr)
-
-
-def _require(doc: dict, key: str, where: str) -> Any:
+def _require(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
+    """doc[key]; with ``kind``, it must be of exactly that JSON type."""
     if key not in doc:
         raise FormatError(f"missing field {key!r}", where)
-    return doc[key]
-
-
-def _require_int(doc: dict, key: str, where: str) -> int:
-    value = _require(doc, key, where)
-    if type(value) is not int:  # JSON integers only: bool is an int subclass, floats would truncate
-        raise FormatError(f"field {key!r} must be an integer, found {value!r}", where)
-    return value
-
-
-def _require_list(doc: dict, key: str, where: str) -> list:
-    value = _require(doc, key, where)
-    if not isinstance(value, list):
-        raise FormatError(f"field {key!r} must be a list, found {value!r}", where)
+    value = doc[key]
+    if kind is not None and type(value) is not kind:  # exact: bool is an int subclass, floats would truncate
+        raise FormatError(f"field {key!r} must be {_TYPE_NAMES[kind]}, found {value!r}", where)
     return value
 
 
@@ -107,12 +91,12 @@ def _optional_number(doc: dict, key: str, where: str) -> float | None:
     return float(value)
 
 
-def _check_header(doc: Any, kind: str, where: str, version: int = FORMAT_VERSION) -> None:
+def _check_header(doc: Any, kind: str, where: str, version: int = FORMAT_VERSION, recovery: str = "") -> None:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object", where)
     found = _require(doc, "format_version", where)
     if type(found) is not int or found != version:  # true and 1.0 compare equal to 1
-        raise VersionError(f"unsupported format_version {found!r}", where)
+        raise VersionError(f"unsupported format_version {found!r}" + (f"; {recovery}" if recovery else ""), where)
     got = _require(doc, "kind", where)
     if got != kind:
         raise FormatError(f"expected kind {kind!r}, found {got!r}", where)
@@ -179,13 +163,13 @@ def load_coefficients(path: str) -> CoefficientSet:
     doc = _load_json(path)
     _check_header(doc, "coefficients", path)
     tag = _check_group(_require(doc, "group", path), path)
-    bandlimit = _require_int(doc, "bandlimit", path)
+    bandlimit = _require(doc, "bandlimit", path, int)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
-    raw = _require_list(doc, "matrices", path)
+    raw = _require(doc, "matrices", path, list)
     if len(raw) != bandlimit + 1:
         raise FormatError(f"expected {bandlimit + 1} matrices, found {len(raw)}", path)
-    mats = tuple(_decode_complex_matrix(m, f"{path}:matrices[{i}]") for i, m in enumerate(raw))
+    mats = tuple(_decode_complex(m, f"{path}:matrices[{i}]", 2) for i, m in enumerate(raw))
     return CoefficientSet(tag, bandlimit, mats)
 
 
@@ -211,20 +195,20 @@ def load_descriptor(path: str) -> BispectrumDescriptor:
     doc = _load_json(path)
     _check_header(doc, "bispectrum_descriptor", path)
     tag = _check_group(_require(doc, "group", path), path)
-    bandlimit = _require_int(doc, "bandlimit", path)
+    bandlimit = _require(doc, "bandlimit", path, int)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
     entries = {}
-    for i, item in enumerate(_require_list(doc, "entries", path)):
+    for i, item in enumerate(_require(doc, "entries", path, list)):
         loc = f"{path}:entries[{i}]"
         if not isinstance(item, dict):
             raise FormatError("entry must be an object", loc)
-        p, q = _require_int(item, "p", loc), _require_int(item, "q", loc)
+        p, q = _require(item, "p", loc, int), _require(item, "q", loc, int)
         if not (0 <= p <= bandlimit and 0 <= q <= bandlimit):
             raise FormatError(f"pair ({p}, {q}) lies outside 0..{bandlimit}", loc)
         if (p, q) in entries:
             raise FormatError(f"pair ({p}, {q}) appears twice", loc)
-        matrix = _decode_complex_matrix(_require(item, "matrix", loc), f"{loc}.matrix")
+        matrix = _decode_complex(_require(item, "matrix", loc), f"{loc}.matrix", 2)
         side = dim(p, tag) * dim(q, tag)
         if matrix.shape != (side, side):
             raise FormatError(
@@ -253,8 +237,8 @@ def save_sphere(s: SphereFunction, path: str) -> None:
 def load_sphere(path: str) -> SphereFunction:
     doc = _load_json(path)
     _check_header(doc, "sphere_samples", path)
-    resolution = _require_int(doc, "resolution", path)
-    values = _decode_complex_matrix(_require(doc, "values", path), f"{path}:values")
+    resolution = _require(doc, "resolution", path, int)
+    values = _decode_complex(_require(doc, "values", path), f"{path}:values", 2)
     return SphereFunction(sphere_grid(resolution), values)
 
 
@@ -276,8 +260,8 @@ def load_samples(path: str) -> SampledFunction:
     doc = _load_json(path)
     _check_header(doc, "group_samples", path)
     tag = _check_group(_require(doc, "group", path), path)
-    rule = haar_quadrature(_require_int(doc, "rule_bandlimit", path), tag)
-    values = _decode_complex_vector(_require(doc, "values", path), f"{path}:values")
+    rule = haar_quadrature(_require(doc, "rule_bandlimit", path, int), tag)
+    values = _decode_complex(_require(doc, "values", path), f"{path}:values", 1)
     return SampledFunction(tag, rule, values)
 
 
@@ -285,33 +269,38 @@ def load_samples(path: str) -> SampledFunction:
 
 
 def save_glyph_index(index: GlyphIndex, path: str) -> None:
-    glyphs = [{"label": rec.label, "source": rec.source, "rows": row} for rec, row in zip(index.records, index.rows)]
+    source = {"resolution": index.resolution}
+    glyphs = [{"label": label, "source": source, "rows": row} for label, row in zip(index.labels, index.rows)]
     doc = {"format_version": GLYPH_INDEX_VERSION, "kind": "glyph_index", "bandlimit": index.bandlimit, "glyphs": glyphs}
     _dump_json(doc, path)
 
 
 def load_glyph_index(path: str) -> GlyphIndex:
     doc = _load_json(path)
-    _check_header(doc, "glyph_index", path, GLYPH_INDEX_VERSION)
-    bandlimit = _require_int(doc, "bandlimit", path)
+    _check_header(doc, "glyph_index", path, GLYPH_INDEX_VERSION,
+                  "rebuild the index from its images with 'bispect index'")
+    bandlimit = _require(doc, "bandlimit", path, int)
     if bandlimit < 0:
         raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
-    size = (bandlimit + 1) ** 4
-    records, rows = [], []
-    for i, item in enumerate(_require_list(doc, "glyphs", path)):
+    glyphs = _require(doc, "glyphs", path, list)
+    if not glyphs:
+        raise FormatError("field 'glyphs' must hold at least one glyph", path)
+    size = lift_row_count(bandlimit)
+    labels, rows, resolution = [], [], None
+    for i, item in enumerate(glyphs):
         loc = f"{path}:glyphs[{i}]"
         if not isinstance(item, dict):
             raise FormatError("glyph must be an object", loc)
-        label = str(_require(item, "label", loc))
-        source = item.get("source", {})
-        if not isinstance(source, dict):
-            raise FormatError(f"field 'source' must be an object, found {source!r}", loc)
-        row = _decode_complex_vector(_require(item, "rows", loc), f"{loc}.rows")
+        labels.append(_require(item, "label", loc, str))
+        found = _require(_require(item, "source", loc, dict), "resolution", f"{loc}.source", int)
+        if resolution is not None and found != resolution:
+            raise FormatError(f"resolution {found} differs from glyphs[0]'s {resolution}", f"{loc}.source")
+        resolution = found
+        row = _decode_complex(_require(item, "rows", loc), f"{loc}.rows", 1)
         if row.shape != (size,):
             raise FormatError(f"bandlimit {bandlimit} needs {size} row values, found shape {row.shape}", f"{loc}.rows")
-        records.append(GlyphRecord(label, dict(source)))
         rows.append(row)
-    return GlyphIndex(bandlimit, tuple(records), np.stack(rows) if rows else np.zeros((0, size), dtype=complex))
+    return GlyphIndex(bandlimit, resolution, tuple(labels), np.stack(rows))
 
 
 # -- PGM (binary P5) ---------------------------------------------------------

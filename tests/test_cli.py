@@ -7,7 +7,7 @@ from bispect.cli import main
 from bispect.groups import SU2, SO3, haar_quadrature
 from bispect.harmonic import fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
-from bispect.glyphs import synthetic_glyphs
+from bispect.glyphs import PlanarMotion, apply_planar_motion, glyph_descriptor, match, synthetic_glyphs
 from bispect import io as bio
 from bispect import verify as bverify
 
@@ -67,8 +67,7 @@ def test_lift_and_index_and_match(workdir):
     args = ["index"] + [f"{n}={workdir / n}.pgm" for n in ["bar", "cross", "hook", "ring", "spot"]]
     assert main(args + ["--resolution", "12", "--bandlimit", "4", "--output", idx]) == 0
     ranking = str(workdir / "rank.json")
-    assert main(["match", "--index", idx, "--query", str(workdir / "cross.pgm"),
-                 "--resolution", "12", "--output", ranking]) == 0
+    assert main(["match", "--index", idx, "--query", str(workdir / "cross.pgm"), "--output", ranking]) == 0
     ranked = json.load(open(ranking))
     assert ranked[0]["label"] == "cross"
     assert ranked[0]["distance"] < 1e-12
@@ -79,8 +78,6 @@ def test_match_descriptor_query(workdir):
     args = ["index"] + [f"{n}={workdir / n}.pgm" for n in ["bar", "cross"]]
     assert main(args + ["--resolution", "8", "--bandlimit", "3", "--output", idx]) == 0
     # query with a descriptor file computed from the same image
-    from bispect.glyphs import glyph_descriptor
-
     desc = glyph_descriptor(bio.read_pgm(str(workdir / "bar.pgm")), 8, 3)
     qpath = str(workdir / "q.json")
     bio.save_descriptor(desc, qpath)
@@ -151,7 +148,68 @@ def _glyph_index_file(workdir):
     path = str(workdir / "idx.json")
     args = ["index", f"bar={workdir / 'bar.pgm'}", f"cross={workdir / 'cross.pgm'}"]
     assert main(args + ["--resolution", "8", "--bandlimit", "2", "--output", path]) == 0
-    return path, ["match", "--index", path, "--query", str(workdir / "bar.pgm"), "--resolution", "8"]
+    return path, ["match", "--index", path, "--query", str(workdir / "bar.pgm")]
+
+
+def test_match_lifts_image_queries_at_the_index_resolution(workdir):
+    idx = str(workdir / "idx.json")
+    args = ["index"] + [f"{n}={workdir / n}.pgm" for n in ["bar", "cross", "hook", "ring", "spot"]]
+    assert main(args + ["--resolution", "8", "--bandlimit", "3", "--output", idx]) == 0
+    query = str(workdir / "q.pgm")
+    bio.write_pgm(apply_planar_motion(synthetic_glyphs(64)["ring"], PlanarMotion(0.9, 0.05, -0.03)), query)
+    ranking = str(workdir / "rank.json")
+    assert main(["match", "--index", idx, "--query", query, "--output", ranking]) == 0
+    image, index = bio.read_pgm(query), bio.load_glyph_index(idx)
+    want = match(glyph_descriptor(image, 8, 3), index)
+    assert [(r["label"], r["distance"]) for r in json.load(open(ranking))] == want
+    assert want != match(glyph_descriptor(image, 16, 3), index)  # another resolution ranks differently
+
+
+def test_match_takes_no_resolution(workdir):
+    _, argv = _glyph_index_file(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--resolution", "8"])
+    assert exc.value.code == 2
+
+
+def test_match_on_version_1_index_says_to_rebuild(workdir, capsys):
+    path, argv = _glyph_index_file(workdir)
+    desc_path = str(workdir / "bar-desc.json")
+    bio.save_descriptor(glyph_descriptor(bio.read_pgm(str(workdir / "bar.pgm")), 8, 2), desc_path)
+    descriptor = json.load(open(desc_path))
+
+    def to_v1(doc):  # version 1 stored each glyph's full descriptor document
+        doc["format_version"] = 1
+        for glyph in doc["glyphs"]:
+            glyph["descriptor"] = descriptor
+            del glyph["rows"]
+
+    _edit_json(path, to_v1)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unsupported format_version 1" in err and "'bispect index'" in err
+
+
+# case: (edit of glyphs[1], the error it gives)
+_GLYPH_EDITS = {
+    "label-null": (lambda g: g.update({"label": None}), "field 'label' must be a string, found None"),
+    "label-list": (lambda g: g.update({"label": [1, 2]}), "field 'label' must be a string, found [1, 2]"),
+    "source-missing": (lambda g: g.pop("source"), "missing field 'source'"),
+    "resolution-missing": (lambda g: g["source"].pop("resolution"), "missing field 'resolution'"),
+    "resolution-differs": (lambda g: g["source"].update({"resolution": 16}), "resolution 16 differs from glyphs[0]'s 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GLYPH_EDITS))
+def test_match_rejects_malformed_glyph(workdir, capsys, case):
+    edit, want = _GLYPH_EDITS[case]
+    path, argv = _glyph_index_file(workdir)
+    _edit_json(path, lambda doc: edit(doc["glyphs"][1]))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert want in err and "glyphs[1]" in err
 
 
 def _coefficient_file(workdir):

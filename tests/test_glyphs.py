@@ -4,7 +4,7 @@ import pytest
 from bispect.bispectrum import build_descriptor, descriptor_distance
 from bispect.errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchError
 from bispect.groups import SO3, SU2, distance, identity, to_euler, z_rotation
-from bispect.harmonic import random_bandlimited
+from bispect.harmonic import CoefficientSet, random_bandlimited
 from bispect.glyphs import (
     GlyphIndex,
     PlanarMotion,
@@ -13,11 +13,12 @@ from bispect.glyphs import (
     canvas_points,
     glyph_descriptor,
     lift_image,
+    lift_rows,
     match,
     planar_motion_to_rotation,
     synthetic_glyphs,
 )
-from bispect.sphere import rotate_sphere
+from bispect.sphere import random_sphere_function, rotate_sphere, sphere_lift
 
 
 def test_zero_motion_is_identity_rotation():
@@ -112,6 +113,7 @@ def test_match_distances_equal_descriptor_distance():
     glyphs = synthetic_glyphs(64)
     index = build_glyph_index(glyphs, 16, 6)
     assert index.rows.shape == (5, 7**4)
+    assert index.labels == tuple(sorted(glyphs)) and index.resolution == 16
     descs = {lab: glyph_descriptor(img, 16, 6) for lab, img in glyphs.items()}
     motions = [PlanarMotion(0.7, 0.05, -0.02), PlanarMotion(2.9, -0.08, 0.03)]
     for label in ("cross", "ring"):
@@ -135,16 +137,29 @@ def test_match_rejects_a_query_that_is_not_a_lift():
 def test_glyph_index_checks_row_shape():
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
     for rows in (index.rows[:4], index.rows[:, :-1], np.zeros((5, 3**4))):
-        with pytest.raises(DomainError, match=r"5 records at bandlimit 1 need rows of shape \(5, 16\)"):
-            GlyphIndex(1, index.records, rows)
+        with pytest.raises(DomainError, match=r"5 glyphs at bandlimit 1 need rows of shape \(5, 16\)"):
+            GlyphIndex(1, 8, index.labels, rows)
 
 
 def test_empty_index_errors():
-    index = build_glyph_index({}, 8, 3)
-    assert index.rows.shape == (0, 4**4)
-    glyphs = synthetic_glyphs(32)
     with pytest.raises(EmptyIndexError):
-        match(glyph_descriptor(glyphs["bar"], 8, 3), index)
+        build_glyph_index({}, 8, 3)
+    with pytest.raises(EmptyIndexError):
+        GlyphIndex(3, 8, (), np.zeros((0, 4**4)))
+
+
+def test_lift_rows_rejects_other_descriptors():
+    with pytest.raises(DomainError, match="off its lift row"):
+        lift_rows(build_descriptor(random_bandlimited(3, SO3, seed=41)))
+    with pytest.raises(TagMismatchError):
+        lift_rows(build_descriptor(random_bandlimited(1, SU2, seed=41)))
+    # one off-row value, however small, makes a second live row
+    mats = list(sphere_lift(random_sphere_function(6, 3, seed=42), 3).matrices)
+    mats[2] = mats[2].copy()
+    mats[2][0, 0] = 1e-300
+    desc = build_descriptor(CoefficientSet(SO3, 3, tuple(mats)))
+    with pytest.raises(DomainError):
+        lift_rows(desc)
 
 
 def test_index_bandlimit_uniformity():

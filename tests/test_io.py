@@ -8,7 +8,7 @@ from bispect.errors import FormatError, VersionError
 from bispect.groups import SO3, SU2, haar_quadrature
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
-from bispect.glyphs import GlyphIndex, GlyphRecord, build_glyph_index, synthetic_glyphs
+from bispect.glyphs import GlyphIndex, build_glyph_index, synthetic_glyphs
 from bispect.sphere import random_sphere_function
 from bispect import io as bio
 
@@ -71,27 +71,34 @@ def test_glyph_index_round_trip(tmp_path):
     doc = json.load(open(path))
     assert doc["format_version"] == 2
     assert all(set(g) == {"label", "source", "rows"} for g in doc["glyphs"])  # rows only
+    assert all(g["source"] == {"resolution": 8} for g in doc["glyphs"])
     back = bio.load_glyph_index(path)
-    assert back.bandlimit == 3
-    assert [r.label for r in back.records] == [r.label for r in index.records]
-    assert [r.source for r in back.records] == [r.source for r in index.records]
+    assert (back.bandlimit, back.resolution, back.labels) == (3, 8, index.labels)
     assert _same_bits(back.rows, index.rows)
     resaved = str(tmp_path / "idx2.json")
     bio.save_glyph_index(back, resaved)
     assert _same_bits(bio.load_glyph_index(resaved).rows, back.rows)
-    # earlier writers left each glyph's det F(1), always 0.0 for a lift: it is ignored
+    # earlier writers left each glyph's det F(1), always 0.0 for a lift, and its
+    # image shape in the source: both are ignored
     for g in doc["glyphs"]:
         g["det_f1"] = 0.0
+        g["source"]["pixels"] = [32, 32]
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    assert _same_bits(bio.load_glyph_index(path).rows, index.rows)
-
-
-def test_empty_glyph_index_round_trip(tmp_path):
-    path = str(tmp_path / "idx.json")
-    bio.save_glyph_index(build_glyph_index({}, 8, 2), path)
     back = bio.load_glyph_index(path)
-    assert back.records == () and back.rows.shape == (0, 3**4)
+    assert (back.resolution, back.labels) == (8, index.labels)
+    assert _same_bits(back.rows, index.rows)
+
+
+def test_empty_glyph_index_does_not_load(tmp_path):
+    path = str(tmp_path / "idx.json")
+    _save_glyph_index(path)
+    doc = json.load(open(path))
+    doc["glyphs"] = []
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(FormatError, match="'glyphs' must hold at least one glyph"):
+        bio.load_glyph_index(path)
 
 
 def test_glyph_index_rows_are_checked(tmp_path):
@@ -114,7 +121,7 @@ def test_only_glyph_indexes_are_at_version_2(tmp_path):
         doc["format_version"] = version
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with pytest.raises(VersionError, match=f"unsupported format_version {version}"):
+        with pytest.raises(VersionError, match=f"unsupported format_version {version}; rebuild .* 'bispect index'"):
             bio.load_glyph_index(path)
     _save_descriptor(path)
     doc = json.load(open(path))
@@ -300,7 +307,7 @@ def test_json_default_rejects_other_types(tmp_path):
         bio._dump_json({"values": np.zeros(2, dtype=complex), "stray": object()}, str(path))
     assert not path.exists()  # nothing written, not even a partial file
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
-    bad = GlyphIndex(index.bandlimit, (GlyphRecord(index.records[0].label, {"size": np.int64(32)}),), index.rows[:1])
+    bad = GlyphIndex(index.bandlimit, np.int64(8), index.labels, index.rows)
     with pytest.raises(TypeError):
         bio.save_glyph_index(bad, str(path))
     assert not path.exists()
@@ -419,6 +426,7 @@ _INTEGER_FIELDS = {
     "sphere-resolution": (_save_sphere, bio.load_sphere, (), "resolution"),
     "samples-rule_bandlimit": (_save_samples, bio.load_samples, (), "rule_bandlimit"),
     "glyph_index-bandlimit": (_save_glyph_index, bio.load_glyph_index, (), "bandlimit"),
+    "glyph_index-resolution": (_save_glyph_index, bio.load_glyph_index, ("glyphs", 0, "source"), "resolution"),
 }
 
 
