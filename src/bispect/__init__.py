@@ -20,7 +20,6 @@ from .groups import (  # noqa: F401
 from .wigner import wigner_all, wigner_matrix  # noqa: F401
 from .clebsch import (  # noqa: F401
     CGDecomposition,
-    SubgroupProjection,
     cg_indices,
     clebsch_gordan,
     subgroup_projection,
@@ -42,7 +41,6 @@ from .sphere import (  # noqa: F401
 )
 from .bispectrum import (  # noqa: F401
     BispectrumDescriptor,
-    TripleCorrelationGrid,
     bispectrum_matrix,
     bispectrum_via_oracle,
     build_descriptor,

@@ -147,22 +147,6 @@ def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescript
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TripleCorrelationGrid:
-    """a3(g_i, g_j) tabulated on the square of a quadrature rule's nodes."""
-
-    tag: str
-    rule: QuadratureRule
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.rule.size, self.rule.size):
-            raise DomainError("grid must be square over the rule's nodes")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def _translated_samples(coeffs: CoefficientSet, shifts: list[np.ndarray], rule: QuadratureRule) -> np.ndarray:
     """Rows u[j, i] = f(g_i x_j) = sum_ell dim Tr[D_ell(x_j) F(ell) D_ell(g_i)], one gemm per degree.
 
@@ -197,8 +181,8 @@ def triple_correlation(
     return complex(np.sum(f.rule.weights * np.conj(f.values) * u[0] * u[1]))
 
 
-def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> TripleCorrelationGrid:
-    """Tabulate a3 on the square of the nodes of the bandlimit's quadrature rule."""
+def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> np.ndarray:
+    """a3(g_j, g_k) as an (n, n) array, on the n nodes of ``haar_quadrature(bandlimit, f.tag)``."""
     outer_rule = haar_quadrature(bandlimit, f.tag)
     coeffs = fourier_forward(f, bandlimit)
     shifts = [wigner_stack_on_rule(ell, f.tag, outer_rule) for ell in range(bandlimit + 1)]
@@ -206,7 +190,7 @@ def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> TripleCorrela
     wf = (f.rule.weights * np.conj(f.values)).astype(np.complex128)
     u = u.astype(np.complex128)
     # a3[j, k] = sum_i (w_i conj(f_i)) U[j, i] U[k, i], one gemm
-    return TripleCorrelationGrid(f.tag, outer_rule, (u * wf[None, :]) @ u.T)
+    return (u * wf[None, :]) @ u.T
 
 
 def bispectrum_via_oracle(f: SampledFunction, p: int, q: int, bandlimit: int) -> np.ndarray:
@@ -215,8 +199,8 @@ def bispectrum_via_oracle(f: SampledFunction, p: int, q: int, bandlimit: int) ->
     Independent of the matrix formula (no Clebsch-Gordan data); meant for
     small bandlimits only.
     """
-    grid = triple_correlation_grid(f, bandlimit)
-    outer, a3 = grid.rule, grid.values
+    a3 = triple_correlation_grid(f, bandlimit)
+    outer = haar_quadrature(bandlimit, f.tag)  # memoized: the rule a3 is tabulated on
     dp = wigner_stack_on_rule(p, f.tag, outer)
     dq = wigner_stack_on_rule(q, f.tag, outer)
     w = outer.weights

@@ -188,24 +188,14 @@ def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SubgroupProjection:
-    tag: str
-    ell: int
-    P: np.ndarray
-    rank: int
-
-
-def subgroup_projection(tag: str, ell: int) -> SubgroupProjection:
-    """Average of D_ell over H, which is diagonal in the z-y-z convention.
+def subgroup_projection(tag: str, ell: int) -> np.ndarray:
+    """P, the average of D_ell over H, which is diagonal in the z-y-z convention.
 
     The average of exp(-i m theta) over the circle is 1 at m = 0 and 0
     elsewhere, so P selects the m = 0 coordinate; odd SU2 degrees have no
     m = 0 (half-integer grid) and project to zero.
     """
-    m = m_values(ell, tag)
-    diag = (np.abs(m) < 0.25).astype(float)
-    return SubgroupProjection(tag, ell, np.diag(diag), int(diag.sum()))
+    return np.diag((np.abs(m_values(ell, tag)) < 0.25).astype(float))
 
 
 @dataclass
@@ -249,7 +239,7 @@ def verify_coset_homomorphism(g: GroupElement, bandlimit: int, corruption: float
             noise = rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)
             d = d + corruption * noise
         dmats[ell] = d
-    projections = {ell: subgroup_projection(tag, ell).P for ell in range(maxdeg + 1)}
+    projections = {ell: subgroup_projection(tag, ell) for ell in range(maxdeg + 1)}
 
     unitary_res = 0.0
     for ell in range(bandlimit + 1):

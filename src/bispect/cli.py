@@ -13,7 +13,7 @@ import sys
 
 from . import io as bio
 from . import verify as bverify
-from .errors import BispectError, FormatError
+from .errors import BispectError, DomainError, FormatError
 from .groups import SU2, haar_quadrature
 from .harmonic import fourier_forward, fourier_inverse
 from .bispectrum import build_descriptor
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="rank glyph index labels by descriptor distance")
     p.add_argument("--index", required=True, help="glyph_index JSON file")
     p.add_argument("--query", required=True,
-                   help="descriptor JSON, sphere JSON, or PGM image (lifted at the index's resolution)")
+                   help="descriptor JSON, sphere JSON on the index's grid, or PGM image (lifted at the index's resolution)")
     p.add_argument("--output", default=None, help="optional JSON output of the ranking")
 
     p = sub.add_parser("index", help="build a glyph index from labeled PGM images")
@@ -92,10 +92,10 @@ def _cmd_transform(args) -> int:
 
 def _cmd_inverse(args) -> int:
     coeffs = bio.load_coefficients(args.input)
-    rb = args.rule_bandlimit if args.rule_bandlimit is not None else 2 * coeffs.bandlimit
-    samples = fourier_inverse(coeffs, haar_quadrature(rb, coeffs.tag))
+    rule = None if args.rule_bandlimit is None else haar_quadrature(args.rule_bandlimit, coeffs.tag)
+    samples = fourier_inverse(coeffs, rule)
     bio.save_samples(samples, args.output)
-    print(f"wrote {args.output} ({samples.rule.size} samples on the bandlimit-{rb} rule)")
+    print(f"wrote {args.output} ({samples.rule.size} samples on the bandlimit-{samples.rule.bandlimit} rule)")
     return 0
 
 
@@ -146,7 +146,13 @@ def _cmd_match(args) -> int:
         if kind == "bispectrum_descriptor":
             query = bio.load_descriptor(args.query)
         elif kind == "sphere_samples":
-            query = build_descriptor(sphere_lift(bio.load_sphere(args.query), index.bandlimit))
+            sphere = bio.load_sphere(args.query)
+            if sphere.resolution != index.resolution:
+                raise DomainError(
+                    f"query {args.query} has resolution {sphere.resolution}, "
+                    f"but the index was lifted at resolution {index.resolution}"
+                )
+            query = build_descriptor(sphere_lift(sphere, index.bandlimit))
         else:
             raise FormatError(f"cannot match against kind {kind!r}", args.query)
     ranked = match_query(query, index)
@@ -164,6 +170,8 @@ def _cmd_index(args) -> int:
         if "=" not in item:
             raise FormatError(f"expected label=path.pgm, got {item!r}", item)
         label, path = item.split("=", 1)
+        if label in images:
+            raise FormatError(f"label {label!r} given twice", item)
         images[label] = bio.read_pgm(path)
     index = build_glyph_index(images, args.resolution, args.bandlimit)
     bio.save_glyph_index(index, args.output)

@@ -62,9 +62,6 @@ class CoefficientSet:
     def __getitem__(self, ell: int) -> np.ndarray:
         return self.matrices[ell]
 
-    def weight(self, ell: int) -> int:
-        return dim(ell, self.tag)
-
 
 def _separable_factors(
     tag: str, bandlimit: int, rule: QuadratureRule
@@ -119,7 +116,7 @@ def fourier_inverse(coeffs: CoefficientSet, rule: QuadratureRule | None = None) 
     ea, eg, degrees = _separable_factors(coeffs.tag, coeffs.bandlimit, rule)
     h = np.zeros((rule.betas.size, ea.shape[1], ea.shape[1]), dtype=complex)
     for ell, (planes, band) in enumerate(degrees):
-        h[:, band, band] += coeffs.weight(ell) * planes * coeffs[ell].T
+        h[:, band, band] += dim(ell, coeffs.tag) * planes * coeffs[ell].T
     out = np.einsum("am,bmn,cn->abc", np.conj(ea), h, np.conj(eg), optimize=True)
     return SampledFunction(coeffs.tag, rule, out.reshape(-1))
 
@@ -128,7 +125,7 @@ def evaluate_at(coeffs: CoefficientSet, elements: list[GroupElement]) -> np.ndar
     """Pointwise Fourier series evaluation at arbitrary group elements."""
     out = np.zeros(len(elements), dtype=complex)
     for ell, dstack in enumerate(wigner_all(coeffs.bandlimit, coeffs.tag, elements)):
-        out += coeffs.weight(ell) * np.einsum("uv,ivu->i", coeffs[ell], dstack, optimize=True)
+        out += dim(ell, coeffs.tag) * np.einsum("uv,ivu->i", coeffs[ell], dstack, optimize=True)
     return out
 
 
@@ -154,7 +151,7 @@ def coefficient_inner(a: CoefficientSet, b: CoefficientSet) -> complex:
         raise TagMismatchError("coefficient sets differ in group or bandlimit")
     total = 0.0 + 0.0j
     for ell in range(a.bandlimit + 1):
-        total += a.weight(ell) * np.sum(a[ell] * np.conj(b[ell]))
+        total += dim(ell, a.tag) * np.sum(a[ell] * np.conj(b[ell]))
     return complex(total)
 
 

@@ -36,8 +36,6 @@ from .wigner import dim
 FORMAT_VERSION = 1
 GLYPH_INDEX_VERSION = 2  # version 1 (dense descriptors) no longer loads
 
-_KINDS = ("coefficients", "bispectrum_descriptor", "sphere_samples", "group_samples", "glyph_index")
-
 
 def _complex_matrix(m: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(m, dtype=complex))
@@ -80,6 +78,13 @@ def _require(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
     if kind is not None and type(value) is not kind:  # exact: bool is an int subclass, floats would truncate
         raise FormatError(f"field {key!r} must be {_TYPE_NAMES[kind]}, found {value!r}", where)
     return value
+
+
+def _require_bandlimit(doc: dict, where: str) -> int:
+    bandlimit = _require(doc, "bandlimit", where, int)
+    if bandlimit < 0:
+        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", where)
+    return bandlimit
 
 
 def _optional_number(doc: dict, key: str, where: str) -> float | None:
@@ -163,9 +168,7 @@ def load_coefficients(path: str) -> CoefficientSet:
     doc = _load_json(path)
     _check_header(doc, "coefficients", path)
     tag = _check_group(_require(doc, "group", path), path)
-    bandlimit = _require(doc, "bandlimit", path, int)
-    if bandlimit < 0:
-        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
+    bandlimit = _require_bandlimit(doc, path)
     raw = _require(doc, "matrices", path, list)
     if len(raw) != bandlimit + 1:
         raise FormatError(f"expected {bandlimit + 1} matrices, found {len(raw)}", path)
@@ -195,9 +198,7 @@ def load_descriptor(path: str) -> BispectrumDescriptor:
     doc = _load_json(path)
     _check_header(doc, "bispectrum_descriptor", path)
     tag = _check_group(_require(doc, "group", path), path)
-    bandlimit = _require(doc, "bandlimit", path, int)
-    if bandlimit < 0:
-        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
+    bandlimit = _require_bandlimit(doc, path)
     entries = {}
     for i, item in enumerate(_require(doc, "entries", path, list)):
         loc = f"{path}:entries[{i}]"
@@ -279,9 +280,7 @@ def load_glyph_index(path: str) -> GlyphIndex:
     doc = _load_json(path)
     _check_header(doc, "glyph_index", path, GLYPH_INDEX_VERSION,
                   "rebuild the index from its images with 'bispect index'")
-    bandlimit = _require(doc, "bandlimit", path, int)
-    if bandlimit < 0:
-        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", path)
+    bandlimit = _require_bandlimit(doc, path)
     glyphs = _require(doc, "glyphs", path, list)
     if not glyphs:
         raise FormatError("field 'glyphs' must hold at least one glyph", path)

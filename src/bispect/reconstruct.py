@@ -207,9 +207,7 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
     return element(res.x)
 
 
-def _reconstruct(
-    desc: BispectrumDescriptor, ground_truth: CoefficientSet | None, so3_branch: bool
-) -> ReconstructionReport:
+def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None) -> ReconstructionReport:
     tag, L = desc.tag, desc.bandlimit
 
     a00 = complex(np.asarray(desc[(0, 0)]).ravel()[0])
@@ -221,7 +219,7 @@ def _reconstruct(
 
     if L >= 1:
         gram = np.asarray(desc[(1, 0)], dtype=complex) / f0
-        if so3_branch:
+        if tag == SO3:
             if desc.det_f1 is None:
                 raise MissingSideInfoError("SO3 reconstruction needs det F(1) side information")
             if desc.det_f1 == 0:
@@ -258,7 +256,7 @@ def reconstruct_su2(
     """Recover a real-origin SU2 coefficient set up to a left translation."""
     if desc.tag != SU2:
         raise TagMismatchError("descriptor is not SU2")
-    return _reconstruct(desc, ground_truth, so3_branch=False)
+    return _reconstruct(desc, ground_truth)
 
 
 def reconstruct_so3(
@@ -267,7 +265,7 @@ def reconstruct_so3(
     """SO3 variant: the degree-1 square root sign comes from det side info."""
     if desc.tag != SO3:
         raise TagMismatchError("descriptor is not SO3")
-    return _reconstruct(desc, ground_truth, so3_branch=True)
+    return _reconstruct(desc, ground_truth)
 
 
 def check_sphere_witness(x: GroupElement) -> bool:

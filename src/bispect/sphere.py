@@ -10,12 +10,13 @@ so lifted bispectrum descriptors are exactly rotation invariant.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TagMismatchError
+from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SO3, GroupElement
 from .harmonic import CoefficientSet
 
@@ -114,10 +115,18 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     """Harmonic coefficient row vectors a_ell[n], n = -ell..ell ascending.
 
     a_ell[n] = (1/4pi) * integral of s(theta, phi) e^{i n phi} d^ell_{n0}(theta).
-    Exact for functions bandlimited at the grid's resolution - 1.  The phi
-    sum runs once for every n, then each degree is a theta quadrature.
+    Exact for functions bandlimited at the grid's resolution - 1; a
+    bandlimit at or above the resolution issues a PrecisionWarning, as the
+    grid aliases those degrees.  The phi sum runs once for every n, then
+    each degree is a theta quadrature.
     """
     grid = s.grid
+    if bandlimit >= grid.resolution:
+        warnings.warn(
+            f"sphere resolution {grid.resolution} <= bandlimit {bandlimit}; coefficients are aliased",
+            PrecisionWarning,
+            stacklevel=2,
+        )
     n = 2 * grid.resolution
     cols = _theta_columns(grid.thetas, bandlimit)
     phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))  # (2B, 2L+1)
@@ -160,53 +169,22 @@ def sphere_eval(coeffs: list[np.ndarray], thetas: np.ndarray, phis: np.ndarray) 
     return np.sum(h[which] * phase, axis=1).reshape(thetas.shape)
 
 
-def rotate_sphere(
-    s: SphereFunction, x: GroupElement, bandlimit: int | None = None, method: str = "harmonic"
-) -> SphereFunction:
-    """Pullback s -> s(x .), sampled back onto the grid.
+def rotate_sphere(s: SphereFunction, x: GroupElement, bandlimit: int | None = None) -> SphereFunction:
+    """Pullback s -> s(x .), resampled through the band-limited synthesis.
 
-    'harmonic' resamples through the band-limited synthesis (exact for
-    functions bandlimited at the given bandlimit); 'bilinear' interpolates
-    the raw grid and is appropriate for arbitrary samples.
+    The harmonic coefficients up to ``bandlimit`` (default: the grid's
+    resolution - 1, the most it resolves) are evaluated at the rotated
+    grid directions, so the result is exact for functions bandlimited
+    there; its lift is the lift of s translated by x.
     """
     if x.tag != SO3:
         raise TagMismatchError("rotate_sphere needs an SO3 element")
     grid = s.grid
     v = grid.unit_vectors() @ x.data.T  # x applied to every grid direction
-    vz = np.clip(v[..., 2], -1.0, 1.0)
-    thetas = np.arccos(vz)
+    thetas = np.arccos(np.clip(v[..., 2], -1.0, 1.0))
     phis = np.mod(np.arctan2(v[..., 1], v[..., 0]), 2 * np.pi)
-    if method == "harmonic":
-        if bandlimit is None:
-            bandlimit = grid.resolution - 1
-        coeffs = sphere_coefficients(s, bandlimit)
-        return SphereFunction(grid, sphere_eval(coeffs, thetas, phis))
-    if method == "bilinear":
-        return SphereFunction(grid, _bilinear_sample(s, thetas, phis))
-    raise DomainError(f"unknown rotation method {method!r}")
-
-
-def _bilinear_sample(s: SphereFunction, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation, periodic in phi, clamped at the poles."""
-    grid = s.grid
-    n = 2 * grid.resolution
-    dt = np.pi / n
-    dp = 2 * np.pi / n
-    ti = (thetas - grid.thetas[0]) / dt
-    pi_ = phis / dp
-    t0 = np.clip(np.floor(ti).astype(int), 0, n - 1)
-    t1 = np.clip(t0 + 1, 0, n - 1)
-    ft = np.clip(ti - t0, 0.0, 1.0)
-    p0 = np.floor(pi_).astype(int) % n
-    p1 = (p0 + 1) % n
-    fp = pi_ - np.floor(pi_)
-    v = s.values
-    return (
-        v[t0, p0] * (1 - ft) * (1 - fp)
-        + v[t1, p0] * ft * (1 - fp)
-        + v[t0, p1] * (1 - ft) * fp
-        + v[t1, p1] * ft * fp
-    )
+    coeffs = sphere_coefficients(s, grid.resolution - 1 if bandlimit is None else bandlimit)
+    return SphereFunction(grid, sphere_eval(coeffs, thetas, phis))
 
 
 def random_sphere_function(resolution: int, bandlimit: int, seed: int = 0) -> SphereFunction:

@@ -63,6 +63,8 @@ from .sphere import (
     h_rank_report,
     random_sphere_function,
     rotate_sphere,
+    sphere_coefficients,
+    sphere_eval,
     sphere_grid,
     sphere_lift,
     sphere_synthesis,
@@ -88,6 +90,11 @@ class CheckResult:
     @classmethod
     def from_residual(cls, name: str, residual: float, tolerance: float, info: str = "") -> "CheckResult":
         return cls(name, float(residual), float(tolerance), bool(residual <= tolerance), info)
+
+    @classmethod
+    def flag(cls, name: str, ok: bool, info: str = "") -> "CheckResult":
+        """A yes/no check, recorded as residual 0.0 (yes) or 1.0 (no) against tolerance 0.5."""
+        return cls.from_residual(name, 0.0 if ok else 1.0, 0.5, info)
 
     def to_dict(self) -> dict:
         return {
@@ -247,7 +254,7 @@ def suite_cg(seed: int = 0) -> list[CheckResult]:
     index_ok = all(cg_indices(SU2, p, q) == v for (p, q), v in su2_expect.items()) and all(
         cg_indices(SO3, p, q) == v for (p, q), v in so3_expect.items()
     )
-    out.append(CheckResult("index-lists", 0.0 if index_ok else 1.0, 0.5, index_ok))
+    out.append(CheckResult.flag("index-lists", index_ok))
 
     worst_dim = 0
     for tag, lmax in ((SU2, 6), (SO3, 4)):
@@ -256,7 +263,7 @@ def suite_cg(seed: int = 0) -> list[CheckResult]:
                 cg = clebsch_gordan(tag, p, q)
                 total = sum(dim(a, tag) for a in cg.indices)
                 worst_dim = max(worst_dim, abs(total - dim(p, tag) * dim(q, tag)))
-    out.append(CheckResult("dimension-bookkeeping", float(worst_dim), 0.5, worst_dim == 0))
+    out.append(CheckResult.from_residual("dimension-bookkeeping", worst_dim, 0.5))
 
     worst_unitary = 0.0
     for tag, lmax in ((SU2, 6), (SO3, 4)):
@@ -281,17 +288,17 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
     worst_proj = 0.0
     rank_ok = True
     for ell in range(9):
-        sp = subgroup_projection(SO3, ell)
-        worst_proj = max(worst_proj, float(np.max(np.abs(sp.P @ sp.P - sp.P))))
-        worst_proj = max(worst_proj, float(np.max(np.abs(sp.P - sp.P.conj().T))))
-        rank_ok = rank_ok and sp.rank == 1
+        p = subgroup_projection(SO3, ell)
+        worst_proj = max(worst_proj, float(np.max(np.abs(p @ p - p))))
+        worst_proj = max(worst_proj, float(np.max(np.abs(p - p.conj().T))))
+        rank_ok = rank_ok and np.linalg.matrix_rank(p) == 1
     out.append(CheckResult.from_residual("so3-projection-idempotent-hermitian", worst_proj, 1e-11))
-    out.append(CheckResult("so3-projection-rank-1", 0.0 if rank_ok else 1.0, 0.5, rank_ok))
+    out.append(CheckResult.flag("so3-projection-rank-1", rank_ok))
 
     su2_rank_ok = all(
-        subgroup_projection(SU2, ell).rank == (1 if ell % 2 == 0 else 0) for ell in range(9)
+        np.linalg.matrix_rank(subgroup_projection(SU2, ell)) == (1 if ell % 2 == 0 else 0) for ell in range(9)
     )
-    out.append(CheckResult("su2-projection-ranks", 0.0 if su2_rank_ok else 1.0, 0.5, su2_rank_ok))
+    out.append(CheckResult.flag("su2-projection-ranks", su2_rank_ok))
 
     # tensor-product identity of the projections
     worst = 0.0
@@ -299,10 +306,10 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
         for s in range(5):
             for dlt in range(5):
                 cg = clebsch_gordan(tag, s, dlt)
-                ps, pd = subgroup_projection(tag, s).P, subgroup_projection(tag, dlt).P
+                ps, pd = subgroup_projection(tag, s), subgroup_projection(tag, dlt)
                 lhs = np.kron(ps, pd)
                 # lhs C (dsum P_a) C^+, and its adjoint C (dsum P_a) C^+ lhs
-                left = cg.couple(ps, pd, {a: subgroup_projection(tag, a).P for a in cg.indices})
+                left = cg.couple(ps, pd, {a: subgroup_projection(tag, a) for a in cg.indices})
                 worst = max(worst, float(np.max(np.abs(lhs - left))))
                 worst = max(worst, float(np.max(np.abs(lhs - left.conj().T))))
     out.append(CheckResult.from_residual("projection-tensor-identity", worst, 1e-10))
@@ -311,7 +318,7 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for tag in (SU2, SO3):
         for ell in range(5):
-            p = subgroup_projection(tag, ell).P
+            p = subgroup_projection(tag, ell)
             gs, hgs = [], []
             for _ in range(10):
                 gs.append(random_element(tag, rng))
@@ -321,17 +328,20 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     out.append(CheckResult.from_residual("projected-rows-h-invariance", worst, 1e-10))
 
-    # lifted sphere functions expand exactly in the H-invariant coefficient slice
+    # lifted sphere functions expand exactly in the H-invariant coefficient
+    # slice, and the lift is f(R) = s(R z): at R = (alpha, beta, gamma), R z
+    # has polar angle beta and azimuth alpha
     s = random_sphere_function(6, 4, seed=seed + 3)
     coeffs = sphere_lift(s, 4)
     worst = 0.0
     for ell in range(5):
-        p = subgroup_projection(SO3, ell).P
+        p = subgroup_projection(SO3, ell)
         worst = max(worst, float(np.max(np.abs(p @ coeffs[ell] - coeffs[ell]))))
     rule = haar_quadrature(8, SO3)
-    samples = fourier_inverse(coeffs, rule)
-    rebuilt = fourier_inverse(sphere_lift(s, 4), rule)
-    worst = max(worst, float(np.max(np.abs(samples.values - rebuilt.values))))
+    samples = fourier_inverse(coeffs, rule).values.reshape(rule.alphas.size, rule.betas.size, rule.gammas.size)
+    betas, alphas = np.meshgrid(rule.betas, rule.alphas)
+    s_rz = sphere_eval(sphere_coefficients(s, 4), betas, alphas)
+    worst = max(worst, float(np.max(np.abs(samples - s_rz[:, :, None]))))
     out.append(CheckResult.from_residual("lift-invariant-span", worst, 1e-9))
     return out
 
@@ -443,16 +453,16 @@ def suite_sphere(seed: int = 0) -> list[CheckResult]:
     s = random_sphere_function(8, 6, seed=seed + 9)
     coeffs = sphere_lift(s, 6)
     worst_row = max(
-        float(np.max(np.abs(subgroup_projection(SO3, l).P @ coeffs[l] - coeffs[l]))) for l in range(7)
+        float(np.max(np.abs(subgroup_projection(SO3, l) @ coeffs[l] - coeffs[l]))) for l in range(7)
     )
     out.append(CheckResult.from_residual("lift-row-support", worst_row, 1e-9))
 
     ranks = h_rank_report(coeffs)
     ok = all(entry["maximal"] for entry in ranks.values())
-    out.append(CheckResult("maximal-h-rank", 0.0 if ok else 1.0, 0.5, ok))
+    out.append(CheckResult.flag("maximal-h-rank", ok))
 
     x = random_element(SO3, rng)
-    rotated = rotate_sphere(s, x, bandlimit=6, method="harmonic")
+    rotated = rotate_sphere(s, x, bandlimit=6)
     gap = 0.0
     lift_rot = sphere_lift(rotated, 6)
     lift_trans = translate(coeffs, x)
@@ -509,7 +519,7 @@ def suite_bispectrum(seed: int = 0) -> list[CheckResult]:
         and descriptor_distance(d, xlate) <= 1e-8 * max(1.0, descriptor_distance(d, other))
         and descriptor_distance(d, other) > 1e-2
     )
-    out.append(CheckResult("distance-axioms-separation", 0.0 if sep_ok else 1.0, 0.5, sep_ok))
+    out.append(CheckResult.flag("distance-axioms-separation", sep_ok))
     return out
 
 
@@ -548,8 +558,8 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 14)
     x = random_element(tag, rng)
     f_shift = fourier_inverse(translate(coeffs, x), rule1)
-    g1 = triple_correlation_grid(f, 1).values
-    g2 = triple_correlation_grid(f_shift, 1).values
+    g1 = triple_correlation_grid(f, 1)
+    g2 = triple_correlation_grid(f_shift, 1)
     out.append(
         CheckResult.from_residual("triple-correlation-invariance", float(np.max(np.abs(g1 - g2))), 1e-9)
     )
@@ -576,27 +586,15 @@ def suite_closure(seed: int = 0) -> list[CheckResult]:
     out = []
     trivial = support_closure_check({0}, SU2)
     even = support_closure_check({0, 2, 4}, SU2)
-    out.append(CheckResult("su2-even-support-closed", 0.0 if (trivial.closed and even.closed) else 1.0, 0.5, trivial.closed and even.closed))
+    out.append(CheckResult.flag("su2-even-support-closed", trivial.closed and even.closed))
     odd = support_closure_check({0, 1}, SU2)
     witness_ok = (not odd.closed) and odd.witness == (1, 1, 2)
-    out.append(
-        CheckResult(
-            "su2-01-support-witness", 0.0 if witness_ok else 1.0, 0.5, witness_ok, f"witness={odd.witness}"
-        )
-    )
+    out.append(CheckResult.flag("su2-01-support-witness", witness_ok, f"witness={odd.witness}"))
     rep = support_closure_check({0, 1, 2, 3, 4}, SO3, check_conjugation=True)
     worst = max(rep.conjugation_self_dual.values())
     out.append(CheckResult.from_residual("conjugation-self-duality", worst, 1e-10))
     contiguous_ok = (not rep.closed) and rep.witness == (1, 4, 5)
-    out.append(
-        CheckResult(
-            "so3-contiguous-support-witness",
-            0.0 if contiguous_ok else 1.0,
-            0.5,
-            contiguous_ok,
-            f"witness={rep.witness}",
-        )
-    )
+    out.append(CheckResult.flag("so3-contiguous-support-witness", contiguous_ok, f"witness={rep.witness}"))
     return out
 
 
@@ -667,7 +665,7 @@ def suite_reconstruct_so3(seed: int = 0) -> list[CheckResult]:
         missing_ok = False
     except MissingSideInfoError:
         missing_ok = True
-    out.append(CheckResult("missing-side-info-error", 0.0 if missing_ok else 1.0, 0.5, missing_ok))
+    out.append(CheckResult.flag("missing-side-info-error", missing_ok))
     return out
 
 

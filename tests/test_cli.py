@@ -38,6 +38,15 @@ def test_inverse_writes_samples(workdir):
     assert back.rule.bandlimit == 6
 
 
+def test_inverse_reports_the_rule_it_used(workdir, capsys):
+    out = str(workdir / "s.json")
+    assert main(["inverse", str(workdir / "c.json"), "--output", out]) == 0
+    assert "on the bandlimit-6 rule" in capsys.readouterr().out  # fourier_inverse's default, 2L
+    assert main(["inverse", str(workdir / "c.json"), "--rule-bandlimit", "8", "--output", out]) == 0
+    assert "on the bandlimit-8 rule" in capsys.readouterr().out
+    assert bio.load_samples(out).rule.bandlimit == 8
+
+
 def test_bispectrum_and_reconstruct(workdir):
     desc_path = str(workdir / "d.json")
     rec_path = str(workdir / "rec.json")
@@ -163,6 +172,30 @@ def test_match_lifts_image_queries_at_the_index_resolution(workdir):
     want = match(glyph_descriptor(image, 8, 3), index)
     assert [(r["label"], r["distance"]) for r in json.load(open(ranking))] == want
     assert want != match(glyph_descriptor(image, 16, 3), index)  # another resolution ranks differently
+
+
+def test_match_rejects_a_sphere_query_on_another_grid(workdir, capsys):
+    idx = str(workdir / "idx.json")
+    args = ["index"] + [f"{n}={workdir / n}.pgm" for n in ["bar", "cross"]]
+    assert main(args + ["--resolution", "8", "--bandlimit", "3", "--output", idx]) == 0
+    query = str(workdir / "sphere.json")
+    assert main(["lift", str(workdir / "cross.pgm"), "--resolution", "12", "--output", query]) == 0
+    capsys.readouterr()
+    assert main(["match", "--index", idx, "--query", query]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "resolution 12" in err and "resolution 8" in err
+    assert main(["lift", str(workdir / "cross.pgm"), "--resolution", "8", "--output", query]) == 0
+    capsys.readouterr()
+    assert main(["match", "--index", idx, "--query", query]) == 0
+    assert capsys.readouterr().out.startswith("cross\t0.000000000e+00")
+
+
+def test_index_rejects_a_repeated_label(workdir, capsys):
+    idx = workdir / "idx.json"
+    argv = ["index", f"a={workdir / 'bar.pgm'}", f"a={workdir / 'ring.pgm'}", "--output", str(idx)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: label 'a' given twice")
+    assert not idx.exists()
 
 
 def test_match_takes_no_resolution(workdir):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bispect.bispectrum import build_descriptor, descriptor_distance
-from bispect.errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchError
+from bispect.errors import DomainError, EmptyImageError, EmptyIndexError, PrecisionWarning, TagMismatchError
 from bispect.groups import SO3, SU2, distance, identity, to_euler, z_rotation
 from bispect.harmonic import CoefficientSet, random_bandlimited
 from bispect.glyphs import (
@@ -78,8 +78,14 @@ def test_motion_then_lift_matches_lift_then_rotate():
     img += 0.7 * np.exp(-(np.linalg.norm(pts - np.array([0.25, -0.1]), axis=-1) / 0.25) ** 2)
     for motion in (PlanarMotion(0.3), PlanarMotion(0.0, 0.05, -0.03), PlanarMotion(0.25, 0.06, 0.04)):
         moved = lift_image(apply_planar_motion(img, motion), 16)
-        rotated = rotate_sphere(lift_image(img, 16), planar_motion_to_rotation(motion), method="bilinear")
+        rotated = rotate_sphere(lift_image(img, 16), planar_motion_to_rotation(motion))
         assert np.max(np.abs(moved.values - rotated.values)) < 5e-2
+
+
+def test_index_on_a_grid_too_coarse_for_its_bandlimit_warns():
+    # a resolution-3 grid is exact only to bandlimit 2, so L = 6 rows are aliased
+    with pytest.warns(PrecisionWarning, match="sphere resolution 3 <= bandlimit 6"):
+        build_glyph_index(synthetic_glyphs(64), 3, 6)
 
 
 def test_match_exact_query_is_rank_one_with_zero_distance():

@@ -228,7 +228,7 @@ def test_sphere_pair_alignment_and_witness(rng):
     s = random_sphere_function(8, 5, seed=94)
     coeffs = sphere_lift(s, 5)
     for x0, expect_in in ((z_rotation(1.3), True), (random_element(SO3, rng), False)):
-        rotated = rotate_sphere(s, x0, bandlimit=5, method="harmonic")
+        rotated = rotate_sphere(s, x0, bandlimit=5)
         lifted = sphere_lift(rotated, 5)
         gap = descriptor_max_relative_gap(build_descriptor(coeffs), build_descriptor(lifted))
         assert gap < 1e-9

@@ -6,6 +6,8 @@ import pytest
 from bispect import verify
 from bispect.clebsch import clebsch_gordan
 from bispect.errors import DomainError
+from bispect.groups import z_rotation
+from bispect.sphere import rotate_sphere, sphere_lift
 
 
 def test_unknown_suite_rejected():
@@ -44,3 +46,23 @@ def test_cg_corruption_hook_fails_suite(monkeypatch):
 def test_groups_suite_passes():
     rep = verify.run(["groups"], seed=1)
     assert rep.passed
+
+
+def test_flag_records_a_yes_no_check_as_residual_against_one_half():
+    yes = verify.CheckResult.flag("ok", True)
+    assert yes.to_dict() == {"name": "ok", "residual": 0.0, "tolerance": 0.5, "passed": True, "info": ""}
+    no = verify.CheckResult.flag("not-ok", False, "why")
+    assert (no.residual, no.tolerance, no.passed, no.info) == (1.0, 0.5, False, "why")
+
+
+def test_lift_invariant_span_fails_for_a_lift_that_is_not_s_of_rz(monkeypatch):
+    # the lift of a rotated copy still lives in the m' = 0 rows, but its
+    # samples are no longer s(R z)
+    assert verify.run(["projections"]).passed
+
+    def lift_of_rotated(s, bandlimit):
+        return sphere_lift(rotate_sphere(s, z_rotation(0.3)), bandlimit)
+
+    monkeypatch.setattr(verify, "sphere_lift", lift_of_rotated)
+    failed = {c.name for c in verify.run(["projections"]).suites["projections"] if not c.passed}
+    assert failed == {"lift-invariant-span"}
