@@ -6,24 +6,26 @@ The descriptor entry at (p, q) is
 
 with the a_i the tensor-product decomposition degrees; degrees beyond the
 bandlimit contribute zero blocks.  ``CGDecomposition.couple`` evaluates it
-left to right on the nonzero rows of F(p) and F(q) only, and the rows of
-F(p) (x) F(q) that are zero give zero rows of A(p, q).
+left to right on the nonzero rows of F(p) and F(q) only.
 
 The descriptor computes only the entries with p <= q.  The swap S that
 reorders Kronecker rows from p (x) q to q (x) p gives C_qp = S C_pq Sigma,
 with Sigma one sign per block, and Sigma commutes with the block-diagonal
 middle factor, so A(q, p) = S A(p, q) S^T exactly (``kron_swap``).
 
-A sphere lift (SO3, every F(l) zero off its m' = 0 row l, with entries a_l)
-is the same formula on one live row per factor: F(p) (x) F(q) is zero
-except row p d_q + q, which is a_p (x) a_q, so A(p, q) is zero except that
-row,
+A descriptor keeps, per degree l, the nonzero rows rl of F(l), and per
+entry only the rows rp (x) rq of A(p, q): the rows of F(p) (x) F(q) that
+are zero give zero rows of A(p, q), which are not stored.  A generic set
+keeps every row.  A sphere lift (SO3, every F(l) zero off its m' = 0 row
+l, with entries a_l) keeps one row per degree, so A(p, q) is zero except
+row p d_q + q, which is a_p (x) a_q, and its one stored row is
 
     (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+,
 
-the classical spherical bispectrum, and ``build_descriptor`` couples that
-one row per entry.  The glyph index (``glyphs.lift_rows``) keeps only
-these rows.
+the classical spherical bispectrum, (L + 1)^4 values in all.  ``kron_swap``
+swaps a kept block as it swaps a full one.  Indexing a descriptor returns
+the full A(p, q), the stored array itself when every row is kept.  The
+glyph index (``glyphs.lift_rows``) keeps only the lift rows.
 
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
@@ -45,46 +47,77 @@ from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
 def _entry(
-    tag: str, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray], p: int, q: int
+    tag: str, live: list[tuple[np.ndarray | None, np.ndarray]], daggers: list[np.ndarray], p: int, q: int
 ) -> np.ndarray:
-    """A(p, q) from the nonzero rows of F(p) and F(q), live[l] = (indices, rows)
-    as ``_live_rows`` gives them, and the in-band F(a)^+, daggers[a]."""
+    """Rows rp (x) rq of A(p, q), from live[l] = (rl, rows of F(l) kept) as
+    ``_live_rows`` gives them and the in-band F(a)^+, daggers[a]."""
     cg = clebsch_gordan(tag, p, q)
-    (rp, fp), (rq, fq) = live[p], live[q]
-    rows = cg.couple(fp, fq, {a: daggers[a] for a in cg.indices if a < len(daggers)})
-    n = cg.C.shape[0]
-    if len(rows) == n:
+    return cg.couple(live[p][1], live[q][1], {a: daggers[a] for a in cg.indices if a < len(daggers)})
+
+
+def _scatter(rows: np.ndarray, rp: np.ndarray | None, rq: np.ndarray | None, dp: int, dq: int) -> np.ndarray:
+    """The (dp dq, dp dq) A(p, q) whose rows rp (x) rq are ``rows`` and whose
+    other rows are zero; ``rows`` itself when rp and rq are None (every row)."""
+    if rp is None and rq is None:
         return rows
-    # row i d_q + k of A(p, q) comes from row i of F(p) and row k of F(q); the others are zero
+    rp = np.arange(dp) if rp is None else rp
+    rq = np.arange(dq) if rq is None else rq
+    # row i d_q + k of A(p, q) comes from row i of F(p) and row k of F(q)
+    n = dp * dq
     out = np.zeros((n, n), dtype=complex)
-    out.reshape(dim(p, tag), dim(q, tag), n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
+    out.reshape(dp, dq, n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
     return out
 
 
-def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices, rows) of each F(l)'s nonzero rows."""
-    indices = [np.flatnonzero(m.any(axis=1)) for m in coeffs.matrices]
-    return [(r, m[r]) for r, m in zip(indices, coeffs.matrices)]
+def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """(indices, rows) of each F(l)'s nonzero rows; indices None when every row is."""
+    out = []
+    for m in coeffs.matrices:
+        r = np.flatnonzero(m.any(axis=1))
+        out.append((None if len(r) == len(m) else r, m[r]))
+    return out
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
     """A(p, q) by the matrix formula; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
-    return _entry(coeffs.tag, _live_rows(coeffs), [m.conj().T for m in coeffs.matrices], p, q)
+    live = _live_rows(coeffs)
+    rows = _entry(coeffs.tag, live, [m.conj().T for m in coeffs.matrices], p, q)
+    return _scatter(rows, live[p][0], live[q][0], dim(p, coeffs.tag), dim(q, coeffs.tag))
 
 
 @dataclass(frozen=True, eq=False)
 class BispectrumDescriptor:
-    """All A(p, q) for p, q <= bandlimit, plus optional det side information."""
+    """All A(p, q) for p, q <= bandlimit, plus optional det side information.
+
+    ``entries[(p, q)]`` holds only the rows rp (x) rq of A(p, q), with rl =
+    ``kept_rows[l]`` the kept rows of degree l, or every row where that is
+    None; the other rows of A(p, q) are zero.  ``kept_rows`` None keeps
+    every row of every degree.  ``desc[(p, q)]`` is the full A(p, q)."""
 
     tag: str
     bandlimit: int
     entries: dict[tuple[int, int], np.ndarray]
     det_f1: float | None = None
+    kept_rows: tuple[np.ndarray | None, ...] | None = None
+
+    def __post_init__(self):
+        kept = (None,) * (self.bandlimit + 1) if self.kept_rows is None else tuple(self.kept_rows)
+        if len(kept) != self.bandlimit + 1:
+            raise DomainError(f"kept_rows needs {self.bandlimit + 1} degrees, found {len(kept)}")
+        object.__setattr__(self, "kept_rows", kept)
+        counts = [dim(ell, self.tag) if r is None else len(r) for ell, r in enumerate(kept)]
+        for (p, q), m in self.entries.items():
+            if not (0 <= p <= self.bandlimit and 0 <= q <= self.bandlimit):
+                raise DomainError(f"pair {(p, q)} lies outside 0..{self.bandlimit}")
+            want = (counts[p] * counts[q], dim(p, self.tag) * dim(q, self.tag))
+            if np.shape(m) != want:
+                raise DomainError(f"entry {(p, q)} with its kept rows must be {want}, found {np.shape(m)}")
 
     def __getitem__(self, pq: tuple[int, int]) -> np.ndarray:
-        return self.entries[pq]
+        p, q = pq
+        return _scatter(self.entries[pq], self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.entries.keys())
@@ -94,8 +127,9 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     """Assemble the full descriptor; SO3 sets with a (near-)real det F(1)
     store it as side information for the reconstruction sign branch.
 
-    Entries with p <= q come from the formula on the live rows of F(p) and
-    F(q), one row per entry on a sphere lift; A(q, p) = S A(p, q) S^T."""
+    Each degree keeps the nonzero rows of its F(l), one row on a sphere
+    lift, and every row of a generic set.  Entries with p <= q come from the
+    formula on those rows; A(q, p) = S A(p, q) S^T swaps the kept block."""
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
@@ -106,39 +140,55 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     for p in range(coeffs.bandlimit + 1):
         for q in range(coeffs.bandlimit + 1):
             if q < p:  # row q, computed earlier, holds A(q, p)
-                entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag))
+                kq, kp = len(live[q][1]), len(live[p][1])
+                entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag), kq, kp)
             else:
                 entries[(p, q)] = _entry(coeffs.tag, live, daggers, p, q)
-    return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1)
+    return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1, tuple(r for r, _ in live))
 
 
 def _check_comparable(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> None:
-    """Raise unless both descriptors share group, bandlimit, entry set and entry shapes."""
+    """Raise unless both descriptors share group, bandlimit and entry set.
+
+    Construction fixes each A(p, q) at (d_p d_q, d_p d_q), so entries of
+    the same pair always agree in shape."""
     if (d1.tag, d1.bandlimit) != (d2.tag, d2.bandlimit):
         raise TagMismatchError("descriptors differ in group or bandlimit")
     if d1.pairs() != d2.pairs():
         raise DomainError("descriptors carry different entry sets")
-    for pq in d1.pairs():
-        if d1[pq].shape != d2[pq].shape:
-            raise DomainError(f"entry {pq} shapes differ")
+
+
+def _compared_entries(d1: BispectrumDescriptor, d2: BispectrumDescriptor):
+    """Yield (p, q), x1, x2 with x1 - x2 of the same Frobenius norm as
+    A1(p, q) - A2(p, q): the stored rows where both descriptors keep the
+    same rows of p and q (the other rows are zero in both), otherwise the
+    full entries."""
+    _check_comparable(d1, d2)
+    same = [
+        (r1 is None and r2 is None) or (r1 is not None and r2 is not None and np.array_equal(r1, r2))
+        for r1, r2 in zip(d1.kept_rows, d2.kept_rows)
+    ]
+    for p, q in d1.pairs():
+        if same[p] and same[q]:
+            yield (p, q), d1.entries[(p, q)], d2.entries[(p, q)]
+        else:
+            yield (p, q), d1[(p, q)], d2[(p, q)]
 
 
 def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Dimension-weighted Frobenius distance; zero iff entrywise equal."""
-    _check_comparable(d1, d2)
     total = 0.0
-    for p, q in d1.pairs():
-        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(d1[(p, q)] - d2[(p, q)]) ** 2)
+    for (p, q), x1, x2 in _compared_entries(d1, d2):
+        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(x1 - x2) ** 2)
     return float(np.sqrt(total))
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Worst per-entry Frobenius gap relative to the first descriptor's scale."""
-    _check_comparable(d1, d2)
     gap = 0.0
-    for pq in d1.pairs():
-        denom = max(float(np.linalg.norm(d1[pq])), 1e-300)
-        gap = max(gap, float(np.linalg.norm(d1[pq] - d2[pq])) / denom)
+    for _, x1, x2 in _compared_entries(d1, d2):
+        denom = max(float(np.linalg.norm(x1)), 1e-300)
+        gap = max(gap, float(np.linalg.norm(x1 - x2)) / denom)
     return gap
 
 

@@ -102,12 +102,15 @@ def kron_solve(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(b, t).reshape(da * db, -1)  # b broadcasts over the da slices
 
 
-def kron_swap(x: np.ndarray, da: int, db: int) -> np.ndarray:
-    """S x S^T for square x with Kronecker rows and columns of a (x) b, S the swap to b (x) a.
+def kron_swap(x: np.ndarray, da: int, db: int, ka: int | None = None, kb: int | None = None) -> np.ndarray:
+    """S' x S^T for x with the Kronecker rows and columns of a (x) b, a of
+    shape (ka, da) and b of shape (kb, db), square by default; S' and S
+    swap the row and column factors to b (x) a.
 
-    S [a (x) b] S^T = b (x) a: row i * db + k moves to row k * da + i, and so
-    do the columns."""
-    return x.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    S' [a (x) b] S^T = b (x) a: row i * kb + k moves to row k * ka + i, and
+    column j * db + l to column l * da + j."""
+    ka, kb = da if ka is None else ka, db if kb is None else kb
+    return x.reshape(ka, kb, da, db).transpose(1, 0, 3, 2).reshape(ka * kb, da * db)
 
 
 def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:

@@ -8,6 +8,7 @@ or file-format errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -111,9 +112,7 @@ def _cmd_bispectrum(args) -> int:
 def _cmd_reconstruct(args) -> int:
     desc = bio.load_descriptor(args.input)
     if args.det_f1 is not None:
-        from .bispectrum import BispectrumDescriptor
-
-        desc = BispectrumDescriptor(desc.tag, desc.bandlimit, desc.entries, args.det_f1)
+        desc = dataclasses.replace(desc, det_f1=args.det_f1)
     report = reconstruct_su2(desc) if desc.tag == SU2 else reconstruct_so3(desc)
     bio.save_coefficients(report.recovered, args.output)
     from .bispectrum import descriptor_max_relative_gap
@@ -145,6 +144,11 @@ def _cmd_match(args) -> int:
         kind = bio.peek_kind(args.query)
         if kind == "bispectrum_descriptor":
             query = bio.load_descriptor(args.query)
+            print(
+                f"note: descriptor file {args.query} records no grid; it must have been lifted "
+                f"at the index's resolution {index.resolution}",
+                file=sys.stderr,
+            )
         elif kind == "sphere_samples":
             sphere = bio.load_sphere(args.query)
             if sphere.resolution != index.resolution:

@@ -12,9 +12,11 @@ correspondence plus image interpolation.
 
 This module alone knows how the glyph index is laid out.  Each lifted
 entry A(p, q) is zero but for row p d_q + q (the one-row identity in
-``bispectrum``), so a ``GlyphIndex`` keeps one (glyphs, (L + 1)^4) array
-of ``lift_rows`` beside its labels, and the one resolution its images
-were lifted at, which a query image must be lifted at too.  A search is
+``bispectrum``), the only row a built lift's descriptor stores.
+``lift_rows`` reads that row of each entry with no dense scan, and a
+``GlyphIndex`` keeps one (glyphs, (L + 1)^4) array of ``lift_rows``
+beside its labels and the one resolution its images were lifted at,
+which a query image must be lifted at too.  A search is
 one vectorized Euclidean norm weighted by ``lift_weights``, equal to
 ``descriptor_distance`` against every glyph.
 """
@@ -198,20 +200,26 @@ def lift_row_count(bandlimit: int) -> int:
 def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
     """The live rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
 
-    Row p d_q + q of each A(p, q), ``lift_row_count`` values in all.  Raises
-    DomainError if any entry is nonzero off that row, TagMismatchError for
-    an SU2 descriptor."""
+    Row p d_q + q of each A(p, q), ``lift_row_count`` values in all.  Only
+    a descriptor's stored rows are read: a built lift stores just this row,
+    a loaded file every row.  Raises DomainError if any stored row other
+    than this one is nonzero, TagMismatchError for an SU2 descriptor."""
     if desc.tag != SO3:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
+    # where row l of F(l), the one with m' = 0, sits among each degree's kept rows
+    kept = [np.arange(dim(ell, SO3)) if r is None else r for ell, r in enumerate(desc.kept_rows)]
+    at = [int(np.searchsorted(r, ell)) if ell in r else None for ell, r in enumerate(kept)]
     rows = []
     for p, q in desc.pairs():
-        m, n = desc[(p, q)], dim(p, SO3) * dim(q, SO3)
-        r = p * dim(q, SO3) + q  # the row with m' = 0 in both factors
-        if m.shape != (n, n):
-            raise DomainError(f"entry {(p, q)} must be {n}x{n}, found {m.shape}")
+        m = desc.entries[(p, q)]
+        if at[p] is None or at[q] is None:  # the lift row is not kept, so it is zero
+            r, row = len(m), np.zeros(m.shape[1], dtype=complex)
+        else:
+            r = at[p] * len(kept[q]) + at[q]
+            row = m[r]
         if m[:r].any() or m[r + 1 :].any():
             raise DomainError(f"entry {(p, q)} is nonzero off its lift row; not a sphere lift")
-        rows.append(m[r])
+        rows.append(row)
     return np.concatenate(rows)
 
 

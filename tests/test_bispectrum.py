@@ -67,7 +67,9 @@ def test_out_of_band_blocks_are_zero(make):
     # every A(p, q) against [F(p) (x) F(q)] C [dsum_a F(a)^+, zero blocks past L] C^T
     coeffs = make()
     L = coeffs.bandlimit
-    for (p, q), got in build_descriptor(coeffs).entries.items():
+    desc = build_descriptor(coeffs)
+    for p, q in desc.pairs():
+        got = desc[(p, q)]
         cg = clebsch_gordan(coeffs.tag, p, q)
         blocks = [coeffs[a].conj().T if a <= L else np.zeros((dim(a, coeffs.tag),) * 2) for a in cg.indices]
         expect = np.kron(coeffs[p], coeffs[q]) @ cg.C @ block_diag(*blocks) @ cg.C.T
@@ -222,9 +224,77 @@ def test_descriptor_comparisons_reject_mismatched_descriptors(compare):
     fewer = {pq: m for pq, m in su2.entries.items() if pq != (2, 2)}
     with pytest.raises(DomainError):
         compare(su2, BispectrumDescriptor(SU2, 2, fewer))
-    reshaped = {**su2.entries, (1, 1): np.zeros((1, 1), dtype=complex)}
-    with pytest.raises(DomainError):
-        compare(su2, BispectrumDescriptor(SU2, 2, reshaped))
+    # a lift keeps one row per entry, a loaded file every row: the two still compare,
+    # and two lifts compare on their stored rows as their full entries do
+    lift, other = (build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=s), 2)) for s in (45, 46))
+    dense, other_dense = (BispectrumDescriptor(SO3, 2, {pq: d[pq] for pq in d.pairs()}) for d in (lift, other))
+    assert compare(lift, dense) == 0.0
+    assert compare(lift, other) > 0.0
+    assert compare(lift, other) == pytest.approx(compare(dense, other_dense), rel=1e-13, abs=0.0)
+    assert compare(lift, other_dense) == pytest.approx(compare(dense, other_dense), rel=1e-13, abs=0.0)
+
+
+def test_descriptor_rejects_entries_that_disagree_with_their_kept_rows():
+    su2 = build_descriptor(random_bandlimited(2, SU2, seed=44))
+    with pytest.raises(DomainError, match=r"entry \(1, 1\)"):
+        BispectrumDescriptor(SU2, 2, {**su2.entries, (1, 1): np.zeros((1, 1), dtype=complex)})
+    with pytest.raises(DomainError, match="outside"):
+        BispectrumDescriptor(SU2, 2, {**su2.entries, (3, 0): np.zeros((4, 4), dtype=complex)})
+    with pytest.raises(DomainError, match="kept_rows"):
+        BispectrumDescriptor(SU2, 2, su2.entries, kept_rows=(None, None))
+    lift = build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=45), 2))
+    # the dense entries disagree with a lift's one kept row per degree, and a lift's rows with every row
+    with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
+        BispectrumDescriptor(SO3, 2, {pq: lift[pq] for pq in lift.pairs()}, kept_rows=lift.kept_rows)
+    with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
+        BispectrumDescriptor(SO3, 2, lift.entries)
+
+
+def _with_a_zero_degree(tag):
+    mats = [m.copy() for m in random_bandlimited(4, tag, seed=43).matrices]
+    mats[1][0] = 0
+    mats[2][:] = 0
+    return CoefficientSet(tag, 4, tuple(mats))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_bandlimited(5, SO3, require_real=True, seed=46),
+        lambda: random_bandlimited(4, SU2, require_real=True, seed=46),
+        lambda: sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6),
+        lambda: _with_a_zero_degree(SO3),
+        lambda: _with_a_zero_degree(SU2),
+    ],
+    ids=["SO3", "SU2", "glyph-lift", "SO3-zero-degree", "SU2-zero-degree"],
+)
+def test_indexing_gives_the_full_entry_that_bispectrum_matrix_gives(make):
+    coeffs = make()
+    desc = build_descriptor(coeffs)
+    for p, q in desc.pairs():
+        full, direct = desc[(p, q)], bispectrum_matrix(coeffs, p, q)
+        side = dim(p, coeffs.tag) * dim(q, coeffs.tag)
+        assert full.shape == (side, side)
+        if p <= q:  # computed by the same formula on the same rows
+            assert np.array_equal(full, direct)
+        else:  # swapped from A(q, p)
+            assert np.linalg.norm(full - direct) <= 1e-13 * max(np.linalg.norm(direct), 1e-300)
+        # with every row of both degrees kept, indexing hands back the stored array
+        every_row = desc.kept_rows[p] is None and desc.kept_rows[q] is None
+        assert (full is desc.entries[(p, q)]) == every_row
+
+
+@pytest.mark.parametrize("L", [0, 1, 6])
+def test_lift_descriptor_holds_one_row_per_entry(L):
+    coeffs = sphere_lift(random_sphere_function(10, L, seed=47), L)
+    desc = build_descriptor(coeffs)
+    assert [None if r is None else r.tolist() for r in desc.kept_rows] == [None, *([ell] for ell in range(1, L + 1))]
+    for p, q in desc.pairs():
+        assert desc.entries[(p, q)].shape == (1, dim(p, SO3) * dim(q, SO3))
+    assert sum(m.size for m in desc.entries.values()) == (L + 1) ** 4
+    generic = build_descriptor(random_bandlimited(L, SO3, require_real=True, seed=47))
+    assert generic.kept_rows == (None,) * (L + 1)
+    assert sum(m.size for m in generic.entries.values()) == sum((2 * p + 1) ** 2 * (2 * q + 1) ** 2 for p, q in generic.pairs())
 
 
 def test_triple_correlation_constant(rng):

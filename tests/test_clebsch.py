@@ -300,6 +300,16 @@ def test_kron_swap_exchanges_kron_factors(rng):
     assert np.max(np.abs(kron_swap(np.kron(a, b), 3, 5) - np.kron(b, a))) <= 1e-15 * np.max(np.abs(np.kron(b, a)))
 
 
+@pytest.mark.parametrize("ra, rb", [([1], [2]), ([0, 2], [1, 3, 4]), ([], [0, 1]), ([0, 1, 2], [0, 1, 2, 3, 4])])
+def test_kron_swap_of_a_row_block_is_that_block_of_the_dense_swap(rng, ra, rb):
+    # rows ra (x) rb of a (x) b are a[ra] (x) b; swapped, they are rows rb (x) ra of b (x) a
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((5, 5))
+    block = np.kron(a[ra], b[rb])
+    dense = kron_swap(np.kron(a, b), 3, 5).reshape(5, 3, 15)[np.ix_(rb, ra)].reshape(-1, 15)
+    assert np.array_equal(kron_swap(block, 3, 5, len(ra), len(rb)), dense)
+    assert np.array_equal(kron_swap(block, 3, 5, len(ra), len(rb)), np.kron(b[rb], a[ra]))
+
+
 def test_clebsch_gordan_is_memoized():
     first = clebsch_gordan(SO3, 2, 3)
     hits = clebsch_gordan.cache_info().hits

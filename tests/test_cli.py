@@ -96,6 +96,23 @@ def test_match_descriptor_query(workdir):
     assert main(["match", "--index", idx, "--query", qpath]) == 2
 
 
+def test_match_descriptor_query_notes_the_grid_it_assumes(workdir, capsys):
+    # a descriptor file records no grid, so match says which one the query must come from
+    idx = str(workdir / "idx.json")
+    assert main(["index", f"ring={workdir / 'ring.pgm'}", "--resolution", "8", "--bandlimit", "3", "--output", idx]) == 0
+    qpath = str(workdir / "q.json")
+    for resolution in (8, 16):
+        bio.save_descriptor(glyph_descriptor(bio.read_pgm(str(workdir / "ring.pgm")), resolution, 3), qpath)
+        capsys.readouterr()
+        assert main(["match", "--index", idx, "--query", qpath]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("ring\t")
+        assert err == f"note: descriptor file {qpath} records no grid; it must have been lifted at the index's resolution 8\n"
+    # image queries are lifted on the index's grid, so they need no note
+    assert main(["match", "--index", idx, "--query", str(workdir / "ring.pgm")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_subcommand(tmp_path):
     report_path = str(tmp_path / "report.json")
     code = main(["verify", "--suite", "closure,reality", "--seed", "0", "--output", report_path])

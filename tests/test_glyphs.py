@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bispect.bispectrum import build_descriptor, descriptor_distance
+from bispect.bispectrum import BispectrumDescriptor, build_descriptor, descriptor_distance
 from bispect.errors import DomainError, EmptyImageError, EmptyIndexError, PrecisionWarning, TagMismatchError
 from bispect.groups import SO3, SU2, distance, identity, to_euler, z_rotation
 from bispect.harmonic import CoefficientSet, random_bandlimited
@@ -18,6 +18,7 @@ from bispect.glyphs import (
     planar_motion_to_rotation,
     synthetic_glyphs,
 )
+from bispect.io import load_descriptor, save_descriptor
 from bispect.sphere import random_sphere_function, rotate_sphere, sphere_lift
 
 
@@ -166,6 +167,44 @@ def test_lift_rows_rejects_other_descriptors():
     desc = build_descriptor(CoefficientSet(SO3, 3, tuple(mats)))
     with pytest.raises(DomainError):
         lift_rows(desc)
+
+
+
+def _lift_with_a_zero_degree():
+    mats = list(sphere_lift(random_sphere_function(8, 4, seed=43), 4).matrices)
+    mats[2] = np.zeros_like(mats[2])
+    return CoefficientSet(SO3, 4, tuple(mats))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sphere_lift(random_sphere_function(8, 4, seed=43), 4), _lift_with_a_zero_degree],
+    ids=["lift", "lift-zero-degree"],
+)
+def test_lift_rows_read_the_same_from_kept_and_dense_entries(make):
+    built = build_descriptor(make())
+    dense = BispectrumDescriptor(SO3, 4, {pq: built[pq] for pq in built.pairs()})
+    assert np.array_equal(lift_rows(built), lift_rows(dense))
+    assert lift_rows(built).shape == (5**4,)
+
+
+def test_saved_lift_loads_with_every_row_and_matches_as_built(tmp_path):
+    glyphs = synthetic_glyphs(64)
+    index = build_glyph_index(glyphs, 16, 6)
+    built = glyph_descriptor(apply_planar_motion(glyphs["hook"], PlanarMotion(0.4, 0.05, 0.02)), 16, 6)
+    path = str(tmp_path / "query.json")
+    save_descriptor(built, path)
+    loaded = load_descriptor(path)
+    assert loaded.kept_rows == (None,) * 7
+    assert all(loaded.entries[pq].shape == built[pq].shape for pq in built.pairs())
+    assert np.array_equal(lift_rows(loaded), lift_rows(built))
+    assert match(loaded, index) == match(built, index)
+    # a loaded entry with a value off its lift row is still not a lift
+    entries = dict(loaded.entries)
+    entries[(2, 1)] = entries[(2, 1)].copy()
+    entries[(2, 1)][0, 0] = 1e-300
+    with pytest.raises(DomainError, match=r"entry \(2, 1\) is nonzero off its lift row"):
+        lift_rows(BispectrumDescriptor(SO3, 6, entries))
 
 
 def test_index_bandlimit_uniformity():

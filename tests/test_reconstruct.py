@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,7 +188,7 @@ def test_decomposition_uniqueness_sweep(rng):
 def test_reconstruct_so3_missing_side_info():
     coeffs = random_bandlimited(2, SO3, require_real=True, require_nonsingular=True, seed=81)
     desc = build_descriptor(coeffs)
-    stripped = BispectrumDescriptor(SO3, desc.bandlimit, desc.entries, None)
+    stripped = replace(desc, det_f1=None)
     with pytest.raises(MissingSideInfoError):
         reconstruct_so3(stripped)
 

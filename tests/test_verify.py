@@ -6,7 +6,8 @@ import pytest
 from bispect import verify
 from bispect.clebsch import clebsch_gordan
 from bispect.errors import DomainError
-from bispect.groups import z_rotation
+from bispect.groups import SU2, z_rotation
+from bispect.harmonic import CoefficientSet, random_bandlimited
 from bispect.sphere import rotate_sphere, sphere_lift
 
 
@@ -66,3 +67,27 @@ def test_lift_invariant_span_fails_for_a_lift_that_is_not_s_of_rz(monkeypatch):
     monkeypatch.setattr(verify, "sphere_lift", lift_of_rotated)
     failed = {c.name for c in verify.run(["projections"]).suites["projections"] if not c.passed}
     assert failed == {"lift-invariant-span"}
+
+
+def test_reality_residual_shows_the_margin_of_the_smallest_det(monkeypatch):
+    # the residual is minus the smallest det F(1), so a passing run reports its margin
+    (check,) = verify.suite_reality(seed=0)
+    dets = [np.linalg.det(random_bandlimited(4, SU2, require_real=True, seed=500 + k)[1]).real for k in range(100)]
+    smallest = float(min(dets))
+    assert check.passed and check.residual == -smallest < 0.0
+    assert check.info == f"smallest det F(1) {smallest:.3e} over 100 seeded real functions"
+
+    # the pass/fail line stays at det >= -1e-12
+    def with_det(det):
+        def draw(bandlimit, tag, require_real, seed):
+            mats = list(random_bandlimited(bandlimit, tag, require_real=require_real, seed=seed).matrices)
+            mats[1] = np.diag([det, 1.0]).astype(complex)
+            return CoefficientSet(tag, bandlimit, tuple(mats))
+
+        return draw
+
+    for det, passed in ((-5e-13, True), (-5e-12, False)):
+        monkeypatch.setattr(verify, "random_bandlimited", with_det(det))
+        (check,) = verify.suite_reality(seed=0)
+        assert check.passed == passed
+        assert check.residual == pytest.approx(-det, rel=1e-12)
