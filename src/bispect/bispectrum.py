@@ -47,7 +47,7 @@ from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
 def _entry(
-    tag: str, live: list[tuple[np.ndarray | None, np.ndarray]], daggers: list[np.ndarray], p: int, q: int
+    tag: str, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray], p: int, q: int
 ) -> np.ndarray:
     """Rows rp (x) rq of A(p, q), from live[l] = (rl, rows of F(l) kept) as
     ``_live_rows`` gives them and the in-band F(a)^+, daggers[a]."""
@@ -55,13 +55,11 @@ def _entry(
     return cg.couple(live[p][1], live[q][1], {a: daggers[a] for a in cg.indices if a < len(daggers)})
 
 
-def _scatter(rows: np.ndarray, rp: np.ndarray | None, rq: np.ndarray | None, dp: int, dq: int) -> np.ndarray:
+def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) -> np.ndarray:
     """The (dp dq, dp dq) A(p, q) whose rows rp (x) rq are ``rows`` and whose
-    other rows are zero; ``rows`` itself when rp and rq are None (every row)."""
-    if rp is None and rq is None:
+    other rows are zero; ``rows`` itself when rp and rq hold every row."""
+    if len(rp) == dp and len(rq) == dq:
         return rows
-    rp = np.arange(dp) if rp is None else rp
-    rq = np.arange(dq) if rq is None else rq
     # row i d_q + k of A(p, q) comes from row i of F(p) and row k of F(q)
     n = dp * dq
     out = np.zeros((n, n), dtype=complex)
@@ -69,12 +67,12 @@ def _scatter(rows: np.ndarray, rp: np.ndarray | None, rq: np.ndarray | None, dp:
     return out
 
 
-def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """(indices, rows) of each F(l)'s nonzero rows; indices None when every row is."""
+def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, rows) of each F(l)'s nonzero rows."""
     out = []
     for m in coeffs.matrices:
         r = np.flatnonzero(m.any(axis=1))
-        out.append((None if len(r) == len(m) else r, m[r]))
+        out.append((r, m[r]))
     return out
 
 
@@ -92,26 +90,33 @@ class BispectrumDescriptor:
     """All A(p, q) for p, q <= bandlimit, plus optional det side information.
 
     ``entries[(p, q)]`` holds only the rows rp (x) rq of A(p, q), with rl =
-    ``kept_rows[l]`` the kept rows of degree l, or every row where that is
-    None; the other rows of A(p, q) are zero.  ``kept_rows`` None keeps
-    every row of every degree.  ``desc[(p, q)]`` is the full A(p, q)."""
+    ``kept_rows[l]`` the strictly increasing indices of the rows of degree l
+    kept; the other rows of A(p, q) are zero.  ``kept_rows`` None, the
+    default, keeps every row of every degree.  ``desc[(p, q)]`` is the full
+    A(p, q)."""
 
     tag: str
     bandlimit: int
     entries: dict[tuple[int, int], np.ndarray]
     det_f1: float | None = None
-    kept_rows: tuple[np.ndarray | None, ...] | None = None
+    kept_rows: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        kept = (None,) * (self.bandlimit + 1) if self.kept_rows is None else tuple(self.kept_rows)
+        dims = [dim(ell, self.tag) for ell in range(self.bandlimit + 1)]
+        if self.kept_rows is None:
+            kept = tuple(np.arange(d) for d in dims)
+        else:
+            kept = tuple(np.asarray(r, dtype=int) for r in self.kept_rows)
         if len(kept) != self.bandlimit + 1:
             raise DomainError(f"kept_rows needs {self.bandlimit + 1} degrees, found {len(kept)}")
+        for ell, (r, d) in enumerate(zip(kept, dims)):
+            if r.ndim != 1 or np.any(np.diff(r) <= 0) or (len(r) and (r[0] < 0 or r[-1] >= d)):
+                raise DomainError(f"kept_rows[{ell}] must be strictly increasing within 0..{d - 1}")
         object.__setattr__(self, "kept_rows", kept)
-        counts = [dim(ell, self.tag) if r is None else len(r) for ell, r in enumerate(kept)]
         for (p, q), m in self.entries.items():
             if not (0 <= p <= self.bandlimit and 0 <= q <= self.bandlimit):
                 raise DomainError(f"pair {(p, q)} lies outside 0..{self.bandlimit}")
-            want = (counts[p] * counts[q], dim(p, self.tag) * dim(q, self.tag))
+            want = (len(kept[p]) * len(kept[q]), dims[p] * dims[q])
             if np.shape(m) != want:
                 raise DomainError(f"entry {(p, q)} with its kept rows must be {want}, found {np.shape(m)}")
 
@@ -158,37 +163,22 @@ def _check_comparable(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> Non
         raise DomainError("descriptors carry different entry sets")
 
 
-def _compared_entries(d1: BispectrumDescriptor, d2: BispectrumDescriptor):
-    """Yield (p, q), x1, x2 with x1 - x2 of the same Frobenius norm as
-    A1(p, q) - A2(p, q): the stored rows where both descriptors keep the
-    same rows of p and q (the other rows are zero in both), otherwise the
-    full entries."""
-    _check_comparable(d1, d2)
-    same = [
-        (r1 is None and r2 is None) or (r1 is not None and r2 is not None and np.array_equal(r1, r2))
-        for r1, r2 in zip(d1.kept_rows, d2.kept_rows)
-    ]
-    for p, q in d1.pairs():
-        if same[p] and same[q]:
-            yield (p, q), d1.entries[(p, q)], d2.entries[(p, q)]
-        else:
-            yield (p, q), d1[(p, q)], d2[(p, q)]
-
-
 def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Dimension-weighted Frobenius distance; zero iff entrywise equal."""
+    _check_comparable(d1, d2)
     total = 0.0
-    for (p, q), x1, x2 in _compared_entries(d1, d2):
-        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(x1 - x2) ** 2)
+    for p, q in d1.pairs():
+        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(d1[(p, q)] - d2[(p, q)]) ** 2)
     return float(np.sqrt(total))
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Worst per-entry Frobenius gap relative to the first descriptor's scale."""
+    _check_comparable(d1, d2)
     gap = 0.0
-    for _, x1, x2 in _compared_entries(d1, d2):
-        denom = max(float(np.linalg.norm(x1)), 1e-300)
-        gap = max(gap, float(np.linalg.norm(x1 - x2)) / denom)
+    for pq in d1.pairs():
+        denom = max(float(np.linalg.norm(d1[pq])), 1e-300)
+        gap = max(gap, float(np.linalg.norm(d1[pq] - d2[pq])) / denom)
     return gap
 
 

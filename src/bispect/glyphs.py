@@ -207,15 +207,14 @@ def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
     if desc.tag != SO3:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
     # where row l of F(l), the one with m' = 0, sits among each degree's kept rows
-    kept = [np.arange(dim(ell, SO3)) if r is None else r for ell, r in enumerate(desc.kept_rows)]
-    at = [int(np.searchsorted(r, ell)) if ell in r else None for ell, r in enumerate(kept)]
+    at = [int(np.flatnonzero(r == ell)[0]) if ell in r else None for ell, r in enumerate(desc.kept_rows)]
     rows = []
     for p, q in desc.pairs():
         m = desc.entries[(p, q)]
         if at[p] is None or at[q] is None:  # the lift row is not kept, so it is zero
             r, row = len(m), np.zeros(m.shape[1], dtype=complex)
         else:
-            r = at[p] * len(kept[q]) + at[q]
+            r = at[p] * len(desc.kept_rows[q]) + at[q]
             row = m[r]
         if m[:r].any() or m[r + 1 :].any():
             raise DomainError(f"entry {(p, q)} is nonzero off its lift row; not a sphere lift")

@@ -225,7 +225,7 @@ def test_descriptor_comparisons_reject_mismatched_descriptors(compare):
     with pytest.raises(DomainError):
         compare(su2, BispectrumDescriptor(SU2, 2, fewer))
     # a lift keeps one row per entry, a loaded file every row: the two still compare,
-    # and two lifts compare on their stored rows as their full entries do
+    # and two lifts compare as their full entries do
     lift, other = (build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=s), 2)) for s in (45, 46))
     dense, other_dense = (BispectrumDescriptor(SO3, 2, {pq: d[pq] for pq in d.pairs()}) for d in (lift, other))
     assert compare(lift, dense) == 0.0
@@ -240,8 +240,12 @@ def test_descriptor_rejects_entries_that_disagree_with_their_kept_rows():
         BispectrumDescriptor(SU2, 2, {**su2.entries, (1, 1): np.zeros((1, 1), dtype=complex)})
     with pytest.raises(DomainError, match="outside"):
         BispectrumDescriptor(SU2, 2, {**su2.entries, (3, 0): np.zeros((4, 4), dtype=complex)})
-    with pytest.raises(DomainError, match="kept_rows"):
-        BispectrumDescriptor(SU2, 2, su2.entries, kept_rows=(None, None))
+    with pytest.raises(DomainError, match="kept_rows needs 3"):
+        BispectrumDescriptor(SU2, 2, su2.entries, kept_rows=(np.arange(1), np.arange(2)))
+    # kept rows out of order, repeated or out of range are refused, not misread
+    for bad in ([1, 0], [0, 0], [0, 2], [-1, 0]):
+        with pytest.raises(DomainError, match=r"kept_rows\[1\] must be strictly increasing"):
+            BispectrumDescriptor(SU2, 2, {}, kept_rows=(np.arange(1), np.array(bad), np.arange(3)))
     lift = build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=45), 2))
     # the dense entries disagree with a lift's one kept row per degree, and a lift's rows with every row
     with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
@@ -280,7 +284,7 @@ def test_indexing_gives_the_full_entry_that_bispectrum_matrix_gives(make):
         else:  # swapped from A(q, p)
             assert np.linalg.norm(full - direct) <= 1e-13 * max(np.linalg.norm(direct), 1e-300)
         # with every row of both degrees kept, indexing hands back the stored array
-        every_row = desc.kept_rows[p] is None and desc.kept_rows[q] is None
+        every_row = len(desc.kept_rows[p]) == dim(p, coeffs.tag) and len(desc.kept_rows[q]) == dim(q, coeffs.tag)
         assert (full is desc.entries[(p, q)]) == every_row
 
 
@@ -288,12 +292,12 @@ def test_indexing_gives_the_full_entry_that_bispectrum_matrix_gives(make):
 def test_lift_descriptor_holds_one_row_per_entry(L):
     coeffs = sphere_lift(random_sphere_function(10, L, seed=47), L)
     desc = build_descriptor(coeffs)
-    assert [None if r is None else r.tolist() for r in desc.kept_rows] == [None, *([ell] for ell in range(1, L + 1))]
+    assert [r.tolist() for r in desc.kept_rows] == [[ell] for ell in range(L + 1)]
     for p, q in desc.pairs():
         assert desc.entries[(p, q)].shape == (1, dim(p, SO3) * dim(q, SO3))
     assert sum(m.size for m in desc.entries.values()) == (L + 1) ** 4
     generic = build_descriptor(random_bandlimited(L, SO3, require_real=True, seed=47))
-    assert generic.kept_rows == (None,) * (L + 1)
+    assert all(np.array_equal(r, np.arange(dim(ell, SO3))) for ell, r in enumerate(generic.kept_rows))
     assert sum(m.size for m in generic.entries.values()) == sum((2 * p + 1) ** 2 * (2 * q + 1) ** 2 for p, q in generic.pairs())
 
 
