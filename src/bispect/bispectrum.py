@@ -155,8 +155,9 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
 def _check_comparable(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> None:
     """Raise unless both descriptors share group, bandlimit and entry set.
 
-    Construction fixes each A(p, q) at (d_p d_q, d_p d_q), so entries of
-    the same pair always agree in shape."""
+    A stored entry is (k_p k_q, d_p d_q), with k_l the rows kept of degree
+    l, but ``desc[(p, q)]``, which the comparisons read, is always the full
+    (d_p d_q, d_p d_q) A(p, q), whatever rows each descriptor keeps."""
     if (d1.tag, d1.bandlimit) != (d2.tag, d2.bandlimit):
         raise TagMismatchError("descriptors differ in group or bandlimit")
     if d1.pairs() != d2.pairs():

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchError
-from .groups import SO3, GroupElement, from_euler
+from .groups import SO3, TWO_PI, GroupElement, from_euler, wrap_angle
 from .bispectrum import BispectrumDescriptor, build_descriptor
 from .sphere import SphereFunction, sphere_grid, sphere_lift
 from .wigner import dim
@@ -67,9 +67,7 @@ def planar_motion_to_rotation(motion: PlanarMotion) -> GroupElement:
     theta = float(np.arcsin(min(tnorm, 1.0)))
     phi = float(np.arctan2(motion.t_y, motion.t_x)) if tnorm > 1e-15 else 0.0
     psi = float(motion.alpha)
-    return from_euler(
-        (np.mod(phi, 2.0 * np.pi), theta, np.mod(psi - phi, 2.0 * np.pi)), SO3
-    )
+    return from_euler((wrap_angle(phi, TWO_PI), theta, wrap_angle(psi - phi, TWO_PI)), SO3)
 
 
 def _sample_image(image: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -114,28 +112,23 @@ def lift_image(image: np.ndarray, resolution: int) -> SphereFunction:
     return SphereFunction(grid, vals.astype(complex))
 
 
-def apply_planar_motion(image: np.ndarray, motion: PlanarMotion) -> np.ndarray:
-    """Pullback warp: output(p) = image(motion(p)), bilinearly interpolated."""
-    image = np.asarray(image, dtype=float)
-    rows, cols = image.shape
+def canvas_points(rows: int, cols: int) -> np.ndarray:
+    """Pixel-center plane coordinates on [-1, 1]^2, row 0 at the top."""
     ys, xs = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     px = (xs + 0.5) * 2.0 / cols - 1.0
     py = 1.0 - (ys + 0.5) * 2.0 / rows
-    pts = motion.apply(np.stack([px, py], axis=-1))
-    return _sample_image(image, pts)
+    return np.stack([px, py], axis=-1)
+
+
+def apply_planar_motion(image: np.ndarray, motion: PlanarMotion) -> np.ndarray:
+    """Pullback warp: output(p) = image(motion(p)), bilinearly interpolated."""
+    image = np.asarray(image, dtype=float)
+    return _sample_image(image, motion.apply(canvas_points(*image.shape)))
 
 
 # ---------------------------------------------------------------------------
 # Synthetic glyph set (procedurally drawn strokes)
 # ---------------------------------------------------------------------------
-
-
-def canvas_points(size: int) -> np.ndarray:
-    """Pixel-center plane coordinates on [-1, 1]^2, row 0 at the top."""
-    ys, xs = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    px = (xs + 0.5) * 2.0 / size - 1.0
-    py = 1.0 - (ys + 0.5) * 2.0 / size
-    return np.stack([px, py], axis=-1)
 
 
 def _segment_stroke(canvas_pts: np.ndarray, a, b, width: float) -> np.ndarray:
@@ -169,7 +162,7 @@ def synthetic_glyphs(size: int = 64) -> dict[str, np.ndarray]:
     retains them faithfully; shapes were chosen for mutual separation of
     their invariant descriptors at desk scale.
     """
-    pts = canvas_points(size)
+    pts = canvas_points(size, size)
     w = 0.12
     glyphs = {
         "bar": _segment_stroke(pts, (-0.02, -0.5), (0.02, 0.5), w),

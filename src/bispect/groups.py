@@ -43,7 +43,7 @@ class GroupElement:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
+        arr = np.asarray(self.data, dtype=float).view()  # freeze a view, not the caller's array
         if self.tag == SU2:
             if arr.shape != (4,):
                 raise DomainError("SU2 element needs a quaternion of shape (4,)")
@@ -175,7 +175,7 @@ def x_rotation(theta: float, tag: str = SO3) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_period(tag: str) -> float:
+def gamma_period(tag: str) -> float:
     return 4.0 * np.pi if tag == SU2 else TWO_PI
 
 
@@ -188,12 +188,13 @@ def from_euler(angles: EulerAngles | tuple[float, float, float], tag: str) -> Gr
         raise DomainError(f"alpha={a} outside [0, 2*pi)")
     if not (0.0 <= b <= np.pi):
         raise DomainError(f"beta={b} outside [0, pi]")
-    if not (0.0 <= c < _gamma_period(tag)):
-        raise DomainError(f"gamma={c} outside [0, {_gamma_period(tag):.3f})")
+    if not (0.0 <= c < gamma_period(tag)):
+        raise DomainError(f"gamma={c} outside [0, {gamma_period(tag):.3f})")
     return z_rotation(a, tag) @ y_rotation(b, tag) @ z_rotation(c, tag)
 
 
-def _wrap(x: float, period: float) -> float:
+def wrap_angle(x: float, period: float) -> float:
+    """x reduced into [0, period); an x just below 0 gives 0, never period."""
     y = np.fmod(x, period)
     if y < 0:
         y += period
@@ -218,10 +219,10 @@ def to_euler(g: GroupElement) -> EulerAngles:
                 alpha = np.arctan2(r[1, 0], r[0, 0])
             else:
                 alpha = np.arctan2(-r[1, 0], -r[0, 0])
-            return EulerAngles(_wrap(alpha, TWO_PI), beta, 0.0)
+            return EulerAngles(wrap_angle(alpha, TWO_PI), beta, 0.0)
         alpha = np.arctan2(r[1, 2], r[0, 2])
         gamma = np.arctan2(r[2, 1], -r[2, 0])
-        return EulerAngles(_wrap(alpha, TWO_PI), beta, _wrap(gamma, TWO_PI))
+        return EulerAngles(wrap_angle(alpha, TWO_PI), beta, wrap_angle(gamma, TWO_PI))
 
     w, x, y, z = g.data
     u00 = complex(w, -z)  # upper-left entry of the SU2 matrix
@@ -230,21 +231,21 @@ def to_euler(g: GroupElement) -> EulerAngles:
     sb = abs(u10)
     beta = 2.0 * float(np.arctan2(sb, cb))
     if sb < 1e-14:
-        total = _wrap(-2.0 * np.angle(u00), 4.0 * np.pi)  # alpha + gamma
-        alpha = _wrap(total, TWO_PI)
+        total = wrap_angle(-2.0 * np.angle(u00), 4.0 * np.pi)  # alpha + gamma
+        alpha = wrap_angle(total, TWO_PI)
         return EulerAngles(alpha, 0.0, total - alpha)
     if cb < 1e-14:
-        diff = _wrap(2.0 * np.angle(u10), 4.0 * np.pi)  # alpha - gamma
-        alpha = _wrap(diff, TWO_PI)
-        return EulerAngles(alpha, float(np.pi), _wrap(alpha - diff, 4.0 * np.pi))
+        diff = wrap_angle(2.0 * np.angle(u10), 4.0 * np.pi)  # alpha - gamma
+        alpha = wrap_angle(diff, TWO_PI)
+        return EulerAngles(alpha, float(np.pi), wrap_angle(alpha - diff, 4.0 * np.pi))
     a = np.angle(u00)
     b = np.angle(u10)
     alpha0 = b - a
     gamma0 = -a - b
-    alpha = _wrap(alpha0, TWO_PI)
+    alpha = wrap_angle(alpha0, TWO_PI)
     # adding 2*pi to alpha flips the sheet; compensate in gamma (period 4*pi)
     k = int(round((alpha - alpha0) / TWO_PI))
-    gamma = _wrap(gamma0 + TWO_PI * (k % 2), 4.0 * np.pi)
+    gamma = wrap_angle(gamma0 + TWO_PI * (k % 2), 4.0 * np.pi)
     return EulerAngles(alpha, beta, gamma)
 
 
@@ -274,7 +275,7 @@ class QuadratureRule:
 
     def __post_init__(self):
         for name in ("alphas", "betas", "gammas", "beta_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         na, ng = self.alphas.size, self.gammas.size
@@ -292,6 +293,11 @@ class QuadratureRule:
         return [from_euler((a, b, c), self.tag) for a in self.alphas for b in self.betas for c in self.gammas]
 
 
+def haar_rule_size(bandlimit: int) -> int:
+    """Node count of ``haar_quadrature(bandlimit, tag)``, known without building the rule."""
+    return (2 * bandlimit + 2) ** 2 * (bandlimit + 1)
+
+
 @lru_cache(maxsize=64)
 def haar_quadrature(bandlimit: int, tag: str) -> QuadratureRule:
     """Quadrature exact for coefficient products of degree <= bandlimit."""
@@ -301,7 +307,7 @@ def haar_quadrature(bandlimit: int, tag: str) -> QuadratureRule:
         raise TagMismatchError(f"unknown group tag {tag!r}")
     n_circ = 2 * bandlimit + 2
     alphas = TWO_PI * np.arange(n_circ) / n_circ
-    gammas = _gamma_period(tag) * np.arange(n_circ) / n_circ
+    gammas = gamma_period(tag) * np.arange(n_circ) / n_circ
     x, wx = np.polynomial.legendre.leggauss(bandlimit + 1)
     betas = np.arccos(x[::-1]).copy()  # ascending beta
     beta_weights = (wx[::-1] / 2.0).copy()  # normalized: weights sum to 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BispectError, DomainError, PrecisionWarning, TagMismatchError
 from .groups import GroupElement, QuadratureRule, haar_quadrature
-from .wigner import dim, j2_of, little_d_stack, wigner_all
+from .wigner import dim, separable_factors, wigner_all
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values, dtype=complex).view()  # freeze a view, not the caller's array
         if vals.shape != (self.rule.size,):
             raise DomainError("value count must equal the rule's node count")
         if self.tag != self.rule.tag:
@@ -49,7 +49,7 @@ class CoefficientSet:
             raise DomainError(f"bandlimit must be nonnegative, got {self.bandlimit}")
         mats = []
         for ell, mat in enumerate(self.matrices):
-            m = np.asarray(mat, dtype=complex)
+            m = np.asarray(mat, dtype=complex).view()
             d = dim(ell, self.tag)
             if m.shape != (d, d):
                 raise DomainError(f"matrix at degree {ell} must be {d}x{d}, got {m.shape}")
@@ -61,24 +61,6 @@ class CoefficientSet:
 
     def __getitem__(self, ell: int) -> np.ndarray:
         return self.matrices[ell]
-
-
-def _separable_factors(
-    tag: str, bandlimit: int, rule: QuadratureRule
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, slice]]]:
-    """Factors of D_ell[m', m] = e^{-i m' alpha} d_ell(beta)[m', m] e^{-i m gamma} on a product rule.
-
-    Returns e^{i m alpha} and e^{i m gamma} over doubled m = -j2max..j2max, so
-    integer and half-integer m share one grid, and for each degree its
-    little-d planes (nb, dim, dim) with the slice of every second doubled m
-    in its band.
-    """
-    j2max = j2_of(bandlimit, tag)  # DomainError below degree 0
-    j2s = [j2_of(ell, tag) for ell in range(bandlimit + 1)]
-    m = np.arange(-j2max, j2max + 1) / 2.0
-    planes = little_d_stack(j2max, rule.betas)
-    degrees = [(planes[j2], slice(j2max - j2, j2max + j2 + 1, 2)) for j2 in j2s]
-    return np.exp(1j * np.outer(rule.alphas, m)), np.exp(1j * np.outer(rule.gammas, m)), degrees
 
 
 def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
@@ -96,7 +78,7 @@ def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
             stacklevel=2,
         )
     rule = f.rule
-    ea, eg, degrees = _separable_factors(f.tag, bandlimit, rule)
+    ea, eg, degrees = separable_factors(f.tag, bandlimit, rule)
     v = (rule.weights * f.values).reshape(rule.alphas.size, rule.betas.size, rule.gammas.size)
     g = np.einsum("abc,am,cn->bmn", v, ea, eg, optimize=True)  # g[b, m', m]
     mats = [np.einsum("bvu,bvu->uv", planes, g[:, band, band]) for planes, band in degrees]
@@ -113,7 +95,7 @@ def fourier_inverse(coeffs: CoefficientSet, rule: QuadratureRule | None = None) 
         rule = haar_quadrature(2 * coeffs.bandlimit, coeffs.tag)
     if rule.tag != coeffs.tag:
         raise TagMismatchError("rule tag does not match coefficient tag")
-    ea, eg, degrees = _separable_factors(coeffs.tag, coeffs.bandlimit, rule)
+    ea, eg, degrees = separable_factors(coeffs.tag, coeffs.bandlimit, rule)
     h = np.zeros((rule.betas.size, ea.shape[1], ea.shape[1]), dtype=complex)
     for ell, (planes, band) in enumerate(degrees):
         h[:, band, band] += dim(ell, coeffs.tag) * planes * coeffs[ell].T

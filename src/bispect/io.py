@@ -26,7 +26,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .errors import FormatError, VersionError
-from .groups import SO3, SU2, haar_quadrature
+from .groups import SO3, SU2, haar_quadrature, haar_rule_size
 from .harmonic import CoefficientSet, SampledFunction
 from .bispectrum import BispectrumDescriptor
 from .glyphs import GlyphIndex, lift_row_count
@@ -80,10 +80,10 @@ def _require(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
     return value
 
 
-def _require_bandlimit(doc: dict, where: str) -> int:
-    bandlimit = _require(doc, "bandlimit", where, int)
+def _require_bandlimit(doc: dict, where: str, key: str = "bandlimit") -> int:
+    bandlimit = _require(doc, key, where, int)
     if bandlimit < 0:
-        raise FormatError(f"bandlimit must be nonnegative, found {bandlimit}", where)
+        raise FormatError(f"{key} must be nonnegative, found {bandlimit}", where)
     return bandlimit
 
 
@@ -216,9 +216,11 @@ def load_descriptor(path: str) -> BispectrumDescriptor:
                 f"pair ({p}, {q}) needs a {side}x{side} matrix, found {matrix.shape}", f"{loc}.matrix"
             )
         entries[(p, q)] = matrix
-    missing = [(p, q) for p in range(bandlimit + 1) for q in range(bandlimit + 1) if (p, q) not in entries]
+    # entries are distinct in-range pairs: the first missing one is among the first len(entries) + 1
+    missing = (bandlimit + 1) ** 2 - len(entries)
     if missing:
-        raise FormatError(f"missing entry for pair {missing[0]} ({len(missing)} missing)", path)
+        first = next((p, q) for p in range(bandlimit + 1) for q in range(bandlimit + 1) if (p, q) not in entries)
+        raise FormatError(f"missing entry for pair {first} ({missing} missing)", path)
     return BispectrumDescriptor(tag, bandlimit, entries, _optional_number(doc, "det_f1", path))
 
 
@@ -240,6 +242,9 @@ def load_sphere(path: str) -> SphereFunction:
     _check_header(doc, "sphere_samples", path)
     resolution = _require(doc, "resolution", path, int)
     values = _decode_complex(_require(doc, "values", path), f"{path}:values", 2)
+    n = 2 * resolution
+    if values.shape != (n, n):
+        raise FormatError(f"resolution {resolution} needs {n}x{n} values, found shape {values.shape}", f"{path}:values")
     return SphereFunction(sphere_grid(resolution), values)
 
 
@@ -261,9 +266,12 @@ def load_samples(path: str) -> SampledFunction:
     doc = _load_json(path)
     _check_header(doc, "group_samples", path)
     tag = _check_group(_require(doc, "group", path), path)
-    rule = haar_quadrature(_require(doc, "rule_bandlimit", path, int), tag)
+    rule_bandlimit = _require_bandlimit(doc, path, "rule_bandlimit")
     values = _decode_complex(_require(doc, "values", path), f"{path}:values", 1)
-    return SampledFunction(tag, rule, values)
+    size = haar_rule_size(rule_bandlimit)
+    if values.size != size:
+        raise FormatError(f"rule bandlimit {rule_bandlimit} needs {size} values, found {values.size}", f"{path}:values")
+    return SampledFunction(tag, haar_quadrature(rule_bandlimit, tag), values)
 
 
 # -- glyph index -------------------------------------------------------------

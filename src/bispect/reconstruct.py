@@ -29,8 +29,10 @@ from .errors import (
     TagMismatchError,
     ZeroMeanError,
 )
-from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, haar_quadrature, su2_matrix, z_rotation
-from .harmonic import COND_REJECT, CoefficientSet, fourier_inverse
+from .groups import (
+    SO3, SU2, TWO_PI, GroupElement, from_euler, gamma_period, haar_quadrature, su2_matrix, wrap_angle, z_rotation
+)
+from .harmonic import COND_REJECT, CoefficientSet, fourier_inverse, translate
 from .bispectrum import BispectrumDescriptor
 from .clebsch import clebsch_gordan, kron_solve
 from .wigner import (
@@ -84,14 +86,13 @@ def signed_sqrt(hm: np.ndarray, target_det: float) -> np.ndarray:
 
 
 def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = H U with H Hermitian positive definite and U unitary."""
-    a = np.asarray(a, dtype=complex)
-    svals = np.linalg.svd(a, compute_uv=False)
+    """A = H U with H Hermitian positive definite and U unitary.
+
+    From A = V S W^H: H = V S V^H and U = V W^H."""
+    v, svals, wh = np.linalg.svd(np.asarray(a, dtype=complex))
     if svals[-1] <= 0 or svals[0] / svals[-1] > COND_REJECT:
         raise SingularMatrixError("polar decomposition needs a well-conditioned matrix")
-    h = positive_sqrt(a @ a.conj().T)
-    u = np.linalg.solve(h, a)
-    return h, u
+    return (v * svals) @ v.conj().T, v @ wh
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,6 @@ class ReconstructionReport:
     recovered: CoefficientSet
     condition_numbers: dict[int, float] = field(default_factory=dict)
     witness: AlignmentWitness | None = None
-
-
-def _alignment_residuals(
-    truth: CoefficientSet, recovered: CoefficientSet, x: GroupElement
-) -> tuple[float, ...]:
-    out = []
-    for ell, dstack in enumerate(wigner_all(truth.bandlimit, truth.tag, [x])):
-        target = truth[ell] @ dstack[0]
-        denom = max(float(np.linalg.norm(truth[ell])), 1e-300)
-        out.append(float(np.linalg.norm(recovered[ell] - target)) / denom)
-    return tuple(out)
 
 
 def _project_su2(v: np.ndarray) -> GroupElement:
@@ -171,7 +161,10 @@ def find_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> Alignmen
         x = _project_su2(v) if truth.tag == SU2 else _project_so3(v)
     else:
         x = _correlation_alignment(truth, recovered)
-    residuals = _alignment_residuals(truth, recovered, x)
+    residuals = tuple(
+        float(np.linalg.norm(r - t)) / max(float(np.linalg.norm(f)), 1e-300)
+        for f, r, t in zip(truth.matrices, recovered.matrices, translate(truth, x).matrices)
+    )
     if max(residuals) > 1e-3:
         raise NoAlignmentError(f"residual {max(residuals):.3e} after alignment")
     return AlignmentWitness(x, residuals)
@@ -184,23 +177,21 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
     tag = truth.tag
     # score(x) = Re sum_ell dim <recovered, truth D(x)> = Re sum_ell dim Tr[K_ell D(x)],
     # the real part of the inverse transform of {K_ell}
-    kmats = [recovered[ell].conj().T @ truth[ell] for ell in range(truth.bandlimit + 1)]
+    k = CoefficientSet(tag, truth.bandlimit, tuple(r.conj().T @ f for r, f in zip(recovered.matrices, truth.matrices)))
 
     rule = haar_quadrature(max(8, truth.bandlimit), tag)
-    scores = fourier_inverse(CoefficientSet(tag, truth.bandlimit, tuple(kmats)), rule).values.real
+    scores = fourier_inverse(k, rule).values.real
     ia, ib, ic = np.unravel_index(int(np.argmax(scores)), (rule.alphas.size, rule.betas.size, rule.gammas.size))
     a0, b0, c0 = rule.alphas[ia], rule.betas[ib], rule.gammas[ic]
-
-    gamma_period = 2 * TWO_PI if tag == SU2 else TWO_PI
 
     def element(angles) -> GroupElement:
         """Wrap the optimizer's unconstrained angles into the canonical ranges."""
         a, b, c = angles
-        return from_euler((a % TWO_PI, float(np.clip(b, 0.0, np.pi)), c % gamma_period), tag)
+        return from_euler((wrap_angle(a, TWO_PI), float(np.clip(b, 0.0, np.pi)), wrap_angle(c, gamma_period(tag))), tag)
 
     def neg_score(angles):
         dmats = wigner_all(truth.bandlimit, tag, [element(angles)])
-        return -sum(dim(ell, tag) * np.trace(kmats[ell] @ d[0]).real for ell, d in enumerate(dmats))
+        return -sum(dim(ell, tag) * np.trace(k[ell] @ d[0]).real for ell, d in enumerate(dmats))
 
     res = minimize(neg_score, np.array([a0, b0, c0]), method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})

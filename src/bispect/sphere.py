@@ -32,7 +32,7 @@ class SphereGrid:
 
     def __post_init__(self):
         for name in ("thetas", "phis", "theta_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()  # freeze a view, not the caller's array
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -74,7 +74,7 @@ class SphereFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values, dtype=complex).view()
         if vals.shape != self.grid.shape:
             raise DomainError(f"values must have shape {self.grid.shape}")
         vals.setflags(write=False)

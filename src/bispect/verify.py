@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -97,13 +97,7 @@ class CheckResult:
         return cls.from_residual(name, 0.0 if ok else 1.0, 0.5, info)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "info": self.info,
-        }
+        return asdict(self)
 
 
 @dataclass

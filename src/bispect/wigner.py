@@ -113,25 +113,37 @@ def wigner_matrix(ell: int, tag: str, g: GroupElement) -> np.ndarray:
     return wigner_all(ell, tag, [g])[ell][0]
 
 
+def separable_factors(
+    tag: str, bandlimit: int, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, slice]]]:
+    """Factors of D_ell[m', m] = e^{-i m' alpha} d_ell(beta)[m', m] e^{-i m gamma} on a product rule.
+
+    Returns e^{i m alpha} and e^{i m gamma} over doubled m = -j2max..j2max, so
+    integer and half-integer m share one grid, and for each degree its
+    little-d planes (nb, dim, dim) with the slice of every second doubled m
+    in its band.
+    """
+    j2max = j2_of(bandlimit, tag)  # DomainError below degree 0
+    j2s = [j2_of(ell, tag) for ell in range(bandlimit + 1)]
+    m = np.arange(-j2max, j2max + 1) / 2.0
+    planes = little_d_stack(j2max, rule.betas)
+    degrees = [(planes[j2], slice(j2max - j2, j2max + j2 + 1, 2)) for j2 in j2s]
+    return np.exp(1j * np.outer(rule.alphas, m)), np.exp(1j * np.outer(rule.gammas, m)), degrees
+
+
 def wigner_stack_on_rule(ell: int, tag: str, rule: QuadratureRule) -> np.ndarray:
     """D_ell at every rule node, shape (size, dim, dim), product-grid order.
 
-    Built separably from per-beta little-d planes and phase factors over the
-    alpha/gamma circles.  Not cached: the transforms never build it, and at
-    degree ell it takes size * dim^2 complex entries.
+    The product of ``separable_factors``' phases and planes at degree ell.
+    Not cached: the transforms never build it, and at degree ell it takes
+    size * dim^2 complex entries.
     """
     if rule.tag != tag:
         raise TagMismatchError("rule tag does not match requested tag")
-    j2 = j2_of(ell, tag)
-    planes = little_d_stack(j2, rule.betas)[j2]  # (nb, d, d)
-    m = m_values(ell, tag)
-    ea = np.exp(-1j * np.outer(rule.alphas, m))  # (na, d)
-    eg = np.exp(-1j * np.outer(rule.gammas, m))  # (ng, d)
-    return (
-        ea[:, None, None, :, None]
-        * planes[None, :, None, :, :]
-        * eg[None, None, :, None, :]
-    ).reshape(rule.size, j2 + 1, j2 + 1)
+    ea, eg, degrees = separable_factors(tag, ell, rule)
+    planes, band = degrees[ell]
+    stack = np.conj(ea[:, None, None, band, None]) * planes[None, :, None] * np.conj(eg[None, None, :, None, band])
+    return stack.reshape(rule.size, *planes.shape[1:])
 
 
 # Fixed unitary relating the SO3 degree-1 matrix to the rotation itself:

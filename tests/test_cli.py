@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from bispect.groups import SU2, SO3, haar_quadrature
 from bispect.harmonic import fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
 from bispect.glyphs import PlanarMotion, apply_planar_motion, glyph_descriptor, match, synthetic_glyphs
+import bispect
 from bispect import io as bio
 from bispect import verify as bverify
 
@@ -323,3 +328,23 @@ def test_tolerance_only_where_read(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["bispectrum", str(workdir / "c.json"), "--output", str(workdir / "d.json"), "--tolerance", "1"])
     assert exc.value.code == 2
+
+
+_GLYPH_OP = """
+import sys
+import bispect, bispect.cli, bispect.io, bispect.verify
+from bispect.glyphs import build_glyph_index, glyph_descriptor, match, synthetic_glyphs
+glyphs = synthetic_glyphs(32)
+index = build_glyph_index(glyphs, 8, 3)
+assert match(glyph_descriptor(glyphs["ring"], 8, 3), index)[0][0] == "ring"
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_glyph_op_loads_no_scipy():
+    # importing scipy costs a glyph set-up about 0.2 s, so only the
+    # correlation alignment imports it, on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(bispect.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _GLYPH_OP], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -47,6 +47,13 @@ def test_motion_translation_bound():
     assert abs(to_euler(rot).beta - np.pi / 2) < 1e-12
 
 
+def test_angles_just_below_zero_wrap_to_zero():
+    # a plain modulo rounds -1e-17 up to 2*pi, outside from_euler's range
+    assert distance(planar_motion_to_rotation(PlanarMotion(-1e-17)), identity(SO3)) < 1e-15
+    rot = planar_motion_to_rotation(PlanarMotion(0.3, 0.5, -1e-17))
+    assert distance(rot, planar_motion_to_rotation(PlanarMotion(0.3, 0.5, 0.0))) < 1e-15
+
+
 def test_uniform_disk_lifts_to_upper_hemisphere():
     img = np.ones((64, 64))
     s = lift_image(img, 8)
@@ -56,7 +63,7 @@ def test_uniform_disk_lifts_to_upper_hemisphere():
 
 
 def test_centered_dot_concentrates_at_pole():
-    pts = canvas_points(64)
+    pts = canvas_points(64, 64)
     img = np.exp(-(np.linalg.norm(pts, axis=-1) / 0.1) ** 2)
     s = lift_image(img, 16)
     vals = np.abs(s.values)
@@ -74,7 +81,7 @@ def test_empty_image_errors():
 
 def test_motion_then_lift_matches_lift_then_rotate():
     # smooth test pattern; empirical tolerance for the local correspondence
-    pts = canvas_points(64)
+    pts = canvas_points(64, 64)
     img = np.exp(-(np.linalg.norm(pts - np.array([-0.15, 0.1]), axis=-1) / 0.3) ** 2)
     img += 0.7 * np.exp(-(np.linalg.norm(pts - np.array([0.25, -0.1]), axis=-1) / 0.25) ** 2)
     for motion in (PlanarMotion(0.3), PlanarMotion(0.0, 0.05, -0.03), PlanarMotion(0.25, 0.06, 0.04)):

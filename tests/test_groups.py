@@ -14,6 +14,7 @@ from bispect.groups import (
     distance,
     from_euler,
     haar_quadrature,
+    haar_rule_size,
     identity,
     inverse,
     random_element,
@@ -151,13 +152,55 @@ def test_array_holding_values_compare_by_identity():
     assert isinstance(hash(g), int)
 
 
+def _caller_arrays(kind):
+    """(the caller's arrays, the arrays the object built from them holds)"""
+    from bispect.harmonic import CoefficientSet, SampledFunction
+    from bispect.sphere import SphereFunction, SphereGrid, sphere_grid
+
+    if kind == "GroupElement":
+        a = np.eye(3)
+        return [a], [GroupElement(SO3, a).data]
+    if kind == "QuadratureRule":
+        r = haar_quadrature(1, SU2)
+        axes = [np.array(v) for v in (r.alphas, r.betas, r.gammas, r.beta_weights)]
+        held = QuadratureRule(SU2, 1, *axes)
+        return axes, [held.alphas, held.betas, held.gammas, held.beta_weights]
+    if kind == "SampledFunction":
+        v = np.zeros(haar_quadrature(1, SU2).size, dtype=complex)
+        return [v], [SampledFunction(SU2, haar_quadrature(1, SU2), v).values]
+    if kind == "CoefficientSet":
+        m = [np.ones((1, 1), dtype=complex), np.eye(3, dtype=complex)]
+        return m, list(CoefficientSet(SO3, 1, tuple(m)).matrices)
+    g = sphere_grid(2)
+    if kind == "SphereGrid":
+        axes = [np.array(v) for v in (g.thetas, g.phis, g.theta_weights)]
+        held = SphereGrid(2, *axes)
+        return axes, [held.thetas, held.phis, held.theta_weights]
+    v = np.zeros(g.shape, dtype=complex)
+    return [v], [SphereFunction(g, v).values]
+
+
+@pytest.mark.parametrize(
+    "kind", ["GroupElement", "QuadratureRule", "SampledFunction", "CoefficientSet", "SphereGrid", "SphereFunction"]
+)
+def test_value_objects_freeze_their_own_view(kind):
+    # the object's arrays are read-only; the caller's stay writable, uncopied
+    given, held = _caller_arrays(kind)
+    for a, h in zip(given, held):
+        assert np.shares_memory(a, h) and not h.flags.writeable
+        a.flat[0] = 2.0
+    for h in held:
+        with pytest.raises(ValueError, match="read-only"):
+            h.flat[0] = 3.0
+
+
 @pytest.mark.parametrize("tag", [SU2, SO3])
 def test_quadrature_weights_normalized(tag):
     for bandlimit in range(5):
         rule = haar_quadrature(bandlimit, tag)
         assert abs(rule.weights.sum() - 1.0) < 1e-12
         assert np.all(rule.weights > 0)
-        assert len(rule.nodes) == rule.size
+        assert len(rule.nodes) == rule.size == haar_rule_size(bandlimit)
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])

@@ -9,7 +9,7 @@ from bispect.groups import SO3, SU2, haar_quadrature
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
 from bispect.glyphs import GlyphIndex, build_glyph_index, synthetic_glyphs
-from bispect.sphere import random_sphere_function
+from bispect.sphere import random_sphere_function, sphere_grid
 from bispect import io as bio
 
 
@@ -446,3 +446,37 @@ def test_integer_field_rejects_non_integers(tmp_path, field, value):
         json.dump(doc, fh)
     with pytest.raises(FormatError, match=rf"field '{key}' must be an integer"):
         load(path)
+
+
+# a tiny file declaring a huge size: bandlimit 2000 has 4,004,001 pairs, a
+# resolution-2000 grid needs a 4000-point Legendre solve, rule bandlimit 40
+# has 275,684 nodes
+_OVERSIZED = {
+    "descriptor": (
+        bio.load_descriptor,
+        {"kind": "bispectrum_descriptor", "group": "SO3", "bandlimit": 2000, "entries": []},
+        r"missing entry for pair \(0, 0\) \(4004001 missing\)",
+    ),
+    "sphere": (
+        bio.load_sphere,
+        {"kind": "sphere_samples", "resolution": 2000, "values": [[[0.0, 0.0]]]},
+        r"resolution 2000 needs 4000x4000 values, found shape \(1, 1\).*:values",
+    ),
+    "samples": (
+        bio.load_samples,
+        {"kind": "group_samples", "group": "SU2", "rule_bandlimit": 40, "values": [[0.0, 0.0]]},
+        r"rule bandlimit 40 needs 275684 values, found 1.*:values",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OVERSIZED))
+def test_loader_checks_sizes_before_allocating(tmp_path, kind):
+    load, doc, message = _OVERSIZED[kind]
+    path = str(tmp_path / "f.json")
+    with open(path, "w") as fh:
+        json.dump({"format_version": 1, **doc}, fh)
+    built = (haar_quadrature.cache_info().misses, sphere_grid.cache_info().misses)
+    with pytest.raises(FormatError, match=message):
+        load(path)
+    assert (haar_quadrature.cache_info().misses, sphere_grid.cache_info().misses) == built

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,3 +238,17 @@ def test_sphere_pair_alignment_and_witness(rng):
         witness = find_alignment(coeffs, lifted)
         assert distance(witness.x, x0) < 1e-6
         assert check_sphere_witness(witness.x) == expect_in
+
+
+def test_lift_alignment_wraps_optimizer_angles_just_below_zero(monkeypatch):
+    # the local refinement may step an angle a rounding error below 0; it
+    # must wrap to 0, not round up to the period outside from_euler's range
+    import scipy.optimize
+
+    coeffs = sphere_lift(random_sphere_function(8, 5, seed=94), 5)
+    monkeypatch.setattr(
+        scipy.optimize, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=np.array([-1e-17, 0.0, -1e-17]))
+    )
+    witness = find_alignment(coeffs, coeffs)
+    assert distance(witness.x, identity(SO3)) == 0.0
+    assert witness.max_residual < 1e-12
