@@ -13,19 +13,19 @@ reorders Kronecker rows from p (x) q to q (x) p gives C_qp = S C_pq Sigma,
 with Sigma one sign per block, and Sigma commutes with the block-diagonal
 middle factor, so A(q, p) = S A(p, q) S^T exactly (``kron_swap``).
 
-A descriptor keeps, per degree l, the nonzero rows rl of F(l), and per
-entry only the rows rp (x) rq of A(p, q): the rows of F(p) (x) F(q) that
-are zero give zero rows of A(p, q), which are not stored.  A generic set
-keeps every row.  A sphere lift (SO3, every F(l) zero off its m' = 0 row
-l, with entries a_l) keeps one row per degree, so A(p, q) is zero except
-row p d_q + q, which is a_p (x) a_q, and its one stored row is
+A descriptor keeps, per degree l, rows rl, and per entry only the rows
+rp (x) rq of A(p, q); the others are zero and not stored.  Built from a
+set, it keeps the nonzero rows of each F(l), every row for a generic set;
+given dense entries, as from a file, the rows nonzero in some entry.  A
+sphere lift (SO3, every F(l) zero off its m' = 0 row l, with entries a_l)
+keeps one row per degree, so A(p, q) is zero except row p d_q + q, which
+is a_p (x) a_q, and its one stored row is
 
     (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+,
 
 the classical spherical bispectrum, (L + 1)^4 values in all.  ``kron_swap``
 swaps a kept block as it swaps a full one.  Indexing a descriptor returns
-the full A(p, q), the stored array itself when every row is kept.  The
-glyph index (``glyphs.lift_rows``) keeps only the lift rows.
+the full A(p, q), the stored array itself when every row is kept.
 
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import clebsch_gordan, kron_swap
+from .clebsch import cg_indices, clebsch_gordan, kron_swap
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
@@ -65,6 +65,15 @@ def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int)
     out = np.zeros((n, n), dtype=complex)
     out.reshape(dp, dq, n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
     return out
+
+
+def _gather(full: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) -> np.ndarray:
+    """Rows rp (x) rq of the (dp dq, dp dq) A(p, q), the inverse of ``_scatter``;
+    ``full`` itself when rp and rq hold every row."""
+    if len(rp) == dp and len(rq) == dq:
+        return full
+    n = dp * dq
+    return full.reshape(dp, dq, n)[rp[:, None], rq].reshape(len(rp) * len(rq), n)
 
 
 def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -91,9 +100,10 @@ class BispectrumDescriptor:
 
     ``entries[(p, q)]`` holds only the rows rp (x) rq of A(p, q), with rl =
     ``kept_rows[l]`` the strictly increasing indices of the rows of degree l
-    kept; the other rows of A(p, q) are zero.  ``kept_rows`` None, the
-    default, keeps every row of every degree.  ``desc[(p, q)]`` is the full
-    A(p, q)."""
+    kept; the other rows of A(p, q) are zero.  With ``kept_rows`` None, the
+    default, the entries are given dense, and degree l keeps the rows nonzero
+    in some A(l, q), as the first Kronecker factor, or in some A(p, l), as
+    the second.  ``desc[(p, q)]`` is the full A(p, q)."""
 
     tag: str
     bandlimit: int
@@ -103,22 +113,31 @@ class BispectrumDescriptor:
 
     def __post_init__(self):
         dims = [dim(ell, self.tag) for ell in range(self.bandlimit + 1)]
-        if self.kept_rows is None:
-            kept = tuple(np.arange(d) for d in dims)
-        else:
-            kept = tuple(np.asarray(r, dtype=int) for r in self.kept_rows)
+        given = self.kept_rows
+        kept = (tuple(np.arange(d) for d in dims) if given is None
+                else tuple(np.asarray(r, dtype=int) for r in given))
         if len(kept) != self.bandlimit + 1:
             raise DomainError(f"kept_rows needs {self.bandlimit + 1} degrees, found {len(kept)}")
         for ell, (r, d) in enumerate(zip(kept, dims)):
             if r.ndim != 1 or np.any(np.diff(r) <= 0) or (len(r) and (r[0] < 0 or r[-1] >= d)):
                 raise DomainError(f"kept_rows[{ell}] must be strictly increasing within 0..{d - 1}")
-        object.__setattr__(self, "kept_rows", kept)
         for (p, q), m in self.entries.items():
             if not (0 <= p <= self.bandlimit and 0 <= q <= self.bandlimit):
                 raise DomainError(f"pair {(p, q)} lies outside 0..{self.bandlimit}")
             want = (len(kept[p]) * len(kept[q]), dims[p] * dims[q])
             if np.shape(m) != want:
                 raise DomainError(f"entry {(p, q)} with its kept rows must be {want}, found {np.shape(m)}")
+        if given is None:
+            live = [np.zeros(d, dtype=bool) for d in dims]
+            for (p, q), m in self.entries.items():
+                nonzero = np.asarray(m).any(axis=1).reshape(dims[p], dims[q])
+                live[p] |= nonzero.any(axis=1)
+                live[q] |= nonzero.any(axis=0)
+            kept = tuple(np.flatnonzero(r) for r in live)
+            entries = {(p, q): _gather(np.asarray(m), kept[p], kept[q], dims[p], dims[q])
+                       for (p, q), m in self.entries.items()}
+            object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "kept_rows", kept)
 
     def __getitem__(self, pq: tuple[int, int]) -> np.ndarray:
         p, q = pq
@@ -281,8 +300,6 @@ def support_closure_check(support: set[int], tag: str, check_conjugation: bool =
     ``check_conjugation`` the self-duality is re-verified numerically for
     small degrees and the similarity defect recorded in the report.
     """
-    from .clebsch import cg_indices  # local import keeps module load light
-
     support = set(int(x) for x in support)
     if 0 not in support:
         raise DomainError("support must contain degree 0 (the trivial representation)")

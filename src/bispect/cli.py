@@ -17,8 +17,8 @@ from . import verify as bverify
 from .errors import BispectError, DomainError, FormatError
 from .groups import SU2, haar_quadrature
 from .harmonic import fourier_forward, fourier_inverse
-from .bispectrum import build_descriptor
-from .glyphs import build_glyph_index, glyph_descriptor, match as match_query
+from .bispectrum import build_descriptor, descriptor_max_relative_gap
+from .glyphs import build_glyph_index, glyph_descriptor, lift_image, match as match_query
 from .reconstruct import reconstruct_so3, reconstruct_su2
 from .sphere import sphere_lift
 
@@ -115,8 +115,6 @@ def _cmd_reconstruct(args) -> int:
         desc = dataclasses.replace(desc, det_f1=args.det_f1)
     report = reconstruct_su2(desc) if desc.tag == SU2 else reconstruct_so3(desc)
     bio.save_coefficients(report.recovered, args.output)
-    from .bispectrum import descriptor_max_relative_gap
-
     gap = descriptor_max_relative_gap(desc, build_descriptor(report.recovered))
     tol = args.tolerance if args.tolerance is not None else 1e-7
     print(f"wrote {args.output}; descriptor round-trip gap {gap:.3e} (tolerance {tol:.1e})")
@@ -127,8 +125,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    from .glyphs import lift_image
-
     image = bio.read_pgm(args.input)
     sphere = lift_image(image, args.resolution)
     bio.save_sphere(sphere, args.output)

@@ -12,8 +12,8 @@ correspondence plus image interpolation.
 
 This module alone knows how the glyph index is laid out.  Each lifted
 entry A(p, q) is zero but for row p d_q + q (the one-row identity in
-``bispectrum``), the only row a built lift's descriptor stores.
-``lift_rows`` reads that row of each entry with no dense scan, and a
+``bispectrum``), the only row a lift's descriptor stores, whether built
+or loaded.  ``lift_rows`` concatenates those rows, and a
 ``GlyphIndex`` keeps one (glyphs, (L + 1)^4) array of ``lift_rows``
 beside its labels and the one resolution its images were lifted at,
 which a query image must be lifted at too.  A search is
@@ -109,7 +109,7 @@ def lift_image(image: np.ndarray, resolution: int) -> SphereFunction:
     vals[grid.thetas > np.pi / 2.0, :] = 0.0  # lower hemisphere
     if np.max(np.abs(vals)) == 0.0:
         raise EmptyImageError("image content inside the unit disk is empty")
-    return SphereFunction(grid, vals.astype(complex))
+    return SphereFunction(grid, vals)
 
 
 def canvas_points(rows: int, cols: int) -> np.ndarray:
@@ -191,28 +191,19 @@ def lift_row_count(bandlimit: int) -> int:
 
 
 def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
-    """The live rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
+    """The lift rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
 
-    Row p d_q + q of each A(p, q), ``lift_row_count`` values in all.  Only
-    a descriptor's stored rows are read: a built lift stores just this row,
-    a loaded file every row.  Raises DomainError if any stored row other
-    than this one is nonzero, TagMismatchError for an SU2 descriptor."""
+    Row p d_q + q of each A(p, q), ``lift_row_count`` values in all: the one
+    row each entry stores when every degree l keeps row l, and zeros for a
+    degree that keeps none.  Raises DomainError if a degree keeps any other
+    row, TagMismatchError for an SU2 descriptor."""
     if desc.tag != SO3:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
-    # where row l of F(l), the one with m' = 0, sits among each degree's kept rows
-    at = [int(np.flatnonzero(r == ell)[0]) if ell in r else None for ell, r in enumerate(desc.kept_rows)]
-    rows = []
-    for p, q in desc.pairs():
-        m = desc.entries[(p, q)]
-        if at[p] is None or at[q] is None:  # the lift row is not kept, so it is zero
-            r, row = len(m), np.zeros(m.shape[1], dtype=complex)
-        else:
-            r = at[p] * len(desc.kept_rows[q]) + at[q]
-            row = m[r]
-        if m[:r].any() or m[r + 1 :].any():
-            raise DomainError(f"entry {(p, q)} is nonzero off its lift row; not a sphere lift")
-        rows.append(row)
-    return np.concatenate(rows)
+    for ell, r in enumerate(desc.kept_rows):
+        if len(r) and r.tolist() != [ell]:
+            raise DomainError(f"degree {ell} keeps rows {r.tolist()}, off its lift row {ell}; not a sphere lift")
+    stored = [desc.entries[pq] for pq in desc.pairs()]
+    return np.concatenate([m[0] if len(m) else np.zeros(m.shape[1], dtype=complex) for m in stored])
 
 
 def lift_weights(bandlimit: int) -> np.ndarray:

@@ -43,7 +43,7 @@ class GroupElement:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float).view()  # freeze a view, not the caller's array
+        arr = np.array(self.data, dtype=float)  # freeze a copy: the caller may write to its array
         if self.tag == SU2:
             if arr.shape != (4,):
                 raise DomainError("SU2 element needs a quaternion of shape (4,)")
@@ -98,7 +98,7 @@ def inverse(g: GroupElement) -> GroupElement:
     if g.tag == SU2:
         w, x, y, z = g.data
         return GroupElement(SU2, np.array([w, -x, -y, -z]))
-    return GroupElement(SO3, g.data.T.copy())
+    return GroupElement(SO3, g.data.T)
 
 
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -275,7 +275,7 @@ class QuadratureRule:
 
     def __post_init__(self):
         for name in ("alphas", "betas", "gammas", "beta_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         na, ng = self.alphas.size, self.gammas.size

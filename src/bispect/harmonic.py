@@ -20,7 +20,10 @@ from .wigner import dim, separable_factors, wigner_all
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Complex samples of a function at the nodes of a quadrature rule."""
+    """Complex samples of a function at the nodes of a quadrature rule.
+
+    Unlike the other value objects it holds a view of the caller's values,
+    not a copy (they reach 460 MB at rule bandlimit 192)."""
 
     tag: str
     rule: QuadratureRule
@@ -49,7 +52,7 @@ class CoefficientSet:
             raise DomainError(f"bandlimit must be nonnegative, got {self.bandlimit}")
         mats = []
         for ell, mat in enumerate(self.matrices):
-            m = np.asarray(mat, dtype=complex).view()
+            m = np.array(mat, dtype=complex)
             d = dim(ell, self.tag)
             if m.shape != (d, d):
                 raise DomainError(f"matrix at degree {ell} must be {d}x{d}, got {m.shape}")
@@ -107,7 +110,7 @@ def evaluate_at(coeffs: CoefficientSet, elements: list[GroupElement]) -> np.ndar
     """Pointwise Fourier series evaluation at arbitrary group elements."""
     out = np.zeros(len(elements), dtype=complex)
     for ell, dstack in enumerate(wigner_all(coeffs.bandlimit, coeffs.tag, elements)):
-        out += dim(ell, coeffs.tag) * np.einsum("uv,ivu->i", coeffs[ell], dstack, optimize=True)
+        out += dim(ell, coeffs.tag) * np.einsum("uv,ivu->i", coeffs[ell], dstack)
     return out
 
 

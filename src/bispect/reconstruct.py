@@ -32,15 +32,10 @@ from .errors import (
 from .groups import (
     SO3, SU2, TWO_PI, GroupElement, from_euler, gamma_period, haar_quadrature, su2_matrix, wrap_angle, z_rotation
 )
-from .harmonic import COND_REJECT, CoefficientSet, fourier_inverse, translate
+from .harmonic import COND_REJECT, CoefficientSet, evaluate_at, fourier_inverse, translate
 from .bispectrum import BispectrumDescriptor
 from .clebsch import clebsch_gordan, kron_solve
-from .wigner import (
-    CARTESIAN_TO_SPHERICAL,
-    SU2_BASIS_SWAP,
-    dim,
-    wigner_all,
-)
+from .wigner import CARTESIAN_TO_SPHERICAL, SU2_BASIS_SWAP
 
 _HERMITICITY_TOL = 1e-10
 
@@ -190,8 +185,7 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
         return from_euler((wrap_angle(a, TWO_PI), float(np.clip(b, 0.0, np.pi)), wrap_angle(c, gamma_period(tag))), tag)
 
     def neg_score(angles):
-        dmats = wigner_all(truth.bandlimit, tag, [element(angles)])
-        return -sum(dim(ell, tag) * np.trace(k[ell] @ d[0]).real for ell, d in enumerate(dmats))
+        return -evaluate_at(k, [element(angles)])[0].real
 
     res = minimize(neg_score, np.array([a0, b0, c0]), method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})

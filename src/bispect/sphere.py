@@ -32,7 +32,7 @@ class SphereGrid:
 
     def __post_init__(self):
         for name in ("thetas", "phis", "theta_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()  # freeze a view, not the caller's array
+            arr = np.array(getattr(self, name), dtype=float)  # freeze a copy: the caller may write to its array
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -74,7 +74,7 @@ class SphereFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).view()
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != self.grid.shape:
             raise DomainError(f"values must have shape {self.grid.shape}")
         vals.setflags(write=False)
@@ -191,7 +191,7 @@ def random_sphere_function(resolution: int, bandlimit: int, seed: int = 0) -> Sp
     """Seeded random real bandlimited sphere function (bandlimit-projected noise)."""
     grid = sphere_grid(resolution)
     raw = np.random.default_rng(seed).standard_normal(grid.shape)
-    coeffs = sphere_coefficients(SphereFunction(grid, raw.astype(complex)), bandlimit)
+    coeffs = sphere_coefficients(SphereFunction(grid, raw), bandlimit)
     return sphere_synthesis(coeffs, grid)
 
 

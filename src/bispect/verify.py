@@ -34,13 +34,14 @@ from .harmonic import (
     CoefficientSet,
     SampledFunction,
     coefficient_inner,
+    evaluate_at,
     fourier_forward,
     fourier_inverse,
     quadrature_inner,
     random_bandlimited,
     translate,
 )
-from .wigner import dim, wigner_all, wigner_stack_on_rule
+from .wigner import CARTESIAN_TO_SPHERICAL, dim, wigner_all, wigner_stack_on_rule
 from .clebsch import (
     cg_indices,
     clebsch_gordan,
@@ -404,8 +405,6 @@ def suite_transform(seed: int = 0) -> list[CheckResult]:
         rng = np.random.default_rng(seed + 8)
         x = random_element(tag, rng)
         shifted = translate(coeffs, x)
-        from .harmonic import evaluate_at
-
         vals = evaluate_at(coeffs, [compose(x, g) for g in rule.nodes])
         direct = fourier_forward(SampledFunction(tag, rule, vals), bandlimit)
         worst_t = max(float(np.max(np.abs(shifted[l] - direct[l]))) for l in range(bandlimit + 1))
@@ -610,8 +609,6 @@ def suite_reconstruct_su2(seed: int = 0) -> list[CheckResult]:
 
 
 def suite_reconstruct_so3(seed: int = 0) -> list[CheckResult]:
-    from .wigner import CARTESIAN_TO_SPHERICAL
-
     out = []
     worst_align = worst_desc = 0.0
     negative_branch_seen = False

@@ -149,6 +149,11 @@ def test_descriptor_with_zero_rows_and_a_zero_degree_matches_dense(tag):
         assert np.linalg.norm(desc[(p, q)] - _dense_entry(coeffs, p, q)) <= 1e-13 * scale
         # zero rows of F(p) (x) F(q), all of them when p or q is 2, stay exactly zero
         assert not desc[(p, q)][~kron.any(axis=1)].any()
+    # given the dense entries, a descriptor drops the same rows and gives each entry back bit for bit
+    given = BispectrumDescriptor(tag, L, {pq: desc[pq] for pq in desc.pairs()})
+    assert [r.tolist() for r in given.kept_rows] == [r.tolist() for r in desc.kept_rows]
+    assert len(given.kept_rows[2]) == 0 and given.kept_rows[3].tolist() == [r for r in range(dim(3, tag)) if r not in (0, 2)]
+    assert all(given[pq].tobytes() == desc[pq].tobytes() for pq in desc.pairs())
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])
@@ -224,8 +229,7 @@ def test_descriptor_comparisons_reject_mismatched_descriptors(compare):
     fewer = {pq: m for pq, m in su2.entries.items() if pq != (2, 2)}
     with pytest.raises(DomainError):
         compare(su2, BispectrumDescriptor(SU2, 2, fewer))
-    # a lift keeps one row per entry, a loaded file every row: the two still compare,
-    # and two lifts compare as their full entries do
+    # a lift compares with the same lift given dense, and two lifts compare as their full entries do
     lift, other = (build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=s), 2)) for s in (45, 46))
     dense, other_dense = (BispectrumDescriptor(SO3, 2, {pq: d[pq] for pq in d.pairs()}) for d in (lift, other))
     assert compare(lift, dense) == 0.0

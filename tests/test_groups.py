@@ -184,11 +184,15 @@ def _caller_arrays(kind):
     "kind", ["GroupElement", "QuadratureRule", "SampledFunction", "CoefficientSet", "SphereGrid", "SphereFunction"]
 )
 def test_value_objects_freeze_their_own_view(kind):
-    # the object's arrays are read-only; the caller's stay writable, uncopied
+    # the object's arrays are read-only; the caller's stay writable.  Every object
+    # but SampledFunction, whose values may run to hundreds of MB, holds a copy, so
+    # after a = eye(3); g = GroupElement(SO3, a); a[0, 0] = 2, g is still the identity
     given, held = _caller_arrays(kind)
     for a, h in zip(given, held):
-        assert np.shares_memory(a, h) and not h.flags.writeable
+        assert np.shares_memory(a, h) == (kind == "SampledFunction") and not h.flags.writeable
+        before = h.copy()
         a.flat[0] = 2.0
+        assert np.array_equal(h, before) != (kind == "SampledFunction")
     for h in held:
         with pytest.raises(ValueError, match="read-only"):
             h.flat[0] = 3.0

@@ -36,6 +36,21 @@ def test_descriptor_round_trip(tmp_path):
         assert np.array_equal(desc[pq], back[pq])
 
 
+def test_generic_descriptor_loads_with_every_row_as_decoded(tmp_path):
+    desc = build_descriptor(random_bandlimited(6, SU2, require_real=True, seed=2))
+    path = str(tmp_path / "d.json")
+    bio.save_descriptor(desc, path)
+    back = bio.load_descriptor(path)
+    assert all(np.array_equal(r, np.arange(ell + 1)) for ell, r in enumerate(back.kept_rows))
+    with open(path) as fh:
+        items = json.load(fh)["entries"]
+    for item in items:
+        pq = (item["p"], item["q"])
+        decoded = np.array(item["matrix"], dtype=float).view(complex)[..., 0]
+        assert back[pq] is back.entries[pq]
+        assert back.entries[pq].tobytes() == decoded.tobytes() == desc[pq].tobytes()
+
+
 def test_descriptor_bandlimit_zero_single_entry(tmp_path):
     coeffs = random_bandlimited(0, SU2, require_real=True, seed=3)
     path = str(tmp_path / "d0.json")
