@@ -218,7 +218,8 @@ def lift_weights(bandlimit: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GlyphIndex:
-    """Labelled glyphs lifted at one resolution; never empty (EmptyIndexError).
+    """Labelled glyphs lifted at one resolution; never empty (EmptyIndexError),
+    and no label names two glyphs (DomainError).
 
     Row i of ``rows`` is the unweighted ``lift_rows`` of ``labels[i]``'s
     descriptor."""
@@ -232,6 +233,9 @@ class GlyphIndex:
         labels = tuple(self.labels)
         if not labels:
             raise EmptyIndexError("a glyph index holds at least one glyph")
+        if len(set(labels)) < len(labels):
+            repeat = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise DomainError(f"label {repeat!r} names more than one glyph")
         rows = np.array(self.rows, dtype=complex)
         want = (len(labels), lift_row_count(self.bandlimit))
         if rows.shape != want:

@@ -4,13 +4,17 @@ SU(2) elements are stored as unit quaternions (w, x, y, z) and composed by
 the Hamilton product; SO(3) elements are stored as 3x3 rotation matrices.
 Conversion between the two uses the standard 2-to-1 covering.  All Euler
 angles follow the z-y-z convention: g = R_z(alpha) R_y(beta) R_z(gamma),
-with gamma running over [0, 4*pi) for SU(2) and [0, 2*pi) for SO(3).
+with gamma running over [0, 4*pi) for SU(2) and [0, 2*pi) for SO(3).  Both
+groups build an element from its angles, and read the angles back, through
+the element's quaternion (one of the two, for SO(3)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,16 +27,12 @@ _NORM_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """z-y-z Euler triple (alpha, beta, gamma) in radians."""
 
     alpha: float
     beta: float
     gamma: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +60,6 @@ class GroupElement:
             raise TagMismatchError(f"unknown group tag {self.tag!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
 
 
 def identity(tag: str) -> GroupElement:
@@ -156,20 +153,6 @@ def z_rotation(theta: float, tag: str = SO3) -> GroupElement:
     return GroupElement(SO3, np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
 
 
-def y_rotation(theta: float, tag: str = SO3) -> GroupElement:
-    if tag == SU2:
-        return GroupElement(SU2, np.array([np.cos(theta / 2), 0.0, np.sin(theta / 2), 0.0]))
-    c, s = np.cos(theta), np.sin(theta)
-    return GroupElement(SO3, np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]))
-
-
-def x_rotation(theta: float, tag: str = SO3) -> GroupElement:
-    if tag == SU2:
-        return GroupElement(SU2, np.array([np.cos(theta / 2), np.sin(theta / 2), 0.0, 0.0]))
-    c, s = np.cos(theta), np.sin(theta)
-    return GroupElement(SO3, np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]))
-
-
 # ---------------------------------------------------------------------------
 # Euler conversions
 # ---------------------------------------------------------------------------
@@ -179,74 +162,77 @@ def gamma_period(tag: str) -> float:
     return 4.0 * np.pi if tag == SU2 else TWO_PI
 
 
-def from_euler(angles: EulerAngles | tuple[float, float, float], tag: str) -> GroupElement:
-    """Build the element R_z(alpha) R_y(beta) R_z(gamma)."""
-    if isinstance(angles, tuple):
-        angles = EulerAngles(*angles)
-    a, b, c = angles.alpha, angles.beta, angles.gamma
+def from_euler(angles: tuple[float, float, float], tag: str) -> GroupElement:
+    """Build the element R_z(alpha) R_y(beta) R_z(gamma) from its quaternion."""
+    a, b, c = angles
     if not (0.0 <= a < TWO_PI):
         raise DomainError(f"alpha={a} outside [0, 2*pi)")
     if not (0.0 <= b <= np.pi):
         raise DomainError(f"beta={b} outside [0, pi]")
     if not (0.0 <= c < gamma_period(tag)):
         raise DomainError(f"gamma={c} outside [0, {gamma_period(tag):.3f})")
-    return z_rotation(a, tag) @ y_rotation(b, tag) @ z_rotation(c, tag)
+    cb, sb = np.cos(b / 2), np.sin(b / 2)
+    s, d = (a + c) / 2, (a - c) / 2
+    q = np.array([cb * np.cos(s), -sb * np.sin(d), sb * np.cos(d), cb * np.sin(s)])
+    return GroupElement(SU2, q) if tag == SU2 else GroupElement(SO3, quaternion_to_matrix(q))
 
 
 def wrap_angle(x: float, period: float) -> float:
     """x reduced into [0, period); an x just below 0 gives 0, never period."""
-    y = np.fmod(x, period)
+    y = math.fmod(x, period)
     if y < 0:
         y += period
     if y >= period:  # fmod rounding at the boundary
         y -= period
-    return float(y)
+    return y
+
+
+def _matrix_quaternion(r: np.ndarray) -> tuple[float, float, float, float]:
+    """A unit quaternion covering the rotation r (either sign), by Shepperd's method:
+    the row of products 4 q_i q_j whose 4 q_i^2 is largest, normalized."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    tr = r00 + r11 + r22
+    rows = (
+        (1.0 + tr, r21 - r12, r02 - r20, r10 - r01),
+        (r21 - r12, 1.0 + 2.0 * r00 - tr, r01 + r10, r02 + r20),
+        (r02 - r20, r01 + r10, 1.0 + 2.0 * r11 - tr, r12 + r21),
+        (r10 - r01, r02 + r20, r12 + r21, 1.0 + 2.0 * r22 - tr),
+    )
+    row = rows[max(range(4), key=lambda i: rows[i][i])]
+    n = math.hypot(*row)
+    return tuple(v / n for v in row)
 
 
 def to_euler(g: GroupElement) -> EulerAngles:
-    """Canonical z-y-z angles of g.
+    """Canonical z-y-z angles of g, read from the half-angle phases of its quaternion.
 
-    At the beta = 0 / beta = pi degeneracy all the angle content is pushed
-    into alpha, with gamma = 0; for SU2 a gamma of 2*pi keeps the far sheet
-    of the double cover representable.
+    An SO3 element enters through a unit quaternion covering it, so both
+    groups share one extraction; its gamma is then folded into [0, 2*pi).
+    At the degeneracies (sin or cos of beta/2 below 1e-14) all the angle
+    content goes into alpha, with beta exactly 0 or pi and gamma = 0, or
+    2*pi on the far sheet of SU2.
     """
-    if g.tag == SO3:
-        r = g.data
-        sb = float(np.hypot(r[0, 2], r[1, 2]))
-        beta = float(np.arctan2(sb, r[2, 2]))
-        if sb < 1e-12:
-            if r[2, 2] > 0:
-                alpha = np.arctan2(r[1, 0], r[0, 0])
-            else:
-                alpha = np.arctan2(-r[1, 0], -r[0, 0])
-            return EulerAngles(wrap_angle(alpha, TWO_PI), beta, 0.0)
-        alpha = np.arctan2(r[1, 2], r[0, 2])
-        gamma = np.arctan2(r[2, 1], -r[2, 0])
-        return EulerAngles(wrap_angle(alpha, TWO_PI), beta, wrap_angle(gamma, TWO_PI))
-
-    w, x, y, z = g.data
+    w, x, y, z = g.data if g.tag == SU2 else _matrix_quaternion(g.data)
     u00 = complex(w, -z)  # upper-left entry of the SU2 matrix
     u10 = complex(y, -x)  # lower-left entry
-    cb = abs(u00)
-    sb = abs(u10)
-    beta = 2.0 * float(np.arctan2(sb, cb))
+    cb, sb = abs(u00), abs(u10)
     if sb < 1e-14:
         total = wrap_angle(-2.0 * np.angle(u00), 4.0 * np.pi)  # alpha + gamma
         alpha = wrap_angle(total, TWO_PI)
-        return EulerAngles(alpha, 0.0, total - alpha)
-    if cb < 1e-14:
+        beta, gamma = 0.0, total - alpha
+    elif cb < 1e-14:
         diff = wrap_angle(2.0 * np.angle(u10), 4.0 * np.pi)  # alpha - gamma
         alpha = wrap_angle(diff, TWO_PI)
-        return EulerAngles(alpha, float(np.pi), wrap_angle(alpha - diff, 4.0 * np.pi))
-    a = np.angle(u00)
-    b = np.angle(u10)
-    alpha0 = b - a
-    gamma0 = -a - b
-    alpha = wrap_angle(alpha0, TWO_PI)
-    # adding 2*pi to alpha flips the sheet; compensate in gamma (period 4*pi)
-    k = int(round((alpha - alpha0) / TWO_PI))
-    gamma = wrap_angle(gamma0 + TWO_PI * (k % 2), 4.0 * np.pi)
-    return EulerAngles(alpha, beta, gamma)
+        beta, gamma = float(np.pi), wrap_angle(alpha - diff, 4.0 * np.pi)
+    else:
+        a, b = np.angle(u00), np.angle(u10)
+        alpha0 = b - a
+        alpha = wrap_angle(alpha0, TWO_PI)
+        # adding 2*pi to alpha flips the sheet; compensate in gamma (period 4*pi)
+        k = int(round((alpha - alpha0) / TWO_PI))
+        beta = 2.0 * float(np.arctan2(sb, cb))
+        gamma = wrap_angle(-a - b + TWO_PI * (k % 2), 4.0 * np.pi)
+    return EulerAngles(alpha, beta, wrap_angle(gamma, gamma_period(g.tag)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def wigner_all(lmax: int, tag: str, elements: list[GroupElement]) -> list[np.nda
     """
     if any(g.tag != tag for g in elements):
         raise TagMismatchError(f"element tag does not match {tag}")
-    ang = np.array([to_euler(g).as_tuple() for g in elements]).reshape(-1, 3)
+    ang = np.array([to_euler(g) for g in elements]).reshape(-1, 3)
     planes = little_d_stack(j2_of(lmax, tag), ang[:, 1])
     out = []
     for ell in range(lmax + 1):

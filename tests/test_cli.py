@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bispect.cli import main
+from bispect.errors import DomainError
 from bispect.groups import SU2, SO3, haar_quadrature
 from bispect.harmonic import fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
@@ -218,6 +219,16 @@ def test_index_rejects_a_repeated_label(workdir, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: label 'a' given twice")
     assert not idx.exists()
+
+
+def test_match_rejects_an_index_with_a_repeated_label(workdir, capsys):
+    path, argv = _glyph_index_file(workdir)
+    _edit_json(path, lambda doc: doc["glyphs"][1].update({"label": "bar"}))
+    with pytest.raises(DomainError, match="label 'bar' names more than one glyph"):
+        bio.load_glyph_index(path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: label 'bar' names more than one glyph")
 
 
 def test_match_takes_no_resolution(workdir):

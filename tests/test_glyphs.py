@@ -155,6 +155,14 @@ def test_glyph_index_checks_row_shape():
             GlyphIndex(1, 8, index.labels, rows)
 
 
+def test_glyph_index_rejects_a_repeated_label():
+    # match would rank the label twice
+    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
+    labels = index.labels[:3] + (index.labels[1],) + index.labels[4:]
+    with pytest.raises(DomainError, match=f"label {index.labels[1]!r} names more than one glyph"):
+        GlyphIndex(1, 8, labels, index.rows)
+
+
 def test_empty_index_errors():
     with pytest.raises(EmptyIndexError):
         build_glyph_index({}, 8, 3)

@@ -13,6 +13,7 @@ from bispect.groups import (
     compose,
     distance,
     from_euler,
+    gamma_period,
     haar_quadrature,
     haar_rule_size,
     identity,
@@ -90,13 +91,14 @@ def test_euler_round_trip_degenerate_cases():
     assert distance(rz, from_euler(ang, SO3)) < 1e-12
 
 
-# beta anywhere, or at / within 1e-14 or 1e-9 of the degeneracies 0 and pi
+# beta anywhere, or at / within 1e-14, 5e-13, 2e-12 or 1e-9 of the degeneracies
+# 0 and pi; 5e-13 and 2e-12 sit on either side of 1e-12
 _BETAS = st.one_of(
     st.floats(0.0, np.pi),
     st.builds(
         lambda edge, offset: abs(edge - offset),
         st.sampled_from([0.0, np.pi]),
-        st.sampled_from([0.0, 1e-14, 1e-9]),
+        st.sampled_from([0.0, 1e-14, 5e-13, 2e-12, 1e-9]),
     ),
 )
 
@@ -116,6 +118,48 @@ def test_euler_round_trip_property(tag, alpha, beta, gamma, far_sheet):
     if tag == SU2 and far_sheet:
         g = GroupElement(SU2, -g.data)
     assert distance(from_euler(to_euler(g), tag), g) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+@pytest.mark.parametrize("edge", [0.0, np.pi], ids=["0", "pi"])
+@pytest.mark.parametrize("offset", [1e-14, 5e-13, 1e-12, 2e-12, 1e-11, 1e-9])
+def test_euler_round_trip_next_to_the_degeneracies(tag, edge, offset):
+    # at offset 1e-14 the degenerate rule (beta read as 0 or pi) costs up to 3e-14
+    beta = abs(edge - offset)
+    worst = 0.0
+    for alpha in np.linspace(0.0, 2 * np.pi, 13, endpoint=False):
+        for gamma in np.linspace(0.0, gamma_period(tag), 13, endpoint=False):
+            g = from_euler((alpha, beta, gamma), tag)
+            for h in (g, GroupElement(SU2, -g.data)) if tag == SU2 else (g,):
+                worst = max(worst, distance(from_euler(to_euler(h), tag), h))
+    assert worst <= 3e-14
+
+
+def test_so3_angles_are_those_of_either_su2_lift(rng):
+    # both groups read their angles on one path: an SO3 rotation has the
+    # angles of the quaternions q and -q covering it, mod 2*pi
+    quats = [random_element(SU2, rng).data for _ in range(500)]
+    quats += [from_euler((a, b, c), SU2).data for a in (0.0, 1.3, 5.9) for b in (0.0, np.pi) for c in (0.0, 2.2, 7.1)]
+    for q in quats:
+        so3 = np.array(to_euler(GroupElement(SO3, rotation_matrix(GroupElement(SU2, q)))))
+        for lift in (q, -q):
+            d = np.abs(so3 - np.array(to_euler(GroupElement(SU2, lift)))) % (2 * np.pi)
+            assert np.max(np.minimum(d, 2 * np.pi - d)) <= 1e-14
+
+
+def _y_rotation(beta, tag):
+    if tag == SU2:
+        return GroupElement(SU2, np.array([np.cos(beta / 2), 0.0, np.sin(beta / 2), 0.0]))
+    c, s = np.cos(beta), np.sin(beta)
+    return GroupElement(SO3, np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]))
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_from_euler_is_the_zyz_product(tag, rng):
+    for _ in range(300):
+        a, b, c = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.0, np.pi), rng.uniform(0.0, gamma_period(tag))
+        zyz = compose(compose(z_rotation(a, tag), _y_rotation(b, tag)), z_rotation(c, tag))
+        assert distance(from_euler((a, b, c), tag), zyz) <= 1e-14
 
 
 def test_from_euler_domain_errors():
@@ -271,4 +315,4 @@ def test_degree_one_mean_vanishes():
 
 def test_euler_angles_tuple_round_trip():
     ang = EulerAngles(0.3, 0.7, 1.2)
-    assert ang.as_tuple() == (0.3, 0.7, 1.2)
+    assert tuple(ang) == (0.3, 0.7, 1.2)
