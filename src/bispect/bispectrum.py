@@ -56,13 +56,13 @@ def _entry(
 
 
 def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) -> np.ndarray:
-    """The (dp dq, dp dq) A(p, q) whose rows rp (x) rq are ``rows`` and whose
-    other rows are zero; ``rows`` itself when rp and rq hold every row."""
+    """The (dp dq, n) array, the full A(p, q) when n = dp dq, whose rows rp (x) rq
+    are ``rows`` and whose other rows are zero; ``rows`` itself when rp and rq hold every row."""
     if len(rp) == dp and len(rq) == dq:
         return rows
     # row i d_q + k of A(p, q) comes from row i of F(p) and row k of F(q)
-    n = dp * dq
-    out = np.zeros((n, n), dtype=complex)
+    n = rows.shape[1]
+    out = np.zeros((dp * dq, n), dtype=complex)
     out.reshape(dp, dq, n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
     return out
 
@@ -171,34 +171,34 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1, tuple(r for r, _ in live))
 
 
-def _check_comparable(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> None:
-    """Raise unless both descriptors share group, bandlimit and entry set.
-
-    A stored entry is (k_p k_q, d_p d_q), with k_l the rows kept of degree
-    l, but ``desc[(p, q)]``, which the comparisons read, is always the full
-    (d_p d_q, d_p d_q) A(p, q), whatever rows each descriptor keeps."""
+def _compared_blocks(d1: BispectrumDescriptor, d2: BispectrumDescriptor):
+    """(p, q, block of d1, block of d2) per pair: the stored blocks placed on
+    the union of both descriptors' kept rows, never the dense A(p, q).
+    Raises unless both share group, bandlimit and entry set."""
     if (d1.tag, d1.bandlimit) != (d2.tag, d2.bandlimit):
         raise TagMismatchError("descriptors differ in group or bandlimit")
     if d1.pairs() != d2.pairs():
         raise DomainError("descriptors carry different entry sets")
+    union = [np.union1d(r1, r2) for r1, r2 in zip(d1.kept_rows, d2.kept_rows)]
+    at = [[np.searchsorted(u, r) for u, r in zip(union, d.kept_rows)] for d in (d1, d2)]
+    for p, q in d1.pairs():
+        b1, b2 = (_scatter(d.entries[(p, q)], a[p], a[q], len(union[p]), len(union[q])) for d, a in zip((d1, d2), at))
+        yield p, q, b1, b2
 
 
 def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Dimension-weighted Frobenius distance; zero iff entrywise equal."""
-    _check_comparable(d1, d2)
     total = 0.0
-    for p, q in d1.pairs():
-        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(d1[(p, q)] - d2[(p, q)]) ** 2)
+    for p, q, b1, b2 in _compared_blocks(d1, d2):
+        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(b1 - b2) ** 2)
     return float(np.sqrt(total))
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
     """Worst per-entry Frobenius gap relative to the first descriptor's scale."""
-    _check_comparable(d1, d2)
     gap = 0.0
-    for pq in d1.pairs():
-        denom = max(float(np.linalg.norm(d1[pq])), 1e-300)
-        gap = max(gap, float(np.linalg.norm(d1[pq] - d2[pq])) / denom)
+    for _, _, b1, b2 in _compared_blocks(d1, d2):
+        gap = max(gap, float(np.linalg.norm(b1 - b2)) / max(float(np.linalg.norm(b1)), 1e-300))
     return gap
 
 

@@ -5,9 +5,10 @@ SO(3), so each unitary change of basis C_pq is determined block by block up
 to a single phase.  The real Condon-Shortley coefficients <j1 m1 j2 m2|J M>
 are the eigenvectors of the total J^2 on each total-M sector of p x q, a
 symmetric tridiagonal matrix in m1; one batched eigenproblem per pair gives
-every block, with no quadrature and no random trials.  The block phase is
-fixed by making the first significant entry of the block's first column
-positive, which pins the stored matrices to one reproducible convention.
+every block, with no quadrature and no random trials.  Each eigenvector
+takes the Condon-Shortley sign: its entry with the largest m1 (m1 = j1 or
+m2 = -j2), where Racah's formula has a single positive term, is positive.
+Every stored block is then Racah's closed form, sign included.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
 cg_indices order); other modules go through ``CGDecomposition.couple``, the
@@ -153,14 +154,8 @@ def _build_cg(tag: str, p: int, q: int) -> CGDecomposition:
     vecs = vecs * np.where(last < 0, -1.0, 1.0)
 
     # eigenvector c of sector s has total spin (jp + jq)/2 - t, so it is
-    # column s - t of block t in cg_indices order.  Column 0 of block t is
-    # eigenvector 0 of sector t; flip the block so its first significant
-    # entry is positive.
+    # column s - t of block t in cg_indices order
     t = np.where(live, size - 1 - r, 0)
-    first = vecs[:n, :, 0]
-    lead = first[r[0], np.argmax(np.abs(first) > 1e-9 * np.abs(first).max(axis=1, keepdims=True), axis=1)]
-    vecs = vecs * np.where(lead < 0, -1.0, 1.0)[t][:, None, :]
-
     row = i * (jq + 1) + k
     col = t * (jp + jq + 1) - t * (t - 1) + s - t
     si, ri, ci = np.nonzero(live[:, :, None] & live[:, None, :])

@@ -101,11 +101,7 @@ def lift_image(image: np.ndarray, resolution: int) -> SphereFunction:
     if image.ndim != 2 or image.size == 0:
         raise EmptyImageError("image must be a nonempty 2-d grayscale array")
     grid = sphere_grid(resolution)
-    th = grid.thetas[:, None]
-    ph = grid.phis[None, :]
-    r = np.sin(th) * np.ones_like(ph)
-    pts = np.stack([r * np.cos(ph), r * np.sin(ph)], axis=-1)
-    vals = _sample_image(image, pts)
+    vals = _sample_image(image, grid.unit_vectors()[..., :2])  # sin(theta) (cos(phi), sin(phi))
     vals[grid.thetas > np.pi / 2.0, :] = 0.0  # lower hemisphere
     if np.max(np.abs(vals)) == 0.0:
         raise EmptyImageError("image content inside the unit disk is empty")
@@ -219,7 +215,7 @@ def lift_weights(bandlimit: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GlyphIndex:
     """Labelled glyphs lifted at one resolution; never empty (EmptyIndexError),
-    and no label names two glyphs (DomainError).
+    and no label names two glyphs and no row is non-finite (DomainError).
 
     Row i of ``rows`` is the unweighted ``lift_rows`` of ``labels[i]``'s
     descriptor."""
@@ -242,6 +238,9 @@ class GlyphIndex:
             raise DomainError(
                 f"{want[0]} glyphs at bandlimit {self.bandlimit} need rows of shape {want}, found {rows.shape}"
             )
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise DomainError(f"glyph {labels[int(np.argmax(bad))]!r} has a non-finite descriptor value")
         rows.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rows", rows)
@@ -265,12 +264,14 @@ def build_glyph_index(
 def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, float]]:
     """Labels ranked by descriptor distance, ties broken by label order.
 
-    The query must be a sphere lift (DomainError otherwise): its distance to
-    each glyph is the weighted norm of the difference of their lift rows."""
+    The query must be a finite sphere lift (DomainError otherwise): its distance
+    to each glyph is the weighted norm of the difference of their lift rows."""
     if query.bandlimit != index.bandlimit:
         raise DomainError("query bandlimit does not match the index")
     query_rows = lift_rows(query)
     if query_rows.shape != index.rows.shape[1:]:
         raise DomainError("query carries a different entry set than the index")
+    if not np.isfinite(query_rows).all():
+        raise DomainError("query has a non-finite descriptor value")
     distances = np.linalg.norm((index.rows - query_rows) * lift_weights(index.bandlimit), axis=1).tolist()
     return sorted(zip(index.labels, distances), key=lambda pair: (pair[1], pair[0]))

@@ -29,9 +29,7 @@ from .errors import (
     TagMismatchError,
     ZeroMeanError,
 )
-from .groups import (
-    SO3, SU2, TWO_PI, GroupElement, from_euler, gamma_period, haar_quadrature, su2_matrix, wrap_angle, z_rotation
-)
+from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, gamma_period, haar_quadrature, su2_matrix, wrap_angle
 from .harmonic import COND_REJECT, CoefficientSet, evaluate_at, fourier_inverse, translate
 from .bispectrum import BispectrumDescriptor
 from .clebsch import clebsch_gordan, kron_solve
@@ -194,6 +192,9 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
 
 def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None) -> ReconstructionReport:
     tag, L = desc.tag, desc.bandlimit
+    for pq in [(0, 0), (1, 0)][:L + 1] + [(ell - 1, 1) for ell in range(2, L + 1)]:
+        if pq not in desc.entries:
+            raise DomainError(f"descriptor lacks A{pq}, which reconstruction reads")
 
     a00 = complex(np.asarray(desc[(0, 0)]).ravel()[0])
     if abs(a00) < 1e-300:
@@ -254,13 +255,9 @@ def reconstruct_so3(
 
 
 def check_sphere_witness(x: GroupElement) -> bool:
-    """Does x normalize the z-axis circle: x R_z(t) x^-1 in H for sampled t?"""
+    """Does x normalize the z-axis circle H?  x R_z(t) x^-1 turns by t about
+    x z, so it lies in H exactly when x z = +-z: the first two entries of
+    x's third column vanish, to 1e-9."""
     if x.tag != SO3:
         raise TagMismatchError("sphere witnesses live in SO3")
-    r = x.data
-    for t in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
-        m = r @ z_rotation(t).data @ r.T
-        phi = np.arctan2(m[1, 0], m[0, 0])
-        if np.max(np.abs(m - z_rotation(phi).data)) > 1e-9:
-            return False
-    return True
+    return bool(max(abs(x.data[0, 2]), abs(x.data[1, 2])) <= 1e-9)

@@ -238,6 +238,30 @@ def test_descriptor_comparisons_reject_mismatched_descriptors(compare):
     assert compare(lift, other_dense) == pytest.approx(compare(dense, other_dense), rel=1e-13, abs=0.0)
 
 
+def _dense_distance(d1, d2):
+    return np.sqrt(sum(dim(p, d1.tag) * dim(q, d1.tag) * np.linalg.norm(d1[(p, q)] - d2[(p, q)]) ** 2
+                       for p, q in d1.pairs()))
+
+
+def _dense_gap(d1, d2):
+    return max(np.linalg.norm(d1[pq] - d2[pq]) / max(np.linalg.norm(d1[pq]), 1e-300) for pq in d1.pairs())
+
+
+@pytest.mark.parametrize("compare,dense", [(descriptor_distance, _dense_distance), (descriptor_max_relative_gap, _dense_gap)])
+def test_descriptor_comparisons_equal_dense_ones_when_kept_rows_differ(compare, dense):
+    # a lift with degree 2 zeroed keeps no row of it, a lift keeps row 2 and
+    # a generic set every row; each pair compares on the union of its rows
+    coeffs = sphere_lift(random_sphere_function(6, 3, seed=47), 3)
+    mats = list(coeffs.matrices)
+    mats[2] = np.zeros_like(mats[2])
+    gapped, lift = build_descriptor(CoefficientSet(SO3, 3, tuple(mats))), build_descriptor(coeffs)
+    generic = build_descriptor(random_bandlimited(3, SO3, seed=47))
+    assert gapped.kept_rows[2].tolist() == [] and lift.kept_rows[2].tolist() == [2]
+    for d1, d2 in ((lift, gapped), (gapped, lift), (lift, generic), (generic, gapped)):
+        assert compare(d1, d2) > 0.0
+        assert compare(d1, d2) == pytest.approx(dense(d1, d2), rel=1e-13, abs=0.0)
+
+
 def test_descriptor_rejects_entries_that_disagree_with_their_kept_rows():
     su2 = build_descriptor(random_bandlimited(2, SU2, seed=44))
     with pytest.raises(DomainError, match=r"entry \(1, 1\)"):

@@ -79,17 +79,6 @@ def test_cg_deterministic_across_calls():
     assert np.array_equal(a.C, b.C)
 
 
-def test_cg_block_phase_convention():
-    # first significant entry of each block's first column is real positive
-    for tag, p, q in ((SU2, 2, 2), (SO3, 2, 1)):
-        cg = clebsch_gordan(tag, p, q)
-        for sl in cg.block_slices:
-            col = cg.C[:, sl.start]
-            lead = col[np.argmax(np.abs(col) > 1e-9 * np.max(np.abs(col)))]
-            assert lead.real > 0
-            assert abs(lead.imag) < 1e-12
-
-
 @pytest.mark.parametrize(
     "tag,p,q", [(SO3, 9, 7), (SO3, 16, 15), (SO3, 16, 16), (SU2, 18, 16), (SU2, 32, 31)]
 )
@@ -136,14 +125,13 @@ def _racah_cg(tag, p, q) -> np.ndarray:
 
 @pytest.mark.parametrize("tag,lmax", [(SU2, 8), (SO3, 4)])
 def test_cg_matches_racah_oracle(tag, lmax):
-    # each block is the Condon-Shortley block up to the stored block sign
+    # each block is the Condon-Shortley block, sign included
     for p in range(lmax + 1):
         for q in range(lmax + 1):
             cg = clebsch_gordan(tag, p, q)
             oracle = _racah_cg(tag, p, q)
             for sl in cg.block_slices:
-                got, want = cg.C[:, sl], oracle[:, sl]
-                assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) < 1e-13
+                assert np.max(np.abs(cg.C[:, sl] - oracle[:, sl])) < 1e-13
 
 
 def test_projection_trivial():

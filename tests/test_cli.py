@@ -231,6 +231,15 @@ def test_match_rejects_an_index_with_a_repeated_label(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: label 'bar' names more than one glyph")
 
 
+def test_match_rejects_an_index_with_a_nan_value(workdir, capsys):
+    path, argv = _glyph_index_file(workdir)
+    _edit_json(path, lambda doc: doc["glyphs"][1]["rows"][0].__setitem__(0, float("nan")))
+    assert "NaN" in open(path).read()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: glyph 'cross' has a non-finite descriptor value")
+
+
 def test_match_takes_no_resolution(workdir):
     _, argv = _glyph_index_file(workdir)
     with pytest.raises(SystemExit) as exc:

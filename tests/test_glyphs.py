@@ -163,6 +163,23 @@ def test_glyph_index_rejects_a_repeated_label():
         GlyphIndex(1, 8, labels, index.rows)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+def test_non_finite_glyph_values_are_rejected():
+    # one NaN pixel in the disk makes every distance NaN, ranked by label alone
+    glyphs = synthetic_glyphs(32)
+    bad = glyphs["ring"].copy()
+    bad[16, 16] = np.nan
+    with pytest.raises(DomainError, match="glyph 'ring' has a non-finite descriptor value"):
+        build_glyph_index({**glyphs, "ring": bad}, 8, 1)
+    index = build_glyph_index(glyphs, 8, 1)
+    with pytest.raises(DomainError, match="query has a non-finite descriptor value"):
+        match(glyph_descriptor(bad, 8, 1), index)
+    rows = index.rows.copy()
+    rows[1, 3] = complex(0.0, np.inf)
+    with pytest.raises(DomainError, match=f"glyph {index.labels[1]!r} has a non-finite descriptor value"):
+        GlyphIndex(1, 8, index.labels, rows)
+
+
 def test_empty_index_errors():
     with pytest.raises(EmptyIndexError):
         build_glyph_index({}, 8, 3)

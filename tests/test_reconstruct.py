@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from bispect.errors import (
     SingularMatrixError,
     ZeroMeanError,
 )
-from bispect.groups import SO3, SU2, GroupElement, distance, identity, random_element, z_rotation
+from bispect.groups import SO3, SU2, GroupElement, distance, from_euler, identity, random_element, z_rotation
 from bispect.harmonic import CoefficientSet, random_bandlimited, translate
 from bispect.bispectrum import (
     BispectrumDescriptor,
@@ -223,6 +224,35 @@ def test_sphere_witness_membership(rng):
     assert check_sphere_witness(GroupElement(SO3, np.diag([1.0, -1.0, -1.0])))  # R_x(pi) maps R_z(t) to R_z(-t)
     hits = sum(check_sphere_witness(random_element(SO3, rng)) for _ in range(10))
     assert hits == 0
+
+
+@pytest.mark.parametrize(
+    "beta,expect",
+    [(0.0, True), (1e-12, True), (1e-10, True), (1e-8, False), (1e-6, False),
+     (np.pi - 1e-12, True), (np.pi - 1e-6, False), (np.pi, True)],
+)
+def test_sphere_witness_agrees_with_sampled_conjugation_near_the_poles(beta, expect):
+    # the definition: x R_z(t) x^-1 is a z-rotation, to 1e-9, at 16 sampled t
+    x = from_euler((0.7, beta, 0.3), SO3)
+
+    def in_h(m):
+        return np.max(np.abs(m - z_rotation(np.arctan2(m[1, 0], m[0, 0])).data)) <= 1e-9
+
+    ts = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    assert all(in_h(x.data @ z_rotation(t).data @ x.data.T) for t in ts) == expect
+    assert check_sphere_witness(x) is expect
+
+
+@pytest.mark.parametrize("drop", [(0, 0), (1, 0), (2, 1), (3, 1)])
+def test_reconstruct_names_the_first_missing_pair_it_reads(drop):
+    desc = build_descriptor(random_bandlimited(4, SU2, require_real=True, require_nonsingular=True, seed=83))
+    fewer = BispectrumDescriptor(SU2, 4, {pq: desc[pq] for pq in desc.pairs() if pq != drop})
+    with pytest.raises(DomainError, match=re.escape(f"descriptor lacks A{drop}, which reconstruction reads")):
+        reconstruct_su2(fewer)
+    # checked before any work: a zero mean would raise ZeroMeanError
+    zero_mean = BispectrumDescriptor(SU2, 2, {(0, 0): np.zeros((1, 1)), (1, 0): desc[(1, 0)]})
+    with pytest.raises(DomainError, match=re.escape("descriptor lacks A(1, 1)")):
+        reconstruct_su2(zero_mean)
 
 
 def test_sphere_pair_alignment_and_witness(rng):

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,15 @@ def test_unknown_suite_rejected():
         verify.run(["no-such-suite"])
     with pytest.raises(DomainError, match="no verification suite selected"):
         verify.run([])
+
+
+def test_every_check_keeps_its_suite_name_and_tolerance():
+    # verify_contract.json lists [suite, check, tolerance] of every check in
+    # run order; a dropped, renamed, added or loosened check fails here
+    contract = json.loads(Path(__file__).with_name("verify_contract.json").read_text())
+    report = verify.run()
+    assert [[suite, c.name, c.tolerance] for suite, checks in report.suites.items() for c in checks] == contract
+    assert report.passed
 
 
 def test_report_structure():
