@@ -21,9 +21,14 @@ sphere lift (SO3, every F(l) zero off its m' = 0 row l, with entries a_l)
 keeps one row per degree, so A(p, q) is zero except row p d_q + q, which
 is a_p (x) a_q, and its one stored row is
 
-    (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+,
+    (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+
+        = sum_a beta(p, q, a) C_pq[:, (a, M = 0)]^T,
 
-the classical spherical bispectrum, (L + 1)^4 values in all.  ``kron_swap``
+with beta(p, q, a) = (a_p (x) a_q) C_pq[:, block a] a_a^+ the classical
+spherical bispectrum, (L + 1)^4 values in all.  ``build_descriptor`` and
+``bispectrum_matrix`` compute a lift that way, from the ``lift_terms``
+table of C's nonzero entries, with no ``couple`` call; any other set, a
+near-lift with one more live row included, is coupled.  ``kron_swap``
 swaps a kept block as it swaps a full one.  Indexing a descriptor returns
 the full A(p, q), the stored array itself when every row is kept.
 
@@ -40,9 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PrecisionWarning, TagMismatchError
-from .groups import SU2, GroupElement, QuadratureRule, haar_quadrature
+from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import cg_indices, clebsch_gordan, kron_swap
+from .clebsch import cg_indices, clebsch_gordan, kron_swap, lift_terms
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
@@ -85,12 +90,41 @@ def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def _is_lift(tag: str, live: list[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether an SO3 set keeps no row of any F(l) but row l, as a sphere lift does."""
+    return tag == SO3 and all(len(r) == 0 or (len(r) == 1 and r[0] == ell) for ell, (r, _) in enumerate(live))
+
+
+def _lift_entries(coeffs: CoefficientSet, live: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple[int, int], np.ndarray]:
+    """Every stored block of a sphere lift's descriptor from ``lift_terms``:
+    the beta sums, one real and one imaginary ``bincount`` into the lift
+    rows of the A(p, q) with p <= q, then the rest gathered by the swap.
+    A(p, q) stores its row when degrees p and q both keep one, else nothing."""
+    terms = lift_terms(coeffs.bandlimit)
+    x = np.concatenate([m[ell] for ell, m in enumerate(coeffs.matrices)])
+    left, right, target = terms.factors
+    beta = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
+    w, n = terms.row_coef * beta[terms.row_slot], len(terms.order)
+    rows = (np.bincount(terms.row_pos, w.real, n) + 1j * np.bincount(terms.row_pos, w.imag, n))[None, terms.order]
+    entries, at = {}, 0
+    for p, (rp, _) in enumerate(live):
+        for q, (rq, _) in enumerate(live):
+            size = (2 * p + 1) * (2 * q + 1)
+            entries[(p, q)] = rows[: len(rp) * len(rq), at : at + size]
+            at += size
+    return entries
+
+
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
-    """A(p, q) by the matrix formula; out-of-band degrees are zero blocks."""
+    """A(p, q) by the matrix formula, on a sphere lift by ``build_descriptor``'s
+    lift route; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
     live = _live_rows(coeffs)
-    rows = _entry(coeffs.tag, live, [m.conj().T for m in coeffs.matrices], p, q)
+    if _is_lift(coeffs.tag, live):
+        rows = _lift_entries(coeffs, live)[(p, q)]
+    else:
+        rows = _entry(coeffs.tag, live, [m.conj().T for m in coeffs.matrices], p, q)
     return _scatter(rows, live[p][0], live[q][0], dim(p, coeffs.tag), dim(q, coeffs.tag))
 
 
@@ -119,7 +153,8 @@ class BispectrumDescriptor:
         if len(kept) != self.bandlimit + 1:
             raise DomainError(f"kept_rows needs {self.bandlimit + 1} degrees, found {len(kept)}")
         for ell, (r, d) in enumerate(zip(kept, dims)):
-            if r.ndim != 1 or np.any(np.diff(r) <= 0) or (len(r) and (r[0] < 0 or r[-1] >= d)):
+            rows = r.tolist()  # a short list: plain comparisons beat numpy calls here
+            if r.ndim != 1 or any(j <= i for i, j in zip(rows, rows[1:])) or (rows and (rows[0] < 0 or rows[-1] >= d)):
                 raise DomainError(f"kept_rows[{ell}] must be strictly increasing within 0..{d - 1}")
         for (p, q), m in self.entries.items():
             if not (0 <= p <= self.bandlimit and 0 <= q <= self.bandlimit):
@@ -153,13 +188,19 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
 
     Each degree keeps the nonzero rows of its F(l), one row on a sphere
     lift, and every row of a generic set.  Entries with p <= q come from the
-    formula on those rows; A(q, p) = S A(p, q) S^T swaps the kept block."""
+    formula on those rows; A(q, p) = S A(p, q) S^T swaps the kept block.  A
+    sphere lift, every degree keeping row l or nothing, takes all its rows
+    from the ``lift_terms`` table instead."""
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
         if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
             det_f1 = float(det.real)
-    live, daggers = _live_rows(coeffs), [m.conj().T for m in coeffs.matrices]
+    live = _live_rows(coeffs)
+    kept = tuple(r for r, _ in live)
+    if _is_lift(coeffs.tag, live):
+        return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, _lift_entries(coeffs, live), det_f1, kept)
+    daggers = [m.conj().T for m in coeffs.matrices]
     entries = {}
     for p in range(coeffs.bandlimit + 1):
         for q in range(coeffs.bandlimit + 1):
@@ -168,7 +209,7 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
                 entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag), kq, kp)
             else:
                 entries[(p, q)] = _entry(coeffs.tag, live, daggers, p, q)
-    return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1, tuple(r for r, _ in live))
+    return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1, kept)
 
 
 def _compared_blocks(d1: BispectrumDescriptor, d2: BispectrumDescriptor):

@@ -12,8 +12,12 @@ Every stored block is then Racah's closed form, sign included.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
 cg_indices order); other modules go through ``CGDecomposition.couple``, the
-one coupling primitive, ``CGDecomposition.block``, ``kron_solve`` and
-``kron_swap``.
+one coupling primitive, ``CGDecomposition.block``, ``kron_solve``,
+``kron_swap`` and ``lift_terms``.  ``lift_terms(L)`` is the term table of a
+sphere lift's descriptor at bandlimit L, read off C's nonzero entries: the
+terms of each spherical bispectrum value beta(p, q, a), and the map from
+beta to the one stored row of each A(p, q).  It is memoized per bandlimit
+and its arrays are read-only.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
@@ -171,6 +175,76 @@ def clebsch_gordan(tag: str, p: int, q: int) -> CGDecomposition:
     if tag not in (SU2, SO3):
         raise TagMismatchError(f"unknown group tag {tag!r}")
     return _build_cg(tag, p, q)
+
+
+@dataclass(frozen=True, eq=False)
+class LiftTerms:
+    """The nonzero terms of a sphere lift's descriptor, SO3 at one bandlimit L.
+
+    x concatenates the lift's harmonic rows, a_l at x[l^2 : (l + 1)^2] with
+    n = -l..l ascending.  Slot s stands for one (p, q, a), p <= q <= L and a
+    <= L in cg_indices order, and its terms run from ``term_start[s]`` to
+    the next slot's start:
+
+        beta[s] = sum over its terms t of
+                  coef[t] x[factors[0, t]] x[factors[1, t]] conj(x[factors[2, t]]),
+
+    which is (a_p (x) a_q) C_pq[:, block a] a_a^+, the classical spherical
+    bispectrum; the terms are the nonzero entries of those blocks.  The lift
+    row of A(p, q) is sum_a beta(p, q, a) C_pq[:, (a, M = 0)]^T: position
+    ``row_pos[t]`` gets ``row_coef[t] * beta[row_slot[t]]``, positions
+    running through the (L + 1)^4 row values of every A(p, q), p, q <= L, in
+    (p, q) order.  Only pairs with p <= q are summed; ``order`` gathers the
+    whole vector from them, each A(q, p) row being the ``kron_swap`` of
+    A(p, q)'s."""
+
+    bandlimit: int
+    factors: np.ndarray  # (3, terms)
+    coef: np.ndarray
+    row_slot: np.ndarray
+    row_pos: np.ndarray
+    row_coef: np.ndarray
+    term_start: np.ndarray
+    order: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def lift_terms(bandlimit: int) -> LiftTerms:
+    """The ``LiftTerms`` at a bandlimit from C_pq's nonzero entries, memoized, every array read-only."""
+    if bandlimit < 0:
+        raise DomainError(f"bandlimit must be nonnegative, got {bandlimit}")
+    L = bandlimit
+    d = [dim(ell, SO3) for ell in range(L + 1)]
+    sizes = np.outer(d, d)
+    start = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)  # first position of each A(p, q) row
+    order = np.arange((L + 1) ** 4)
+    factors, coef, row_slot, row_pos, row_coef = ([] for _ in range(5))
+    for p in range(L + 1):
+        for q in range(L + 1):
+            if q < p:
+                src = np.arange(start[q, p], start[q, p] + sizes[q, p])[None, :]
+                order[start[p, q] : start[p, q] + sizes[p, q]] = kron_swap(src, d[q], d[p], 1, 1)[0]
+                continue
+            cg = clebsch_gordan(SO3, p, q)
+            for a, sl in zip(cg.indices, cg.block_slices):
+                if a > L:
+                    continue
+                # Kron row r = i d_q + k meets a_p[i] a_q[k]; block column c is a_a's entry c.
+                # Every column of the orthogonal C is nonzero, so every slot has terms.
+                slot = len(coef)
+                r, c = np.nonzero(cg.C[:, sl])
+                v = cg.C[r, sl.start + c]
+                zero = c == a  # column (a, M = 0)
+                factors.append(np.stack([p * p + r // d[q], q * q + r % d[q], a * a + c]))
+                coef.append(v)
+                row_slot.append(np.full(np.count_nonzero(zero), slot))
+                row_pos.append(start[p, q] + r[zero])
+                row_coef.append(v[zero])
+    arrays = [np.concatenate(x, axis=-1) for x in (factors, coef, row_slot, row_pos, row_coef)]
+    term_start = np.cumsum([0, *(len(v) for v in coef[:-1])])
+    for x in (*arrays, term_start, order):
+        x.setflags(write=False)  # cached and shared by the whole process
+    return LiftTerms(L, *arrays, term_start, order)
 
 
 def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:

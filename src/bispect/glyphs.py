@@ -94,12 +94,16 @@ def _sample_image(image: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def lift_image(image: np.ndarray, resolution: int) -> SphereFunction:
-    """Map a disk image to the upper hemisphere: r = sin(theta), phi preserved."""
+    """Map a disk image to the upper hemisphere: r = sin(theta), phi preserved.
+
+    A NaN or infinite pixel anywhere in the image is a DomainError."""
     image = np.asarray(image, dtype=float)
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
     if image.ndim != 2 or image.size == 0:
         raise EmptyImageError("image must be a nonempty 2-d grayscale array")
+    if not np.isfinite(image).all():
+        raise DomainError("image has a non-finite pixel")
     grid = sphere_grid(resolution)
     vals = _sample_image(image, grid.unit_vectors()[..., :2])  # sin(theta) (cos(phi), sin(phi))
     vals[grid.thetas > np.pi / 2.0, :] = 0.0  # lower hemisphere

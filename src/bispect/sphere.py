@@ -111,6 +111,17 @@ def _theta_columns(thetas: np.ndarray, bandlimit: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _grid_theta_columns(grid: SphereGrid, bandlimit: int) -> np.ndarray:
+    """``_theta_columns`` on a grid's thetas, memoized per (grid, bandlimit) and read-only.
+
+    ``sphere_grid`` hands out one grid per resolution, so the key is in
+    effect (resolution, bandlimit)."""
+    cols = _theta_columns(grid.thetas, bandlimit)
+    cols.setflags(write=False)  # cached and shared by the whole process
+    return cols
+
+
 def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     """Harmonic coefficient row vectors a_ell[n], n = -ell..ell ascending.
 
@@ -118,7 +129,8 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     Exact for functions bandlimited at the grid's resolution - 1; a
     bandlimit at or above the resolution issues a PrecisionWarning, as the
     grid aliases those degrees.  The phi sum runs once for every n, then
-    each degree is a theta quadrature.
+    each degree is a theta quadrature, against theta columns memoized per
+    grid and bandlimit.
     """
     grid = s.grid
     if bandlimit >= grid.resolution:
@@ -128,7 +140,7 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
             stacklevel=2,
         )
     n = 2 * grid.resolution
-    cols = _theta_columns(grid.thetas, bandlimit)
+    cols = _grid_theta_columns(grid, bandlimit)
     phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))  # (2B, 2L+1)
     t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
     a = np.einsum("ltn,tn->ln", cols, t)

@@ -102,33 +102,54 @@ def _dense_entry(coeffs, p, q):
     return np.kron(coeffs[p], coeffs[q]) @ cg.C @ block_diag(*blocks) @ cg.C.T
 
 
-def _sphere_lift_at(L):
-    return lambda: sphere_lift(random_sphere_function(10, L, seed=40 + L), L)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [*(_sphere_lift_at(L) for L in (0, 1, 6, 8)), lambda: sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6)],
-    ids=["L0", "L1", "L6", "L8", "glyph"],
-)
-def test_lifted_descriptor_computes_one_row_per_entry(make, monkeypatch):
-    coeffs = make()
-    L = coeffs.bandlimit
+@pytest.fixture
+def couple_calls(monkeypatch):
+    """The (p, q) of every ``CGDecomposition.couple`` call the test makes."""
     calls = []
     couple = CGDecomposition.couple
 
     def counted(self, a, b, blocks):
-        calls.append((self.p, self.q, a.shape[0] * b.shape[0]))
+        calls.append((self.p, self.q))
         return couple(self, a, b, blocks)
 
     monkeypatch.setattr(CGDecomposition, "couple", counted)
+    return calls
+
+
+def _sphere_lift_at(L):
+    return lambda: sphere_lift(random_sphere_function(10, L, seed=40 + L), L)
+
+
+def _lift_with_a_zero_degree():
+    mats = list(sphere_lift(random_sphere_function(10, 6, seed=44), 6).matrices)
+    mats[3] = np.zeros_like(mats[3])
+    return CoefficientSet(SO3, 6, tuple(mats))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(_sphere_lift_at(L) for L in (0, 1, 6, 8)),
+     lambda: sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6),
+     _lift_with_a_zero_degree],
+    ids=["L0", "L1", "L6", "L8", "glyph", "zero-degree"],
+)
+def test_lifted_descriptor_computes_one_row_per_entry(make, couple_calls):
+    coeffs = make()
+    L = coeffs.bandlimit
     desc = build_descriptor(coeffs)
-    assert sorted(calls) == [(p, q, 1) for p in range(L + 1) for q in range(p, L + 1)]
+    assert couple_calls == []  # a lift takes every row from the term table
     rows = lift_rows(desc)  # raises unless every entry is zero off its lift row
     assert rows.shape == ((L + 1) ** 4,)
-    for pq in desc.pairs():
-        dense = _dense_entry(coeffs, *pq)
-        assert np.linalg.norm(desc[pq] - dense) <= 1e-13 * max(np.linalg.norm(dense), 1e-300)
+    daggers = [m.conj().T for m in coeffs.matrices]
+    for p, q in desc.pairs():
+        dense = _dense_entry(coeffs, p, q)
+        assert np.linalg.norm(desc[(p, q)] - dense) <= 1e-13 * max(np.linalg.norm(dense), 1e-300)
+        # the general coupling on the same live rows
+        cg = clebsch_gordan(SO3, p, q)
+        rp, rq = desc.kept_rows[p], desc.kept_rows[q]
+        coupled = cg.couple(coeffs[p][rp], coeffs[q][rq], {a: daggers[a] for a in cg.indices if a <= L})
+        assert desc.entries[(p, q)].shape == coupled.shape
+        assert np.linalg.norm(desc.entries[(p, q)] - coupled) <= 1e-13 * max(np.linalg.norm(coupled), 1e-300)
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])
@@ -156,20 +177,41 @@ def test_descriptor_with_zero_rows_and_a_zero_degree_matches_dense(tag):
     assert all(given[pq].tobytes() == desc[pq].tobytes() for pq in desc.pairs())
 
 
-@pytest.mark.parametrize("tag", [SU2, SO3])
-def test_descriptor_couples_upper_triangle_only(tag, monkeypatch):
-    calls = []
-    couple = CGDecomposition.couple
+def _off_row_set():
+    # one live row per degree, but row 0 rather than row l
+    mats = [np.zeros((2 * ell + 1,) * 2, dtype=complex) for ell in range(4)]
+    for ell, m in enumerate(random_bandlimited(3, SO3, seed=45).matrices):
+        mats[ell][0] = m[ell]
+    return CoefficientSet(SO3, 3, tuple(mats))
 
-    def counted(self, a, b, blocks):
-        calls.append((self.p, self.q))
-        return couple(self, a, b, blocks)
 
-    monkeypatch.setattr(CGDecomposition, "couple", counted)
-    L = 5
-    build_descriptor(random_bandlimited(L, tag, require_real=True, seed=37))
-    assert len(calls) == (L + 1) * (L + 2) // 2
-    assert all(p <= q for p, q in calls)
+def _near_lift():
+    mats = list(sphere_lift(random_sphere_function(6, 3, seed=42), 3).matrices)
+    mats[2] = mats[2].copy()
+    mats[2][0, 0] = 1e-300
+    return CoefficientSet(SO3, 3, tuple(mats))
+
+
+def _su2_one_row_per_degree():
+    mats = [np.zeros((ell + 1,) * 2, dtype=complex) for ell in range(4)]
+    for ell, m in enumerate(random_bandlimited(3, SU2, seed=45).matrices):
+        mats[ell][ell] = m[ell]
+    return CoefficientSet(SU2, 3, tuple(mats))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_bandlimited(5, SU2, require_real=True, seed=37),
+     lambda: random_bandlimited(5, SO3, require_real=True, seed=37),
+     _off_row_set, _near_lift, _su2_one_row_per_degree, lambda: _with_a_zero_degree(SU2)],
+    ids=["SU2", "SO3", "off-row", "near-lift", "SU2-one-row", "SU2-zero-degree"],
+)
+def test_descriptor_couples_upper_triangle_only(make, couple_calls):
+    # every set but a sphere lift is coupled, once per pair with p <= q
+    coeffs = make()
+    build_descriptor(coeffs)
+    L = coeffs.bandlimit
+    assert sorted(couple_calls) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
 
 
 def test_bispectrum_requires_in_band_pair():
@@ -297,8 +339,9 @@ def _with_a_zero_degree(tag):
         lambda: sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6),
         lambda: _with_a_zero_degree(SO3),
         lambda: _with_a_zero_degree(SU2),
+        _lift_with_a_zero_degree,
     ],
-    ids=["SO3", "SU2", "glyph-lift", "SO3-zero-degree", "SU2-zero-degree"],
+    ids=["SO3", "SU2", "glyph-lift", "SO3-zero-degree", "SU2-zero-degree", "lift-zero-degree"],
 )
 def test_indexing_gives_the_full_entry_that_bispectrum_matrix_gives(make):
     coeffs = make()

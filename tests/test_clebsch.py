@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from bispect.errors import TagMismatchError
+from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import SO3, SU2, compose, identity, random_element, z_rotation
 from bispect.clebsch import (
     cg_indices,
@@ -14,6 +14,7 @@ from bispect.clebsch import (
     intertwiner_residual,
     kron_solve,
     kron_swap,
+    lift_terms,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -307,3 +308,22 @@ def test_clebsch_gordan_is_memoized():
     for _ in range(2):
         with pytest.raises(TagMismatchError):
             clebsch_gordan("SP4", 1, 1)
+
+
+def test_lift_terms_are_the_nonzero_blocks_of_c_and_read_only():
+    terms = lift_terms(6)
+    # the nonzero entries of C_pq's blocks a <= 6 over p <= q <= 6, and of their (a, M = 0) columns
+    assert terms.coef.size == terms.factors.shape[1] == 4631
+    assert terms.row_coef.size == terms.row_pos.size == terms.row_slot.size == 715
+    assert np.all(terms.coef != 0) and np.all(terms.row_coef != 0)
+    # order copies each A(p, q) row with p <= q in place and gathers the others from them
+    pair = np.concatenate([np.full((2 * p + 1) * (2 * q + 1), 7 * p + q) for p in range(7) for q in range(7)])
+    upper, strict = pair // 7 <= pair % 7, pair // 7 < pair % 7
+    assert np.array_equal(terms.order[upper], np.flatnonzero(upper))
+    assert sorted(terms.order[~upper].tolist()) == np.flatnonzero(strict).tolist()
+    assert lift_terms(6) is terms and lift_terms.cache_info().maxsize is not None
+    for name in ("factors", "coef", "term_start", "row_slot", "row_pos", "row_coef", "order"):
+        with pytest.raises(ValueError):
+            getattr(terms, name).reshape(-1)[0] = 1
+    with pytest.raises(DomainError):
+        lift_terms(-1)

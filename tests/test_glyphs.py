@@ -19,7 +19,7 @@ from bispect.glyphs import (
     synthetic_glyphs,
 )
 from bispect.io import load_descriptor, save_descriptor
-from bispect.sphere import random_sphere_function, rotate_sphere, sphere_lift
+from bispect.sphere import SphereFunction, random_sphere_function, rotate_sphere, sphere_lift
 
 
 def test_zero_motion_is_identity_rotation():
@@ -165,15 +165,21 @@ def test_glyph_index_rejects_a_repeated_label():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_non_finite_glyph_values_are_rejected():
-    # one NaN pixel in the disk makes every distance NaN, ranked by label alone
+    # a NaN or infinite pixel, even outside the disk, is rejected before the image is sampled
     glyphs = synthetic_glyphs(32)
-    bad = glyphs["ring"].copy()
-    bad[16, 16] = np.nan
-    with pytest.raises(DomainError, match="glyph 'ring' has a non-finite descriptor value"):
-        build_glyph_index({**glyphs, "ring": bad}, 8, 1)
+    for pixel in ((16, 16), (0, 0)):
+        for value in (np.nan, np.inf):
+            bad = glyphs["ring"].copy()
+            bad[pixel] = value
+            with pytest.raises(DomainError, match="non-finite pixel"):
+                build_glyph_index({**glyphs, "ring": bad}, 8, 1)
+    # one NaN sphere sample makes every distance NaN, ranked by label alone
     index = build_glyph_index(glyphs, 8, 1)
+    sphere = lift_image(glyphs["ring"], 8)
+    values = sphere.values.copy()
+    values[3, 5] = np.nan
     with pytest.raises(DomainError, match="query has a non-finite descriptor value"):
-        match(glyph_descriptor(bad, 8, 1), index)
+        match(build_descriptor(sphere_lift(SphereFunction(sphere.grid, values), 1)), index)
     rows = index.rows.copy()
     rows[1, 3] = complex(0.0, np.inf)
     with pytest.raises(DomainError, match=f"glyph {index.labels[1]!r} has a non-finite descriptor value"):

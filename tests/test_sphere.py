@@ -18,6 +18,7 @@ from bispect.sphere import (
     sphere_grid,
     sphere_lift,
     sphere_synthesis,
+    _grid_theta_columns,
     _theta_columns,
 )
 from bispect.wigner import little_d_direct, little_d_stack
@@ -200,3 +201,23 @@ def test_resolved_bandlimits_do_not_warn(resolution, bandlimit):
         warnings.simplefilter("error", PrecisionWarning)
         sphere_lift(s, bandlimit)
         rotate_sphere(s, random_element(SO3, np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("resolution", [8, 16, 17])
+def test_memoized_theta_columns_are_the_direct_ones(resolution):
+    grid = sphere_grid(resolution)
+    s = random_sphere_function(resolution, 6, seed=resolution)
+    coeffs = sphere_coefficients(s, 6)
+    cols = _grid_theta_columns(grid, 6)
+    direct = _theta_columns(grid.thetas, 6)
+    assert cols.tobytes() == direct.tobytes()
+    assert _grid_theta_columns(grid, 6) is cols and _grid_theta_columns.cache_info().maxsize is not None
+    with pytest.raises(ValueError):
+        cols[0, 0, 6] = 2.0
+    # sphere_coefficients with the columns evaluated directly gives the same bits
+    n = 2 * resolution
+    phase = np.exp(1j * np.outer(grid.phis, np.arange(-6, 7)))
+    t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
+    a = np.einsum("ltn,tn->ln", direct, t)
+    for ell, got in enumerate(coeffs):
+        assert got.tobytes() == a[ell, 6 - ell : 7 + ell].tobytes()
