@@ -1,36 +1,32 @@
 """Triple correlation and its Fourier transform, the matrix bispectrum.
 
-The descriptor entry at (p, q) is
+The paper's descriptor entry at (p, q) is
 
-    A(p, q) = [F(p) (x) F(q)] C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+
+    A(p, q) = [F(p) (x) F(q)] C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^T
 
 with the a_i the tensor-product decomposition degrees; degrees beyond the
-bandlimit contribute zero blocks.  ``CGDecomposition.couple`` evaluates it
-left to right on the nonzero rows of F(p) and F(q) only.
-
-The descriptor computes only the entries with p <= q.  The swap S that
-reorders Kronecker rows from p (x) q to q (x) p gives C_qp = S C_pq Sigma,
-with Sigma one sign per block, and Sigma commutes with the block-diagonal
-middle factor, so A(q, p) = S A(p, q) S^T exactly (``kron_swap``).
+bandlimit L give zero blocks.  C_pq is real orthogonal, so a descriptor
+stores B(p, q) = A(p, q) C_pq = [F(p) (x) F(q)] C_pq [dsum_{a <= L} F(a)^+]
+on the in-band columns only (``clebsch.in_band``) and for p <= q only: the
+swap S from p (x) q to q (x) p rows gives C_qp = S C_pq Sigma, Sigma one
+sign per block commuting with the middle factor, so A(q, p) = S A(p, q) S^T
+exactly (``kron_swap``).  ``CGDecomposition.couple`` computes B on the
+nonzero rows of F(p) and F(q); ``desc[(p, q)]`` forms the paper's A(p, q)
+on demand, B C^T (``CGDecomposition.decouple``), swapped for p > q.  B and
+A have the same Frobenius norm, so comparisons weigh each stored pair by
+(2 - delta_pq) d_p d_q.
 
 A descriptor keeps, per degree l, rows rl, and per entry only the rows
-rp (x) rq of A(p, q); the others are zero and not stored.  Built from a
-set, it keeps the nonzero rows of each F(l), every row for a generic set;
-given dense entries, as from a file, the rows nonzero in some entry.  A
-sphere lift (SO3, every F(l) zero off its m' = 0 row l, with entries a_l)
-keeps one row per degree, so A(p, q) is zero except row p d_q + q, which
-is a_p (x) a_q, and its one stored row is
+rp (x) rq of B(p, q); the others are zero.  A sphere lift (SO3, every F(l)
+zero off its m' = 0 row l, with entries a_l) keeps row l, so B(p, q) is
+zero but for row p d_q + q, (a_p (x) a_q) C_pq [dsum F(a)^+], and as F(a)^+
+is zero off its column a, block a of that row is zero but at its column
+(a, M = 0): the classical spherical bispectrum
 
-    (a_p (x) a_q) C_pq [F(a_1)^+ dsum ... dsum F(a_k)^+] C_pq^+
-        = sum_a beta(p, q, a) C_pq[:, (a, M = 0)]^T,
+    beta(p, q, a) = (a_p (x) a_q) C_pq[:, block a] a_a^+ .
 
-with beta(p, q, a) = (a_p (x) a_q) C_pq[:, block a] a_a^+ the classical
-spherical bispectrum, (L + 1)^4 values in all.  ``build_descriptor`` and
-``bispectrum_matrix`` compute a lift that way, from the ``lift_terms``
-table of C's nonzero entries, with no ``couple`` call; any other set, a
-near-lift with one more live row included, is coupled.  ``kron_swap``
-swaps a kept block as it swaps a full one.  Indexing a descriptor returns
-the full A(p, q), the stored array itself when every row is kept.
+A lift's beta comes from the ``lift_terms`` table of C's nonzero entries,
+with no ``couple`` call; any other set, a near-lift too, is coupled.
 
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
@@ -47,25 +43,23 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import cg_indices, clebsch_gordan, kron_swap, lift_terms
+from .clebsch import cg_indices, clebsch_gordan, in_band, kron_swap, lift_terms
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 
-def _entry(
-    tag: str, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray], p: int, q: int
-) -> np.ndarray:
-    """Rows rp (x) rq of A(p, q), from live[l] = (rl, rows of F(l) kept) as
+def _entry(tag: str, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray], p: int, q: int) -> np.ndarray:
+    """Rows rp (x) rq of B(p, q), from live[l] = (rl, rows of F(l) kept) as
     ``_live_rows`` gives them and the in-band F(a)^+, daggers[a]."""
     cg = clebsch_gordan(tag, p, q)
     return cg.couple(live[p][1], live[q][1], {a: daggers[a] for a in cg.indices if a < len(daggers)})
 
 
 def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) -> np.ndarray:
-    """The (dp dq, n) array, the full A(p, q) when n = dp dq, whose rows rp (x) rq
-    are ``rows`` and whose other rows are zero; ``rows`` itself when rp and rq hold every row."""
+    """The (dp dq, n) array whose rows rp (x) rq are ``rows`` and whose other
+    rows are zero; ``rows`` itself when rp and rq hold every row."""
     if len(rp) == dp and len(rq) == dq:
         return rows
-    # row i d_q + k of A(p, q) comes from row i of F(p) and row k of F(q)
+    # row i d_q + k of an entry comes from row i of F(p) and row k of F(q)
     n = rows.shape[1]
     out = np.zeros((dp * dq, n), dtype=complex)
     out.reshape(dp, dq, n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
@@ -73,11 +67,11 @@ def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int)
 
 
 def _gather(full: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) -> np.ndarray:
-    """Rows rp (x) rq of the (dp dq, dp dq) A(p, q), the inverse of ``_scatter``;
+    """Rows rp (x) rq of the (dp dq, n) ``full``, the inverse of ``_scatter``;
     ``full`` itself when rp and rq hold every row."""
     if len(rp) == dp and len(rq) == dq:
         return full
-    n = dp * dq
+    n = full.shape[1]
     return full.reshape(dp, dq, n)[rp[:, None], rq].reshape(len(rp) * len(rq), n)
 
 
@@ -97,47 +91,48 @@ def _is_lift(tag: str, live: list[tuple[np.ndarray, np.ndarray]]) -> bool:
 
 def _lift_entries(coeffs: CoefficientSet, live: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple[int, int], np.ndarray]:
     """Every stored block of a sphere lift's descriptor from ``lift_terms``:
-    the beta sums, one real and one imaginary ``bincount`` into the lift
-    rows of the A(p, q) with p <= q, then the rest gathered by the swap.
-    A(p, q) stores its row when degrees p and q both keep one, else nothing."""
-    terms = lift_terms(coeffs.bandlimit)
+    the beta sums placed in one zero vector holding the lift rows of every
+    B(p, q), p <= q.  B(p, q) stores its row when degrees p and q both keep
+    one, else nothing."""
+    L, terms = coeffs.bandlimit, lift_terms(coeffs.bandlimit)
     x = np.concatenate([m[ell] for ell, m in enumerate(coeffs.matrices)])
     left, right, target = terms.factors
-    beta = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
-    w, n = terms.row_coef * beta[terms.row_slot], len(terms.order)
-    rows = (np.bincount(terms.row_pos, w.real, n) + 1j * np.bincount(terms.row_pos, w.imag, n))[None, terms.order]
+    # the last slot, beta(L, L, 0), is the last column of the last row
+    rows = np.zeros((1, terms.position[-1] + 1), dtype=complex)
+    rows[0, terms.position] = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
     entries, at = {}, 0
-    for p, (rp, _) in enumerate(live):
-        for q, (rq, _) in enumerate(live):
-            size = (2 * p + 1) * (2 * q + 1)
-            entries[(p, q)] = rows[: len(rp) * len(rq), at : at + size]
-            at += size
+    for p in range(L + 1):
+        for q in range(p, L + 1):
+            band = in_band(SO3, p, q, L)
+            entries[(p, q)] = rows[: len(live[p][0]) * len(live[q][0]), at : at + band.stop - band.start]
+            at += band.stop - band.start
     return entries
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
-    """A(p, q) by the matrix formula, on a sphere lift by ``build_descriptor``'s
-    lift route; out-of-band degrees are zero blocks."""
+    """A(p, q) by the matrix formula, on a sphere lift with p <= q by
+    ``build_descriptor``'s lift route; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
-    live = _live_rows(coeffs)
-    if _is_lift(coeffs.tag, live):
+    tag, live = coeffs.tag, _live_rows(coeffs)
+    if p <= q and _is_lift(tag, live):
         rows = _lift_entries(coeffs, live)[(p, q)]
     else:
-        rows = _entry(coeffs.tag, live, [m.conj().T for m in coeffs.matrices], p, q)
-    return _scatter(rows, live[p][0], live[q][0], dim(p, coeffs.tag), dim(q, coeffs.tag))
+        rows = _entry(tag, live, [m.conj().T for m in coeffs.matrices], p, q)
+    return _scatter(clebsch_gordan(tag, p, q).decouple(rows), live[p][0], live[q][0], dim(p, tag), dim(q, tag))
 
 
 @dataclass(frozen=True, eq=False)
 class BispectrumDescriptor:
-    """All A(p, q) for p, q <= bandlimit, plus optional det side information.
+    """B(p, q) for p <= q <= bandlimit, plus optional det side information.
 
-    ``entries[(p, q)]`` holds only the rows rp (x) rq of A(p, q), with rl =
-    ``kept_rows[l]`` the strictly increasing indices of the rows of degree l
-    kept; the other rows of A(p, q) are zero.  With ``kept_rows`` None, the
-    default, the entries are given dense, and degree l keeps the rows nonzero
-    in some A(l, q), as the first Kronecker factor, or in some A(p, l), as
-    the second.  ``desc[(p, q)]`` is the full A(p, q)."""
+    ``entries[(p, q)]`` holds the in-band columns of the rows rp (x) rq of
+    B(p, q), with rl = ``kept_rows[l]`` the strictly increasing indices of
+    the rows of degree l kept; the other rows are zero.  With ``kept_rows``
+    None, the default, the entries are given with every row, and degree l
+    keeps the rows nonzero in some B(l, q), as the first Kronecker factor,
+    or in some B(p, l), as the second.  ``desc[(p, q)]`` is the full A(p, q)
+    for either order of p and q."""
 
     tag: str
     bandlimit: int
@@ -157,9 +152,10 @@ class BispectrumDescriptor:
             if r.ndim != 1 or any(j <= i for i, j in zip(rows, rows[1:])) or (rows and (rows[0] < 0 or rows[-1] >= d)):
                 raise DomainError(f"kept_rows[{ell}] must be strictly increasing within 0..{d - 1}")
         for (p, q), m in self.entries.items():
-            if not (0 <= p <= self.bandlimit and 0 <= q <= self.bandlimit):
-                raise DomainError(f"pair {(p, q)} lies outside 0..{self.bandlimit}")
-            want = (len(kept[p]) * len(kept[q]), dims[p] * dims[q])
+            if not 0 <= p <= q <= self.bandlimit:
+                raise DomainError(f"pair {(p, q)} lies outside 0 <= p <= q <= {self.bandlimit}")
+            band = in_band(self.tag, p, q, self.bandlimit)
+            want = (len(kept[p]) * len(kept[q]), band.stop - band.start)
             if np.shape(m) != want:
                 raise DomainError(f"entry {(p, q)} with its kept rows must be {want}, found {np.shape(m)}")
         if given is None:
@@ -176,21 +172,27 @@ class BispectrumDescriptor:
 
     def __getitem__(self, pq: tuple[int, int]) -> np.ndarray:
         p, q = pq
-        return _scatter(self.entries[pq], self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
+        lo, hi = min(p, q), max(p, q)
+        if (lo, hi) not in self.entries:
+            raise DomainError(f"descriptor holds no pair {(p, q)}")
+        rows = clebsch_gordan(self.tag, lo, hi).decouple(self.entries[(lo, hi)])
+        if p > q:  # A(p, q) = S A(q, p) S^T, on the kept rows
+            rows = kron_swap(rows, dim(q, self.tag), dim(p, self.tag), len(self.kept_rows[q]), len(self.kept_rows[p]))
+        return _scatter(rows, self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
+
+    def coupled(self, p: int, q: int) -> np.ndarray:
+        """B(p, q), p <= q, with every row; the rows not kept are zero."""
+        return _scatter(self.entries[(p, q)], self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.entries.keys())
+        """Every (p, q) that indexing gives A(p, q) for: the stored pairs and their swaps."""
+        return sorted({pair for p, q in self.entries for pair in ((p, q), (q, p))})
 
 
 def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
-    """Assemble the full descriptor; SO3 sets with a (near-)real det F(1)
-    store it as side information for the reconstruction sign branch.
-
-    Each degree keeps the nonzero rows of its F(l), one row on a sphere
-    lift, and every row of a generic set.  Entries with p <= q come from the
-    formula on those rows; A(q, p) = S A(p, q) S^T swaps the kept block.  A
-    sphere lift, every degree keeping row l or nothing, takes all its rows
-    from the ``lift_terms`` table instead."""
+    """Assemble the descriptor, each degree keeping the nonzero rows of its F(l);
+    SO3 sets with a (near-)real det F(1) store it as side information for
+    the reconstruction sign branch."""
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
@@ -201,46 +203,36 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     if _is_lift(coeffs.tag, live):
         return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, _lift_entries(coeffs, live), det_f1, kept)
     daggers = [m.conj().T for m in coeffs.matrices]
-    entries = {}
-    for p in range(coeffs.bandlimit + 1):
-        for q in range(coeffs.bandlimit + 1):
-            if q < p:  # row q, computed earlier, holds A(q, p)
-                kq, kp = len(live[q][1]), len(live[p][1])
-                entries[(p, q)] = kron_swap(entries[(q, p)], dim(q, coeffs.tag), dim(p, coeffs.tag), kq, kp)
-            else:
-                entries[(p, q)] = _entry(coeffs.tag, live, daggers, p, q)
-    return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, entries, det_f1, kept)
+    L = coeffs.bandlimit
+    entries = {(p, q): _entry(coeffs.tag, live, daggers, p, q) for p in range(L + 1) for q in range(p, L + 1)}
+    return BispectrumDescriptor(coeffs.tag, L, entries, det_f1, kept)
 
 
 def _compared_blocks(d1: BispectrumDescriptor, d2: BispectrumDescriptor):
-    """(p, q, block of d1, block of d2) per pair: the stored blocks placed on
-    the union of both descriptors' kept rows, never the dense A(p, q).
+    """((2 - delta_pq) d_p d_q, block of d1, block of d2) per stored pair: each
+    B(p, q) on the union of both descriptors' kept rows, never dense.
     Raises unless both share group, bandlimit and entry set."""
     if (d1.tag, d1.bandlimit) != (d2.tag, d2.bandlimit):
         raise TagMismatchError("descriptors differ in group or bandlimit")
-    if d1.pairs() != d2.pairs():
+    if sorted(d1.entries) != sorted(d2.entries):
         raise DomainError("descriptors carry different entry sets")
     union = [np.union1d(r1, r2) for r1, r2 in zip(d1.kept_rows, d2.kept_rows)]
     at = [[np.searchsorted(u, r) for u, r in zip(union, d.kept_rows)] for d in (d1, d2)]
-    for p, q in d1.pairs():
+    for p, q in sorted(d1.entries):
         b1, b2 = (_scatter(d.entries[(p, q)], a[p], a[q], len(union[p]), len(union[q])) for d, a in zip((d1, d2), at))
-        yield p, q, b1, b2
+        yield (2 - (p == q)) * dim(p, d1.tag) * dim(q, d1.tag), b1, b2
 
 
 def descriptor_distance(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
-    """Dimension-weighted Frobenius distance; zero iff entrywise equal."""
-    total = 0.0
-    for p, q, b1, b2 in _compared_blocks(d1, d2):
-        total += dim(p, d1.tag) * dim(q, d1.tag) * float(np.linalg.norm(b1 - b2) ** 2)
-    return float(np.sqrt(total))
+    """Dimension-weighted Frobenius distance over every A(p, q); zero iff entrywise equal."""
+    return float(np.sqrt(sum(w * float(np.linalg.norm(b1 - b2) ** 2) for w, b1, b2 in _compared_blocks(d1, d2))))
 
 
 def descriptor_max_relative_gap(d1: BispectrumDescriptor, d2: BispectrumDescriptor) -> float:
-    """Worst per-entry Frobenius gap relative to the first descriptor's scale."""
-    gap = 0.0
-    for _, _, b1, b2 in _compared_blocks(d1, d2):
-        gap = max(gap, float(np.linalg.norm(b1 - b2)) / max(float(np.linalg.norm(b1)), 1e-300))
-    return gap
+    """Worst per-entry Frobenius gap relative to the first descriptor's scale;
+    A(q, p) has the gap of A(p, q)."""
+    gaps = (float(np.linalg.norm(b1 - b2)) / max(float(np.linalg.norm(b1)), 1e-300) for _, b1, b2 in _compared_blocks(d1, d2))
+    return max([0.0, *gaps])
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +280,7 @@ def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> np.ndarray:
     coeffs = fourier_forward(f, bandlimit)
     shifts = [wigner_stack_on_rule(ell, f.tag, outer_rule) for ell in range(bandlimit + 1)]
     u = _translated_samples(coeffs, shifts, f.rule)
-    wf = (f.rule.weights * np.conj(f.values)).astype(np.complex128)
-    u = u.astype(np.complex128)
+    wf = f.rule.weights * np.conj(f.values)
     # a3[j, k] = sum_i (w_i conj(f_i)) U[j, i] U[k, i], one gemm
     return (u * wf[None, :]) @ u.T
 
@@ -345,17 +336,8 @@ def support_closure_check(support: set[int], tag: str, check_conjugation: bool =
     if 0 not in support:
         raise DomainError("support must contain degree 0 (the trivial representation)")
     window = max(support) + 1
-    witness = None
-    for p in sorted(support):
-        for q in sorted(support):
-            for a in cg_indices(tag, p, q):
-                if a <= window and a not in support:
-                    witness = (p, q, a)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(((p, q, a) for p in sorted(support) for q in sorted(support) for a in cg_indices(tag, p, q)
+                    if a <= window and a not in support), None)
     report = ClosureReport(witness is None, witness)
     if check_conjugation:
         report.conjugation_self_dual = {

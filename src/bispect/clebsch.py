@@ -11,13 +11,13 @@ m2 = -j2), where Racah's formula has a single positive term, is positive.
 Every stored block is then Racah's closed form, sign included.
 
 Only this module reads C's layout (Kronecker-ordered rows, column blocks in
-cg_indices order); other modules go through ``CGDecomposition.couple``, the
-one coupling primitive, ``CGDecomposition.block``, ``kron_solve``,
-``kron_swap`` and ``lift_terms``.  ``lift_terms(L)`` is the term table of a
-sphere lift's descriptor at bandlimit L, read off C's nonzero entries: the
-terms of each spherical bispectrum value beta(p, q, a), and the map from
-beta to the one stored row of each A(p, q).  It is memoized per bandlimit
-and its arrays are read-only.
+cg_indices order, so the degrees a <= L are the last columns, ``in_band``);
+other modules go through ``CGDecomposition.couple``, the one coupling
+primitive, which stops at the coupled form [a (x) b] C [dsum M_d] that a
+descriptor stores, ``CGDecomposition.decouple``, its trailing C^+,
+``CGDecomposition.block``, ``kron_solve``, ``kron_swap`` and
+``lift_terms``, the memoized, read-only term table of a sphere lift's
+beta(p, q, a) and their places in the stored rows.
 
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
@@ -63,31 +63,35 @@ class CGDecomposition:
         return self.C[:, self.block_slices[i]]
 
     def couple(self, a: np.ndarray | None, b: np.ndarray | None, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """[a (x) b] C [dsum_d M_d] C^dagger from {degree d: M_d}, computed left to right.
+        """The coupled form [a (x) b] C' [dsum_d M_d] from {degree d: M_d},
+        computed left to right; C' is C from the first given degree's columns on.
 
         a and b are rows of the two factors, shapes (k_a, d_p) and (k_b, d_q),
         or None for the identity; result row r k_b + s comes from a[r] and
         b[s].  Blocks stacked (N, d, d) give stacked results.  A missing
-        degree is a zero block: C's columns before the first given degree
-        and after the last are never multiplied.  With a real C (every
-        stored table) both products with C are float64 gemms on the complex
-        factor's [re, im] pairs; the second runs transposed, so the result is
-        a transposed view."""
+        degree is a zero block.  With a real C (every stored table) the
+        product with C is a float64 gemm on the complex factor's [re, im]
+        pairs."""
         given = [(d, sl) for d, sl in zip(self.indices, self.block_slices) if d in blocks]
-        lo, hi = given[0][1].start, given[-1][1].stop  # C's columns from the first given block to the last
-        dp, dq, n = dim(self.p, self.tag), dim(self.q, self.tag), hi - lo
+        lo = given[0][1].start
+        dp, dq, n = dim(self.p, self.tag), dim(self.q, self.tag), self.C.shape[1] - lo
         a = np.eye(dp) if a is None else a
         b = np.eye(dq) if b is None else b
-        # [a (x) b] C one factor at a time: t[k, c, r] = sum_i C[i k, c] a[r, i],
+        # [a (x) b] C' one factor at a time: t[k, c, r] = sum_i C[i k, c] a[r, i],
         # then t[r k_b + s, c] = sum_k b[s, k] t[k, c, r]
-        t = _real_times(self.C.reshape(dp, dq, -1)[:, :, lo:hi].transpose(1, 2, 0), a.T)
+        t = _real_times(self.C.reshape(dp, dq, -1)[:, :, lo:].transpose(1, 2, 0), a.T)
         t = (t.reshape(dq, n * len(a)).T @ b.T).reshape(n, len(a) * len(b)).T
         y = np.zeros((*blocks[given[0][0]].shape[:-2], len(t), n), dtype=np.result_type(t, *blocks.values()))
         for d, sl in given:
             cols = slice(sl.start - lo, sl.stop - lo)
             np.matmul(t[:, cols], blocks[d], out=y[..., cols])
-        # y C^dagger, run transposed so that C is the left factor
-        return _real_times(self.C[:, lo:hi].conj(), y.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return y
+
+    def decouple(self, y: np.ndarray) -> np.ndarray:
+        """y C'^+ for a coupled form y of width n, C' being C's last n columns:
+        ``couple``'s rows in Kronecker columns.  Run transposed so that a real C
+        is one float64 gemm; the result is a transposed view."""
+        return _real_times(self.C[:, self.C.shape[1] - y.shape[-1]:].conj(), y.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _real_times(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -177,6 +181,17 @@ def clebsch_gordan(tag: str, p: int, q: int) -> CGDecomposition:
     return _build_cg(tag, p, q)
 
 
+@lru_cache(maxsize=4096)  # runs per entry each time a descriptor is constructed
+def in_band(tag: str, p: int, q: int, bandlimit: int) -> slice:
+    """C_pq's columns for the degrees a <= bandlimit, p and q not above it: the
+    last ones, as cg_indices runs down from p + q.  The k degrees above, p + q
+    - i step for i < k, have dimension c a + 1 with c step = 2, so they take
+    k (c (p + q) + 1) - k (k - 1) columns."""
+    step = 2 if tag == SU2 else 1
+    k = max(0, -(-(p + q - bandlimit) // step))
+    return slice(k * ((3 - step) * (p + q) + 1) - k * (k - 1), dim(p, tag) * dim(q, tag))
+
+
 @dataclass(frozen=True, eq=False)
 class LiftTerms:
     """The nonzero terms of a sphere lift's descriptor, SO3 at one bandlimit L.
@@ -190,22 +205,15 @@ class LiftTerms:
                   coef[t] x[factors[0, t]] x[factors[1, t]] conj(x[factors[2, t]]),
 
     which is (a_p (x) a_q) C_pq[:, block a] a_a^+, the classical spherical
-    bispectrum; the terms are the nonzero entries of those blocks.  The lift
-    row of A(p, q) is sum_a beta(p, q, a) C_pq[:, (a, M = 0)]^T: position
-    ``row_pos[t]`` gets ``row_coef[t] * beta[row_slot[t]]``, positions
-    running through the (L + 1)^4 row values of every A(p, q), p, q <= L, in
-    (p, q) order.  Only pairs with p <= q are summed; ``order`` gathers the
-    whole vector from them, each A(q, p) row being the ``kron_swap`` of
-    A(p, q)'s."""
+    bispectrum; the terms are the nonzero entries of those blocks.  It is
+    the value of B(p, q)'s stored row at column (a, M = 0) (``bispectrum``),
+    ``position[s]`` in the rows of every B(p, q), p <= q, concatenated."""
 
     bandlimit: int
     factors: np.ndarray  # (3, terms)
     coef: np.ndarray
-    row_slot: np.ndarray
-    row_pos: np.ndarray
-    row_coef: np.ndarray
     term_start: np.ndarray
-    order: np.ndarray
+    position: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -215,43 +223,32 @@ def lift_terms(bandlimit: int) -> LiftTerms:
         raise DomainError(f"bandlimit must be nonnegative, got {bandlimit}")
     L = bandlimit
     d = [dim(ell, SO3) for ell in range(L + 1)]
-    sizes = np.outer(d, d)
-    start = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)  # first position of each A(p, q) row
-    order = np.arange((L + 1) ** 4)
-    factors, coef, row_slot, row_pos, row_coef = ([] for _ in range(5))
+    factors, coef, position, at = [], [], [], 0
     for p in range(L + 1):
-        for q in range(L + 1):
-            if q < p:
-                src = np.arange(start[q, p], start[q, p] + sizes[q, p])[None, :]
-                order[start[p, q] : start[p, q] + sizes[p, q]] = kron_swap(src, d[q], d[p], 1, 1)[0]
-                continue
-            cg = clebsch_gordan(SO3, p, q)
+        for q in range(p, L + 1):
+            cg, band = clebsch_gordan(SO3, p, q), in_band(SO3, p, q, L)
             for a, sl in zip(cg.indices, cg.block_slices):
                 if a > L:
                     continue
                 # Kron row r = i d_q + k meets a_p[i] a_q[k]; block column c is a_a's entry c.
                 # Every column of the orthogonal C is nonzero, so every slot has terms.
-                slot = len(coef)
                 r, c = np.nonzero(cg.C[:, sl])
-                v = cg.C[r, sl.start + c]
-                zero = c == a  # column (a, M = 0)
                 factors.append(np.stack([p * p + r // d[q], q * q + r % d[q], a * a + c]))
-                coef.append(v)
-                row_slot.append(np.full(np.count_nonzero(zero), slot))
-                row_pos.append(start[p, q] + r[zero])
-                row_coef.append(v[zero])
-    arrays = [np.concatenate(x, axis=-1) for x in (factors, coef, row_slot, row_pos, row_coef)]
+                coef.append(cg.C[r, sl.start + c])
+                position.append(at + sl.start - band.start + a)  # column (a, M = 0)
+            at += band.stop - band.start
     term_start = np.cumsum([0, *(len(v) for v in coef[:-1])])
-    for x in (*arrays, term_start, order):
+    arrays = (np.concatenate(factors, axis=1), np.concatenate(coef), term_start, np.array(position))
+    for x in arrays:
         x.setflags(write=False)  # cached and shared by the whole process
-    return LiftTerms(L, *arrays, term_start, order)
+    return LiftTerms(L, *arrays)
 
 
 def intertwiner_residual(cg: CGDecomposition, *elements: GroupElement) -> float:
     """Largest || D_p (x) D_q  -  C (dsum D_a) C^dagger ||_F over the elements."""
     d = wigner_all(cg.p + cg.q, cg.tag, elements)
     lhs = np.einsum("nij,nkl->nikjl", d[cg.p], d[cg.q]).reshape(len(elements), *cg.C.shape)
-    rhs = cg.couple(None, None, {a: d[a] for a in cg.indices})
+    rhs = cg.decouple(cg.couple(None, None, {a: d[a] for a in cg.indices}))
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
 
 
@@ -323,7 +320,7 @@ def verify_coset_homomorphism(g: GroupElement, bandlimit: int, corruption: float
         for dlt in range(bandlimit + 1):
             cg = clebsch_gordan(tag, s, dlt)
             lhs = np.kron(projections[s] @ dmats[s], projections[dlt] @ dmats[dlt])
-            rhs = cg.couple(projections[s], projections[dlt], {a: projections[a] @ dmats[a] for a in cg.indices})
+            rhs = cg.decouple(cg.couple(projections[s], projections[dlt], {a: projections[a] @ dmats[a] for a in cg.indices}))
             tensor_res = max(tensor_res, float(np.max(np.abs(lhs - rhs))))
 
     return CosetCheckReport(tag, bandlimit, tensor_res, unitary_res)

@@ -10,15 +10,15 @@ glyph against an index reduces to a nearest-descriptor search; the only
 error budget is the local (not global) character of the plane-to-sphere
 correspondence plus image interpolation.
 
-This module alone knows how the glyph index is laid out.  Each lifted
-entry A(p, q) is zero but for row p d_q + q (the one-row identity in
-``bispectrum``), the only row a lift's descriptor stores, whether built
-or loaded.  ``lift_rows`` concatenates those rows, and a
-``GlyphIndex`` keeps one (glyphs, (L + 1)^4) array of ``lift_rows``
-beside its labels and the one resolution its images were lifted at,
-which a query image must be lifted at too.  A search is
-one vectorized Euclidean norm weighted by ``lift_weights``, equal to
-``descriptor_distance`` against every glyph.
+This module alone knows how the glyph index is laid out.  A lift's
+descriptor, built or loaded, stores one row of each B(p, q), p <= q, which
+holds the spherical bispectrum beta(p, q, a) at its columns (a, M = 0) and
+zeros elsewhere (``bispectrum``).  So a glyph is its beta, ``beta_count``
+values (106 at L = 6), which ``lift_beta`` reads off.  A ``GlyphIndex``
+keeps them beside its labels and the one resolution its images were
+lifted at, which a query image must be lifted at too.  A search is one
+vectorized Euclidean norm, equal to ``descriptor_distance`` against every
+glyph.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchError
 from .groups import SO3, TWO_PI, GroupElement, from_euler, wrap_angle
 from .bispectrum import BispectrumDescriptor, build_descriptor
+from .clebsch import lift_terms
 from .sphere import SphereFunction, sphere_grid, sphere_lift
-from .wigner import dim
 
 
 @dataclass(frozen=True)
@@ -185,49 +185,49 @@ def synthetic_glyphs(size: int = 64) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def lift_row_count(bandlimit: int) -> int:
-    """Values in ``lift_rows`` at a bandlimit: d_p d_q per A(p, q), (L + 1)^4 in all."""
-    return (bandlimit + 1) ** 4
+def beta_count(bandlimit: int) -> int:
+    """Values in ``lift_beta`` at a bandlimit L, one per (p, q, a) with
+    p <= q <= L and q - p <= a <= min(p + q, L): (2 L^3 + 9 L^2 + 14 L + 8) // 8."""
+    return (2 * bandlimit**3 + 9 * bandlimit**2 + 14 * bandlimit + 8) // 8
 
 
-def lift_rows(desc: BispectrumDescriptor) -> np.ndarray:
-    """The lift rows of a lifted descriptor's entries, concatenated in ``pairs()`` order.
+def lift_beta(desc: BispectrumDescriptor) -> np.ndarray:
+    """beta(p, q, a) of a lifted descriptor in ``lift_terms`` slot order: B(p, q)'s
+    one stored row at its column (a, M = 0), zero for a degree that keeps no row.
 
-    Row p d_q + q of each A(p, q), ``lift_row_count`` values in all: the one
-    row each entry stores when every degree l keeps row l, and zeros for a
-    degree that keeps none.  Raises DomainError if a degree keeps any other
-    row, TagMismatchError for an SU2 descriptor."""
+    Raises DomainError if a degree keeps a row other than its lift row, a
+    pair p <= q is missing or the rows hold more than 1e-10 of beta's norm
+    off its columns; TagMismatchError for an SU2 descriptor."""
     if desc.tag != SO3:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
     for ell, r in enumerate(desc.kept_rows):
         if len(r) and r.tolist() != [ell]:
             raise DomainError(f"degree {ell} keeps rows {r.tolist()}, off its lift row {ell}; not a sphere lift")
-    stored = [desc.entries[pq] for pq in desc.pairs()]
-    return np.concatenate([m[0] if len(m) else np.zeros(m.shape[1], dtype=complex) for m in stored])
-
-
-def lift_weights(bandlimit: int) -> np.ndarray:
-    """sqrt(d_p d_q) over each A(p, q)'s row in ``lift_rows`` order.
-
-    lift_weights(L) * lift_rows(d) is a vector whose Euclidean distances
-    are ``descriptor_distance``'s, for lifted descriptors of bandlimit L."""
-    d = np.array([dim(ell, SO3) for ell in range(bandlimit + 1)])
-    sizes = np.outer(d, d).ravel()
-    return np.repeat(np.sqrt(sizes), sizes)
+    L = desc.bandlimit
+    if len(desc.entries) != (L + 1) * (L + 2) // 2:
+        raise DomainError("descriptor lacks a pair p <= q; not a whole sphere lift")
+    stored = [desc.entries[(p, q)] for p in range(L + 1) for q in range(p, L + 1)]
+    row = np.concatenate([m[0] if len(m) else np.zeros(m.shape[1], dtype=complex) for m in stored])
+    at = lift_terms(L).position
+    beta = row[at]
+    row[at] = 0.0  # what is left lies off the beta columns
+    if np.linalg.norm(row) > 1e-10 * np.linalg.norm(beta):
+        raise DomainError("a stored row has values off its beta columns; not a sphere lift")
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
 class GlyphIndex:
     """Labelled glyphs lifted at one resolution; never empty (EmptyIndexError),
-    and no label names two glyphs and no row is non-finite (DomainError).
+    and no label names two glyphs and no value is non-finite (DomainError).
 
-    Row i of ``rows`` is the unweighted ``lift_rows`` of ``labels[i]``'s
+    Row i of ``beta`` is the unweighted ``lift_beta`` of ``labels[i]``'s
     descriptor."""
 
     bandlimit: int
     resolution: int
     labels: tuple[str, ...]
-    rows: np.ndarray = field(repr=False)
+    beta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -236,18 +236,18 @@ class GlyphIndex:
         if len(set(labels)) < len(labels):
             repeat = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise DomainError(f"label {repeat!r} names more than one glyph")
-        rows = np.array(self.rows, dtype=complex)
-        want = (len(labels), lift_row_count(self.bandlimit))
-        if rows.shape != want:
+        beta = np.array(self.beta, dtype=complex)
+        want = (len(labels), beta_count(self.bandlimit))
+        if beta.shape != want:
             raise DomainError(
-                f"{want[0]} glyphs at bandlimit {self.bandlimit} need rows of shape {want}, found {rows.shape}"
+                f"{want[0]} glyphs at bandlimit {self.bandlimit} need beta of shape {want}, found {beta.shape}"
             )
-        bad = ~np.isfinite(rows).all(axis=1)
+        bad = ~np.isfinite(beta).all(axis=1)
         if bad.any():
             raise DomainError(f"glyph {labels[int(np.argmax(bad))]!r} has a non-finite descriptor value")
-        rows.setflags(write=False)
+        beta.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "beta", beta)
 
 
 def glyph_descriptor(image: np.ndarray, resolution: int, bandlimit: int) -> BispectrumDescriptor:
@@ -259,23 +259,25 @@ def build_glyph_index(
 ) -> GlyphIndex:
     """Index the images under their labels in sorted order; EmptyIndexError if there are none."""
     labels = sorted(images)
-    rows = np.zeros((len(labels), lift_row_count(bandlimit)), dtype=complex)
+    beta = np.zeros((len(labels), beta_count(bandlimit)), dtype=complex)
     for i, label in enumerate(labels):
-        rows[i] = lift_rows(glyph_descriptor(images[label], resolution, bandlimit))
-    return GlyphIndex(bandlimit, resolution, tuple(labels), rows)
+        beta[i] = lift_beta(glyph_descriptor(images[label], resolution, bandlimit))
+    return GlyphIndex(bandlimit, resolution, tuple(labels), beta)
 
 
 def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, float]]:
     """Labels ranked by descriptor distance, ties broken by label order.
 
     The query must be a finite sphere lift (DomainError otherwise): its distance
-    to each glyph is the weighted norm of the difference of their lift rows."""
-    if query.bandlimit != index.bandlimit:
+    to each glyph is the norm of the difference of their beta, each weighted
+    by sqrt((2 - delta_pq) d_p d_q), which is ``descriptor_distance``."""
+    L = index.bandlimit
+    if query.bandlimit != L:
         raise DomainError("query bandlimit does not match the index")
-    query_rows = lift_rows(query)
-    if query_rows.shape != index.rows.shape[1:]:
-        raise DomainError("query carries a different entry set than the index")
-    if not np.isfinite(query_rows).all():
+    query_beta = lift_beta(query)
+    if not np.isfinite(query_beta).all():
         raise DomainError("query has a non-finite descriptor value")
-    distances = np.linalg.norm((index.rows - query_rows) * lift_weights(index.bandlimit), axis=1).tolist()
+    p, q = np.triu_indices(L + 1)  # beta(p, q, a) for q - p <= a <= min(p + q, L)
+    weights = np.repeat(np.sqrt((2 - (p == q)) * (2 * p + 1) * (2 * q + 1)), np.minimum(p + q, L) - (q - p) + 1)
+    distances = np.linalg.norm((index.beta - query_beta) * weights, axis=1).tolist()
     return sorted(zip(index.labels, distances), key=lambda pair: (pair[1], pair[0]))

@@ -1,14 +1,20 @@
 """File formats: versioned JSON documents and binary PGM images.
 
 Every JSON file carries ``format_version`` and a ``kind`` discriminator.
-Every kind is at version 1 except ``glyph_index``, which is at version 2:
+Every kind is at version 1 except ``glyph_index``, which is at version 3:
 a nonempty list of glyphs, each a string ``label``, a ``source`` holding
 the integer ``resolution`` its image was lifted at (the same on every
-glyph) and its ``rows`` (see ``glyphs.lift_rows``), which loading stacks
-into ``GlyphIndex.rows``.  A ``det_f1`` on a glyph or a ``pixels`` in its
-source, left by earlier writers, is ignored.  Version-1 glyph indexes,
-which stored every dense entry, raise a VersionError that says to rebuild
-them from their images with ``bispect index``.
+glyph) and its ``beta`` (see ``glyphs.lift_beta``), which loading stacks
+into ``GlyphIndex.beta``.  A ``det_f1`` on a glyph or a ``pixels`` in its
+source, left by earlier writers, is ignored.  Glyph indexes at versions 1
+(dense descriptors) and 2 (lift rows) raise a VersionError that says to
+rebuild them from their images with ``bispect index``.
+
+A descriptor file holds the paper's dense A(p, q) for every pair; loading
+stores B(p, q) = A(p, q) C_pq on the in-band columns for p <= q
+(``bispectrum``).  An entry with weight above the bandlimit, or an A(q, p)
+other than the swap of A(p, q), beyond 1e-10 of the entry's norm, is a
+FormatError naming the pair.
 Complex matrices are row-major nested lists with innermost ``[re, im]``
 pairs; numbers are written as shortest-round-trip decimal
 text, so files are platform independent and load back bit-identically.
@@ -29,12 +35,14 @@ from .errors import FormatError, VersionError
 from .groups import SO3, SU2, haar_quadrature, haar_rule_size
 from .harmonic import CoefficientSet, SampledFunction
 from .bispectrum import BispectrumDescriptor
-from .glyphs import GlyphIndex, lift_row_count
+from .clebsch import clebsch_gordan, in_band, kron_swap
+from .glyphs import GlyphIndex, beta_count
 from .sphere import SphereFunction, sphere_grid
 from .wigner import dim
 
 FORMAT_VERSION = 1
-GLYPH_INDEX_VERSION = 2  # version 1 (dense descriptors) no longer loads
+GLYPH_INDEX_VERSION = 3  # versions 1 (dense descriptors) and 2 (lift rows) no longer load
+_STORED_FORM_TOL = 1e-10  # relative to an entry's norm, as reconstruction's Hermiticity check
 
 
 def _complex_matrix(m: np.ndarray) -> np.ndarray:
@@ -185,9 +193,7 @@ def save_descriptor(desc: BispectrumDescriptor, path: str) -> None:
         "kind": "bispectrum_descriptor",
         "group": desc.tag,
         "bandlimit": desc.bandlimit,
-        "entries": [
-            {"p": p, "q": q, "matrix": _complex_matrix(desc[(p, q)])} for p, q in desc.pairs()
-        ],
+        "entries": [{"p": p, "q": q, "matrix": _complex_matrix(desc[(p, q)])} for p, q in desc.pairs()],
     }
     if desc.det_f1 is not None:
         doc["det_f1"] = float(desc.det_f1)
@@ -221,7 +227,16 @@ def load_descriptor(path: str) -> BispectrumDescriptor:
     if missing:
         first = next((p, q) for p in range(bandlimit + 1) for q in range(bandlimit + 1) if (p, q) not in entries)
         raise FormatError(f"missing entry for pair {first} ({missing} missing)", path)
-    return BispectrumDescriptor(tag, bandlimit, entries, _optional_number(doc, "det_f1", path))
+    coupled = {}  # B(p, q) = A(p, q) C_pq on the in-band columns, p <= q, which must hold all the file does
+    for p, q in ((p, q) for p in range(bandlimit + 1) for q in range(p, bandlimit + 1)):
+        a, scale = entries[(p, q)], _STORED_FORM_TOL * np.linalg.norm(entries[(p, q)])
+        b, band = a @ clebsch_gordan(tag, p, q).C, in_band(tag, p, q, bandlimit)
+        if np.linalg.norm(b[:, : band.start]) > scale:
+            raise FormatError(f"A{(p, q)} has weight on degrees above the bandlimit {bandlimit}", path)
+        if np.linalg.norm(entries[(q, p)] - kron_swap(a, dim(p, tag), dim(q, tag))) > scale:
+            raise FormatError(f"A{(q, p)} is not the swap of A{(p, q)}", path)
+        coupled[(p, q)] = b[:, band]
+    return BispectrumDescriptor(tag, bandlimit, coupled, _optional_number(doc, "det_f1", path))
 
 
 # -- sphere samples ----------------------------------------------------------
@@ -279,7 +294,7 @@ def load_samples(path: str) -> SampledFunction:
 
 def save_glyph_index(index: GlyphIndex, path: str) -> None:
     source = {"resolution": index.resolution}
-    glyphs = [{"label": label, "source": source, "rows": row} for label, row in zip(index.labels, index.rows)]
+    glyphs = [{"label": label, "source": source, "beta": beta} for label, beta in zip(index.labels, index.beta)]
     doc = {"format_version": GLYPH_INDEX_VERSION, "kind": "glyph_index", "bandlimit": index.bandlimit, "glyphs": glyphs}
     _dump_json(doc, path)
 
@@ -292,8 +307,8 @@ def load_glyph_index(path: str) -> GlyphIndex:
     glyphs = _require(doc, "glyphs", path, list)
     if not glyphs:
         raise FormatError("field 'glyphs' must hold at least one glyph", path)
-    size = lift_row_count(bandlimit)
-    labels, rows, resolution = [], [], None
+    size = beta_count(bandlimit)
+    labels, beta, resolution = [], [], None
     for i, item in enumerate(glyphs):
         loc = f"{path}:glyphs[{i}]"
         if not isinstance(item, dict):
@@ -303,11 +318,11 @@ def load_glyph_index(path: str) -> GlyphIndex:
         if resolution is not None and found != resolution:
             raise FormatError(f"resolution {found} differs from glyphs[0]'s {resolution}", f"{loc}.source")
         resolution = found
-        row = _decode_complex(_require(item, "rows", loc), f"{loc}.rows", 1)
-        if row.shape != (size,):
-            raise FormatError(f"bandlimit {bandlimit} needs {size} row values, found shape {row.shape}", f"{loc}.rows")
-        rows.append(row)
-    return GlyphIndex(bandlimit, resolution, tuple(labels), np.stack(rows))
+        values = _decode_complex(_require(item, "beta", loc), f"{loc}.beta", 1)
+        if values.shape != (size,):
+            raise FormatError(f"bandlimit {bandlimit} needs {size} beta values, found shape {values.shape}", f"{loc}.beta")
+        beta.append(values)
+    return GlyphIndex(bandlimit, resolution, tuple(labels), np.stack(beta))
 
 
 # -- PGM (binary P5) ---------------------------------------------------------

@@ -1,12 +1,13 @@
 """Recovering coefficient sets from bispectrum descriptors.
 
 The driver inverts the descriptor degree by degree: the mean from the cube
-root of A(0, 0), the degree-1 matrix from a square root of A(1, 0)/F(0)
-(positive root on SU2, where real origin functions force a nonnegative
-determinant; sign-matched root on SO3 using the stored det side
-information), and each higher degree from the degree-l diagonal block of
+root of A(0, 0), the degree-1 matrix from a square root of
+A(0, 1)/F(0) = F(1) F(1)^+ (positive root on SU2, where real origin
+functions force a nonnegative determinant; sign-matched root on SO3 using
+the stored det side information), and each higher degree from block l of
+the stored coupled entry B(1, l-1) = [F(1) (x) F(l-1)] C [dsum F(a)^+]:
 
-    C^+ [F(l-1)^-1 (x) F(1)^-1] A(l-1, 1) C .
+    F(l)^+ = C[:, block l]^T [F(1) (x) F(l-1)]^-1 B(1, l-1)[:, block l] .
 
 Every recovered set equals the true one up to one right factor D_ell(x),
 the group translation the descriptor cannot see; ``find_alignment``
@@ -192,7 +193,7 @@ def _correlation_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> 
 
 def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None) -> ReconstructionReport:
     tag, L = desc.tag, desc.bandlimit
-    for pq in [(0, 0), (1, 0)][:L + 1] + [(ell - 1, 1) for ell in range(2, L + 1)]:
+    for pq in [(0, 0), (0, 1)][:L + 1] + [(1, ell - 1) for ell in range(2, L + 1)]:
         if pq not in desc.entries:
             raise DomainError(f"descriptor lacks A{pq}, which reconstruction reads")
 
@@ -204,7 +205,7 @@ def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None
     conds = {0: 1.0}
 
     if L >= 1:
-        gram = np.asarray(desc[(1, 0)], dtype=complex) / f0
+        gram = np.asarray(desc[(0, 1)], dtype=complex) / f0
         if tag == SO3:
             if desc.det_f1 is None:
                 raise MissingSideInfoError("SO3 reconstruction needs det F(1) side information")
@@ -220,9 +221,10 @@ def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None
         conds[1] = cond1
 
     for ell in range(2, L + 1):
-        c = clebsch_gordan(tag, ell - 1, 1).block(ell)
-        a = np.asarray(desc[(ell - 1, 1)], dtype=complex)
-        f_ell = (c.conj().T @ kron_solve(mats[ell - 1], mats[1], a) @ c).conj().T
+        cg = clebsch_gordan(tag, 1, ell - 1)
+        # degree ell = 1 + (ell - 1) leads cg_indices, and every degree of B(1, ell - 1) is in band
+        b = desc.coupled(1, ell - 1)[:, cg.block_slices[0]]
+        f_ell = (cg.block(ell).T @ kron_solve(mats[1], mats[ell - 1], b)).conj().T
         cond = float(np.linalg.cond(f_ell))
         if not np.isfinite(cond) or cond > COND_REJECT:
             raise SingularCoefficientError(ell)

@@ -304,7 +304,7 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
                 ps, pd = subgroup_projection(tag, s), subgroup_projection(tag, dlt)
                 lhs = np.kron(ps, pd)
                 # lhs C (dsum P_a) C^+, and its adjoint C (dsum P_a) C^+ lhs
-                left = cg.couple(ps, pd, {a: subgroup_projection(tag, a) for a in cg.indices})
+                left = cg.decouple(cg.couple(ps, pd, {a: subgroup_projection(tag, a) for a in cg.indices}))
                 worst = max(worst, float(np.max(np.abs(lhs - left))))
                 worst = max(worst, float(np.max(np.abs(lhs - left.conj().T))))
     out.append(CheckResult.from_residual("projection-tensor-identity", worst, 1e-10))
@@ -563,7 +563,8 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
     cg = clebsch_gordan(SU2, 1, 1)
     bad_c = cg.C.astype(complex)
     bad_c[:, 0] *= np.exp(0.25j)
-    bad = replace(cg, C=bad_c).couple(coeffs[1], coeffs[1], {a: coeffs[a].conj().T for a in cg.indices})
+    bad_cg = replace(cg, C=bad_c)
+    bad = bad_cg.decouple(bad_cg.couple(coeffs[1], coeffs[1], {a: coeffs[a].conj().T for a in cg.indices}))
     rule = haar_quadrature(6, SU2)
     oracle = bispectrum_via_oracle(fourier_inverse(coeffs, rule), 1, 1, 2)
     mismatch = float(np.linalg.norm(bad - oracle)) / max(float(np.linalg.norm(oracle)), 1e-300)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -16,8 +18,8 @@ from bispect.bispectrum import (
     triple_correlation,
     triple_correlation_grid,
 )
-from bispect.clebsch import CGDecomposition, clebsch_gordan
-from bispect.glyphs import lift_image, lift_rows, synthetic_glyphs
+from bispect.clebsch import CGDecomposition, clebsch_gordan, in_band, lift_terms
+from bispect.glyphs import PlanarMotion, apply_planar_motion, beta_count, lift_beta, lift_image, synthetic_glyphs
 from bispect.sphere import random_sphere_function, sphere_lift
 from bispect.wigner import dim
 
@@ -138,12 +140,13 @@ def test_lifted_descriptor_computes_one_row_per_entry(make, couple_calls):
     L = coeffs.bandlimit
     desc = build_descriptor(coeffs)
     assert couple_calls == []  # a lift takes every row from the term table
-    rows = lift_rows(desc)  # raises unless every entry is zero off its lift row
-    assert rows.shape == ((L + 1) ** 4,)
+    beta = lift_beta(desc)  # raises unless every stored row is zero off its beta columns
+    assert beta.shape == (beta_count(L),)
     daggers = [m.conj().T for m in coeffs.matrices]
     for p, q in desc.pairs():
         dense = _dense_entry(coeffs, p, q)
         assert np.linalg.norm(desc[(p, q)] - dense) <= 1e-13 * max(np.linalg.norm(dense), 1e-300)
+    for p, q in desc.entries:
         # the general coupling on the same live rows
         cg = clebsch_gordan(SO3, p, q)
         rp, rq = desc.kept_rows[p], desc.kept_rows[q]
@@ -170,8 +173,8 @@ def test_descriptor_with_zero_rows_and_a_zero_degree_matches_dense(tag):
         assert np.linalg.norm(desc[(p, q)] - _dense_entry(coeffs, p, q)) <= 1e-13 * scale
         # zero rows of F(p) (x) F(q), all of them when p or q is 2, stay exactly zero
         assert not desc[(p, q)][~kron.any(axis=1)].any()
-    # given the dense entries, a descriptor drops the same rows and gives each entry back bit for bit
-    given = BispectrumDescriptor(tag, L, {pq: desc[pq] for pq in desc.pairs()})
+    # given its entries with every row, a descriptor drops the same rows and gives each entry back bit for bit
+    given = BispectrumDescriptor(tag, L, {pq: desc.coupled(*pq) for pq in desc.entries})
     assert [r.tolist() for r in given.kept_rows] == [r.tolist() for r in desc.kept_rows]
     assert len(given.kept_rows[2]) == 0 and given.kept_rows[3].tolist() == [r for r in range(dim(3, tag)) if r not in (0, 2)]
     assert all(given[pq].tobytes() == desc[pq].tobytes() for pq in desc.pairs())
@@ -273,7 +276,7 @@ def test_descriptor_comparisons_reject_mismatched_descriptors(compare):
         compare(su2, BispectrumDescriptor(SU2, 2, fewer))
     # a lift compares with the same lift given dense, and two lifts compare as their full entries do
     lift, other = (build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=s), 2)) for s in (45, 46))
-    dense, other_dense = (BispectrumDescriptor(SO3, 2, {pq: d[pq] for pq in d.pairs()}) for d in (lift, other))
+    dense, other_dense = (BispectrumDescriptor(SO3, 2, {pq: d.coupled(*pq) for pq in d.entries}) for d in (lift, other))
     assert compare(lift, dense) == 0.0
     assert compare(lift, other) > 0.0
     assert compare(lift, other) == pytest.approx(compare(dense, other_dense), rel=1e-13, abs=0.0)
@@ -317,9 +320,9 @@ def test_descriptor_rejects_entries_that_disagree_with_their_kept_rows():
         with pytest.raises(DomainError, match=r"kept_rows\[1\] must be strictly increasing"):
             BispectrumDescriptor(SU2, 2, {}, kept_rows=(np.arange(1), np.array(bad), np.arange(3)))
     lift = build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=45), 2))
-    # the dense entries disagree with a lift's one kept row per degree, and a lift's rows with every row
+    # entries with every row disagree with a lift's one kept row per degree, and a lift's rows with every row
     with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
-        BispectrumDescriptor(SO3, 2, {pq: lift[pq] for pq in lift.pairs()}, kept_rows=lift.kept_rows)
+        BispectrumDescriptor(SO3, 2, {pq: lift.coupled(*pq) for pq in lift.entries}, kept_rows=lift.kept_rows)
     with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
         BispectrumDescriptor(SO3, 2, lift.entries)
 
@@ -352,11 +355,17 @@ def test_indexing_gives_the_full_entry_that_bispectrum_matrix_gives(make):
         assert full.shape == (side, side)
         if p <= q:  # computed by the same formula on the same rows
             assert np.array_equal(full, direct)
+            # and formed from the stored B(p, q), which is A(p, q) C on the in-band columns
+            band = in_band(coeffs.tag, p, q, coeffs.bandlimit)
+            coupled = (full @ clebsch_gordan(coeffs.tag, p, q).C)[:, band]
+            assert np.linalg.norm(desc.coupled(p, q) - coupled) <= 1e-13 * max(np.linalg.norm(full), 1e-300)
         else:  # swapped from A(q, p)
             assert np.linalg.norm(full - direct) <= 1e-13 * max(np.linalg.norm(direct), 1e-300)
-        # with every row of both degrees kept, indexing hands back the stored array
-        every_row = len(desc.kept_rows[p]) == dim(p, coeffs.tag) and len(desc.kept_rows[q]) == dim(q, coeffs.tag)
-        assert (full is desc.entries[(p, q)]) == every_row
+
+
+def _width(tag, p, q, L):
+    band = in_band(tag, p, q, L)
+    return band.stop - band.start
 
 
 @pytest.mark.parametrize("L", [0, 1, 6])
@@ -364,12 +373,58 @@ def test_lift_descriptor_holds_one_row_per_entry(L):
     coeffs = sphere_lift(random_sphere_function(10, L, seed=47), L)
     desc = build_descriptor(coeffs)
     assert [r.tolist() for r in desc.kept_rows] == [[ell] for ell in range(L + 1)]
-    for p, q in desc.pairs():
-        assert desc.entries[(p, q)].shape == (1, dim(p, SO3) * dim(q, SO3))
-    assert sum(m.size for m in desc.entries.values()) == (L + 1) ** 4
+    assert sorted(desc.entries) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    for p, q in desc.entries:
+        assert desc.entries[(p, q)].shape == (1, _width(SO3, p, q, L))
+    # the one row holds beta at its columns (a, M = 0) and exactly 0.0 elsewhere: 106 values at L = 6
+    row = np.concatenate([desc.entries[pq][0] for pq in sorted(desc.entries)])
+    at = lift_terms(L).position
+    assert at.size == beta_count(L) == [1, 4, 106][[0, 1, 6].index(L)]
+    assert np.array_equal(row[at], lift_beta(desc)) and not np.delete(row, at).any()
     generic = build_descriptor(random_bandlimited(L, SO3, require_real=True, seed=47))
     assert all(np.array_equal(r, np.arange(dim(ell, SO3))) for ell, r in enumerate(generic.kept_rows))
-    assert sum(m.size for m in generic.entries.values()) == sum((2 * p + 1) ** 2 * (2 * q + 1) ** 2 for p, q in generic.pairs())
+    assert sorted(generic.entries) == sorted(desc.entries)
+    sizes = [(2 * p + 1) * (2 * q + 1) * _width(SO3, p, q, L) for p, q in generic.entries]
+    assert sum(m.size for m in generic.entries.values()) == sum(sizes)
+
+
+def test_indexing_a_pair_the_descriptor_lacks_is_a_domain_error():
+    desc = build_descriptor(random_bandlimited(2, SU2, seed=48))
+    for pq in ((-1, 0), (3, 0), (0, 3)):
+        with pytest.raises(DomainError, match=re.escape(f"descriptor holds no pair {pq}")):
+            desc[pq]
+    fewer = BispectrumDescriptor(SU2, 2, {pq: m for pq, m in desc.entries.items() if pq != (1, 2)})
+    for pq in ((1, 2), (2, 1)):
+        with pytest.raises(DomainError, match=re.escape(f"descriptor holds no pair {pq}")):
+            fewer[pq]
+
+
+def _moved_hook(L):
+    hook = apply_planar_motion(synthetic_glyphs(64)["hook"], PlanarMotion(0.6, 0.04, -0.03))
+    return sphere_lift(lift_image(hook, 16), L)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (random_bandlimited(4, SU2, require_real=True, seed=49), random_bandlimited(4, SU2, require_real=True, seed=50)),
+        lambda: (random_bandlimited(4, SO3, seed=49), random_bandlimited(4, SO3, seed=50)),
+        lambda: (sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6), _moved_hook(6)),
+    ],
+    ids=["SU2", "SO3-generic", "glyph-lift"],
+)
+def test_comparisons_over_the_stored_half_equal_the_dense_ones_over_every_pair(make):
+    # sum over all (L + 1)^2 pairs of d_p d_q ||A1(p, q) - A2(p, q)||^2, with A from indexing:
+    # the stored half with weights (2 - delta_pq) d_p d_q must give the same
+    c1, c2 = make()
+    d1, d2 = build_descriptor(c1), build_descriptor(c2)
+    L, tag = c1.bandlimit, c1.tag
+    every = [(p, q) for p in range(L + 1) for q in range(L + 1)]
+    gaps = [np.linalg.norm(d1[pq] - d2[pq]) for pq in every]
+    dense = np.sqrt(sum(dim(p, tag) * dim(q, tag) * g**2 for (p, q), g in zip(every, gaps)))
+    dense_gap = max(g / np.linalg.norm(d1[pq]) for pq, g in zip(every, gaps))
+    assert descriptor_distance(d1, d2) == pytest.approx(dense, rel=1e-13, abs=0.0)
+    assert descriptor_max_relative_gap(d1, d2) == pytest.approx(dense_gap, rel=1e-13, abs=0.0)
 
 
 def test_triple_correlation_constant(rng):

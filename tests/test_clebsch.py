@@ -11,6 +11,7 @@ from bispect.groups import SO3, SU2, compose, identity, random_element, z_rotati
 from bispect.clebsch import (
     cg_indices,
     clebsch_gordan,
+    in_band,
     intertwiner_residual,
     kron_solve,
     kron_swap,
@@ -225,9 +226,9 @@ def _dense_couple(cg, a, b, given):
 
 
 def _assert_couple_matches_dense(cg, a, b, stacks):
-    """couple(a, b, .) on stacked blocks equals it one block at a time, and each
-    equals the dense product with every degree, one missing at the top or
-    inside, or only the bottom one given."""
+    """couple(a, b, .) on stacked blocks equals it one block at a time, and each,
+    taken back to Kronecker columns by decouple, equals the dense product with
+    every degree, one missing at the top or inside, or only the bottom one given."""
     rows_a = np.eye(dim(cg.p, cg.tag)) if a is None else a
     rows_b = np.eye(dim(cg.q, cg.tag)) if b is None else b
     top, inner, bottom = cg.indices[0], cg.indices[len(cg.indices) // 2], cg.indices[-1]
@@ -241,7 +242,11 @@ def _assert_couple_matches_dense(cg, a, b, stacks):
         dropped = [{d: m for d, m in blocks.items() if d != x} for x in (top, inner)]
         for given in (blocks, *dropped, {bottom: blocks[bottom]}):
             want = _dense_couple(cg, rows_a, rows_b, given)
-            assert np.max(np.abs(cg.couple(a, b, given) - want)) <= 1e-13 * np.max(np.abs(want))
+            coupled = cg.couple(a, b, given)
+            # the coupled form keeps C's columns from the first given degree on
+            first = next(d for d in cg.indices if d in given)
+            assert coupled.shape[-1] == sum(dim(d, cg.tag) for d in cg.indices if d <= first)
+            assert np.max(np.abs(cg.decouple(coupled) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(
@@ -312,18 +317,32 @@ def test_clebsch_gordan_is_memoized():
 
 def test_lift_terms_are_the_nonzero_blocks_of_c_and_read_only():
     terms = lift_terms(6)
-    # the nonzero entries of C_pq's blocks a <= 6 over p <= q <= 6, and of their (a, M = 0) columns
+    # the nonzero entries of C_pq's blocks a <= 6 over p <= q <= 6, one slot per (p, q, a)
     assert terms.coef.size == terms.factors.shape[1] == 4631
-    assert terms.row_coef.size == terms.row_pos.size == terms.row_slot.size == 715
-    assert np.all(terms.coef != 0) and np.all(terms.row_coef != 0)
-    # order copies each A(p, q) row with p <= q in place and gathers the others from them
-    pair = np.concatenate([np.full((2 * p + 1) * (2 * q + 1), 7 * p + q) for p in range(7) for q in range(7)])
-    upper, strict = pair // 7 <= pair % 7, pair // 7 < pair % 7
-    assert np.array_equal(terms.order[upper], np.flatnonzero(upper))
-    assert sorted(terms.order[~upper].tolist()) == np.flatnonzero(strict).tolist()
+    assert terms.term_start.size == terms.position.size == 106
+    assert np.all(terms.coef != 0)
+    # position runs through the in-band columns (a, M = 0) of each B(p, q), p <= q, in order
+    want, at = [], 0
+    for p in range(7):
+        for q in range(p, 7):
+            band = in_band(SO3, p, q, 6)
+            cg = clebsch_gordan(SO3, p, q)
+            want += [at + sl.start - band.start + a for a, sl in zip(cg.indices, cg.block_slices) if a <= 6]
+            at += band.stop - band.start
+    assert terms.position.tolist() == want and want[-1] == at - 1
     assert lift_terms(6) is terms and lift_terms.cache_info().maxsize is not None
-    for name in ("factors", "coef", "term_start", "row_slot", "row_pos", "row_coef", "order"):
+    for name in ("factors", "coef", "term_start", "position"):
         with pytest.raises(ValueError):
             getattr(terms, name).reshape(-1)[0] = 1
     with pytest.raises(DomainError):
         lift_terms(-1)
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_in_band_columns_are_the_last_ones_of_the_degrees_up_to_the_bandlimit(tag):
+    for L in range(9):
+        for p in range(L + 1):
+            for q in range(L + 1):
+                cg = clebsch_gordan(tag, p, q)
+                kept = [sl for a, sl in zip(cg.indices, cg.block_slices) if a <= L]
+                assert in_band(tag, p, q, L) == slice(kept[0].start, cg.C.shape[1])

@@ -233,7 +233,7 @@ def test_match_rejects_an_index_with_a_repeated_label(workdir, capsys):
 
 def test_match_rejects_an_index_with_a_nan_value(workdir, capsys):
     path, argv = _glyph_index_file(workdir)
-    _edit_json(path, lambda doc: doc["glyphs"][1]["rows"][0].__setitem__(0, float("nan")))
+    _edit_json(path, lambda doc: doc["glyphs"][1]["beta"][0].__setitem__(0, float("nan")))
     assert "NaN" in open(path).read()
     capsys.readouterr()
     assert main(argv) == 2
@@ -257,7 +257,7 @@ def test_match_on_version_1_index_says_to_rebuild(workdir, capsys):
         doc["format_version"] = 1
         for glyph in doc["glyphs"]:
             glyph["descriptor"] = descriptor
-            del glyph["rows"]
+            del glyph["beta"]
 
     _edit_json(path, to_v1)
     capsys.readouterr()

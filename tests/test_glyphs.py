@@ -11,9 +11,10 @@ from bispect.glyphs import (
     apply_planar_motion,
     build_glyph_index,
     canvas_points,
+    beta_count,
     glyph_descriptor,
+    lift_beta,
     lift_image,
-    lift_rows,
     match,
     planar_motion_to_rotation,
     synthetic_glyphs,
@@ -126,7 +127,7 @@ def test_match_moved_glyph(rng):
 def test_match_distances_equal_descriptor_distance():
     glyphs = synthetic_glyphs(64)
     index = build_glyph_index(glyphs, 16, 6)
-    assert index.rows.shape == (5, 7**4)
+    assert index.beta.shape == (5, 106)
     assert index.labels == tuple(sorted(glyphs)) and index.resolution == 16
     descs = {lab: glyph_descriptor(img, 16, 6) for lab, img in glyphs.items()}
     motions = [PlanarMotion(0.7, 0.05, -0.02), PlanarMotion(2.9, -0.08, 0.03)]
@@ -150,9 +151,9 @@ def test_match_rejects_a_query_that_is_not_a_lift():
 
 def test_glyph_index_checks_row_shape():
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
-    for rows in (index.rows[:4], index.rows[:, :-1], np.zeros((5, 3**4))):
-        with pytest.raises(DomainError, match=r"5 glyphs at bandlimit 1 need rows of shape \(5, 16\)"):
-            GlyphIndex(1, 8, index.labels, rows)
+    for beta in (index.beta[:4], index.beta[:, :-1], np.zeros((5, beta_count(2)))):
+        with pytest.raises(DomainError, match=r"5 glyphs at bandlimit 1 need beta of shape \(5, 4\)"):
+            GlyphIndex(1, 8, index.labels, beta)
 
 
 def test_glyph_index_rejects_a_repeated_label():
@@ -160,7 +161,7 @@ def test_glyph_index_rejects_a_repeated_label():
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
     labels = index.labels[:3] + (index.labels[1],) + index.labels[4:]
     with pytest.raises(DomainError, match=f"label {index.labels[1]!r} names more than one glyph"):
-        GlyphIndex(1, 8, labels, index.rows)
+        GlyphIndex(1, 8, labels, index.beta)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
@@ -180,31 +181,40 @@ def test_non_finite_glyph_values_are_rejected():
     values[3, 5] = np.nan
     with pytest.raises(DomainError, match="query has a non-finite descriptor value"):
         match(build_descriptor(sphere_lift(SphereFunction(sphere.grid, values), 1)), index)
-    rows = index.rows.copy()
-    rows[1, 3] = complex(0.0, np.inf)
+    beta = index.beta.copy()
+    beta[1, 3] = complex(0.0, np.inf)
     with pytest.raises(DomainError, match=f"glyph {index.labels[1]!r} has a non-finite descriptor value"):
-        GlyphIndex(1, 8, index.labels, rows)
+        GlyphIndex(1, 8, index.labels, beta)
 
 
 def test_empty_index_errors():
     with pytest.raises(EmptyIndexError):
         build_glyph_index({}, 8, 3)
     with pytest.raises(EmptyIndexError):
-        GlyphIndex(3, 8, (), np.zeros((0, 4**4)))
+        GlyphIndex(3, 8, (), np.zeros((0, beta_count(3))))
 
 
 def test_lift_rows_rejects_other_descriptors():
     with pytest.raises(DomainError, match="off its lift row"):
-        lift_rows(build_descriptor(random_bandlimited(3, SO3, seed=41)))
+        lift_beta(build_descriptor(random_bandlimited(3, SO3, seed=41)))
     with pytest.raises(TagMismatchError):
-        lift_rows(build_descriptor(random_bandlimited(1, SU2, seed=41)))
+        lift_beta(build_descriptor(random_bandlimited(1, SU2, seed=41)))
     # one off-row value, however small, makes a second live row
     mats = list(sphere_lift(random_sphere_function(6, 3, seed=42), 3).matrices)
     mats[2] = mats[2].copy()
     mats[2][0, 0] = 1e-300
     desc = build_descriptor(CoefficientSet(SO3, 3, tuple(mats)))
     with pytest.raises(DomainError):
-        lift_rows(desc)
+        lift_beta(desc)
+    # a lift's rows with a value off the beta columns, or with a pair missing, are not a lift's
+    lift = build_descriptor(sphere_lift(random_sphere_function(6, 3, seed=42), 3))
+    entries = {pq: m.copy() for pq, m in lift.entries.items()}
+    entries[(1, 2)][0, 0] = 1e-3 * np.abs(lift_beta(lift)).max()  # column (3, M = -3)
+    with pytest.raises(DomainError, match="off its beta columns"):
+        lift_beta(BispectrumDescriptor(SO3, 3, entries, kept_rows=lift.kept_rows))
+    del entries[(1, 2)]
+    with pytest.raises(DomainError, match="lacks a pair"):
+        lift_beta(BispectrumDescriptor(SO3, 3, entries, kept_rows=lift.kept_rows))
 
 
 
@@ -221,10 +231,10 @@ def _lift_with_a_zero_degree():
 )
 def test_lift_rows_read_the_same_from_kept_and_dense_entries(make):
     built = build_descriptor(make())
-    dense = BispectrumDescriptor(SO3, 4, {pq: built[pq] for pq in built.pairs()})
+    dense = BispectrumDescriptor(SO3, 4, {pq: built.coupled(*pq) for pq in built.entries})
     assert [r.tolist() for r in dense.kept_rows] == [r.tolist() for r in built.kept_rows]
-    assert np.array_equal(lift_rows(built), lift_rows(dense))
-    assert lift_rows(built).shape == (5**4,)
+    assert np.array_equal(lift_beta(built), lift_beta(dense))
+    assert lift_beta(built).shape == (beta_count(4),) == (42,)
 
 
 def test_saved_lift_loads_with_its_lift_rows_and_matches_as_built(tmp_path):
@@ -235,15 +245,21 @@ def test_saved_lift_loads_with_its_lift_rows_and_matches_as_built(tmp_path):
     save_descriptor(built, path)
     loaded = load_descriptor(path)
     assert [r.tolist() for r in loaded.kept_rows] == [[ell] for ell in range(7)]
-    assert sum(m.nbytes for m in loaded.entries.values()) == 38_416  # the dense entries take 3,312,400
-    assert all(np.array_equal(loaded[pq], built[pq]) for pq in built.pairs())
-    assert np.array_equal(lift_rows(loaded), lift_rows(built))
-    assert match(loaded, index) == match(built, index)
-    # a dense entry with a value off its lift row keeps a second row of each degree: not a lift
-    entries = {pq: loaded[pq] for pq in loaded.pairs()}
-    entries[(2, 1)][0, 0] = 1e-300
+    # one in-band row per pair p <= q; the dense entries of the file take 3,312,400 bytes
+    assert sum(m.nbytes for m in loaded.entries.values()) == sum(m.nbytes for m in built.entries.values()) == 13_216
+    for pq in built.pairs():
+        assert np.linalg.norm(loaded[pq] - built[pq]) <= 1e-14 * np.linalg.norm(built[pq])
+    beta = lift_beta(built)
+    assert np.linalg.norm(lift_beta(loaded) - beta) <= 1e-14 * np.linalg.norm(beta)
+    ranked_loaded, ranked_built = match(loaded, index), match(built, index)
+    assert [lab for lab, _ in ranked_loaded] == [lab for lab, _ in ranked_built]
+    for (_, a), (_, b) in zip(ranked_loaded, ranked_built):
+        assert abs(a - b) <= 1e-13 * b
+    # an entry with a value off its lift row keeps a second row of each degree: not a lift
+    entries = {pq: loaded.coupled(*pq).copy() for pq in loaded.entries}
+    entries[(1, 2)][0, 0] = 1e-300
     with pytest.raises(DomainError, match=r"degree 1 keeps rows \[0, 1\], off its lift row 1"):
-        lift_rows(BispectrumDescriptor(SO3, 6, entries))
+        lift_beta(BispectrumDescriptor(SO3, 6, entries))
 
 
 def test_index_bandlimit_uniformity():

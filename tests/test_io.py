@@ -1,5 +1,6 @@
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,19 @@ from bispect.errors import FormatError, VersionError
 from bispect.groups import SO3, SU2, haar_quadrature
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited
 from bispect.bispectrum import build_descriptor
+from bispect.clebsch import clebsch_gordan, in_band, lift_terms
 from bispect.glyphs import GlyphIndex, build_glyph_index, synthetic_glyphs
+from bispect.reconstruct import reconstruct_so3, reconstruct_su2
 from bispect.sphere import random_sphere_function, sphere_grid
 from bispect import io as bio
+
+_DATA = Path(__file__).parent / "data"
+
+
+def _close(a, b):
+    """Same shape and within 1e-14 relative: an A(p, q) rebuilt from a file's A by way of the stored B."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(a)
 
 
 def test_coefficients_round_trip(tmp_path):
@@ -31,9 +42,10 @@ def test_descriptor_round_trip(tmp_path):
     bio.save_descriptor(desc, path)
     back = bio.load_descriptor(path)
     assert back.pairs() == desc.pairs()
+    assert sorted(back.entries) == sorted(desc.entries) == [(p, q) for p in range(3) for q in range(p, 3)]
     assert back.det_f1 == desc.det_f1
     for pq in desc.pairs():
-        assert np.array_equal(desc[pq], back[pq])
+        assert _close(desc[pq], back[pq])
 
 
 def test_generic_descriptor_loads_with_every_row_as_decoded(tmp_path):
@@ -44,11 +56,18 @@ def test_generic_descriptor_loads_with_every_row_as_decoded(tmp_path):
     assert all(np.array_equal(r, np.arange(ell + 1)) for ell, r in enumerate(back.kept_rows))
     with open(path) as fh:
         items = json.load(fh)["entries"]
+    assert len(items) == 49
     for item in items:
-        pq = (item["p"], item["q"])
+        p, q = item["p"], item["q"]
         decoded = np.array(item["matrix"], dtype=float).view(complex)[..., 0]
-        assert back[pq] is back.entries[pq]
-        assert back.entries[pq].tobytes() == decoded.tobytes() == desc[pq].tobytes()
+        assert decoded.tobytes() == desc[(p, q)].tobytes()  # the file holds the dense A(p, q)
+        assert _close(decoded, back[(p, q)])
+        if p <= q:  # stored as B(p, q) = A(p, q) C on the in-band columns, every row
+            band = in_band(SU2, p, q, 6)
+            assert back.entries[(p, q)].shape == ((p + 1) * (q + 1), band.stop - band.start)
+            assert _close(back.entries[(p, q)], (decoded @ clebsch_gordan(SU2, p, q).C)[:, band])
+        else:
+            assert (p, q) not in back.entries
 
 
 def test_descriptor_bandlimit_zero_single_entry(tmp_path):
@@ -84,15 +103,16 @@ def test_glyph_index_round_trip(tmp_path):
     path = str(tmp_path / "idx.json")
     bio.save_glyph_index(index, path)
     doc = json.load(open(path))
-    assert doc["format_version"] == 2
-    assert all(set(g) == {"label", "source", "rows"} for g in doc["glyphs"])  # rows only
+    assert doc["format_version"] == 3
+    assert all(set(g) == {"label", "source", "beta"} for g in doc["glyphs"])  # beta only
+    assert all(len(g["beta"]) == 23 for g in doc["glyphs"])
     assert all(g["source"] == {"resolution": 8} for g in doc["glyphs"])
     back = bio.load_glyph_index(path)
     assert (back.bandlimit, back.resolution, back.labels) == (3, 8, index.labels)
-    assert _same_bits(back.rows, index.rows)
+    assert _same_bits(back.beta, index.beta)
     resaved = str(tmp_path / "idx2.json")
     bio.save_glyph_index(back, resaved)
-    assert _same_bits(bio.load_glyph_index(resaved).rows, back.rows)
+    assert _same_bits(bio.load_glyph_index(resaved).beta, back.beta)
     # earlier writers left each glyph's det F(1), always 0.0 for a lift, and its
     # image shape in the source: both are ignored
     for g in doc["glyphs"]:
@@ -102,7 +122,7 @@ def test_glyph_index_round_trip(tmp_path):
         json.dump(doc, fh)
     back = bio.load_glyph_index(path)
     assert (back.resolution, back.labels) == (8, index.labels)
-    assert _same_bits(back.rows, index.rows)
+    assert _same_bits(back.beta, index.beta)
 
 
 def test_empty_glyph_index_does_not_load(tmp_path):
@@ -120,11 +140,11 @@ def test_glyph_index_rows_are_checked(tmp_path):
     path = str(tmp_path / "idx.json")
     bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
     doc = json.load(open(path))
-    for rows, want in ((doc["glyphs"][0]["rows"][:-1], "needs 16 row values"), ([["x", 0.0]] * 16, "not numeric")):
-        doc["glyphs"][1]["rows"] = rows
+    for beta, want in ((doc["glyphs"][0]["beta"][:-1], "needs 4 beta values"), ([["x", 0.0]] * 4, "not numeric")):
+        doc["glyphs"][1]["beta"] = beta
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with pytest.raises(FormatError, match=rf"{want}.*glyphs\[1\]\.rows"):
+        with pytest.raises(FormatError, match=rf"{want}.*glyphs\[1\]\.beta"):
             bio.load_glyph_index(path)
 
 
@@ -132,7 +152,7 @@ def test_only_glyph_indexes_are_at_version_2(tmp_path):
     path = str(tmp_path / "idx.json")
     bio.save_glyph_index(build_glyph_index(synthetic_glyphs(32), 8, 1), path)
     doc = json.load(open(path))
-    for version in (1, 3):  # version 1 stored dense descriptors and no longer loads
+    for version in (1, 2, 4):  # versions 1 and 2 stored dense descriptors and lift rows, and no longer load
         doc["format_version"] = version
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -275,7 +295,7 @@ def test_indented_layout_loads_bit_identically(tmp_path):
         (bio.save_sphere, bio.load_sphere, sphere, lambda s: [s.values], lambda d: [d["values"]]),
         (bio.save_samples, bio.load_samples, samples, lambda f: [f.values], lambda d: [d["values"]]),
         (bio.save_glyph_index, bio.load_glyph_index, index,
-         lambda ix: list(ix.rows), lambda d: [g["rows"] for g in d["glyphs"]]),
+         lambda ix: list(ix.beta), lambda d: [g["beta"] for g in d["glyphs"]]),
     ]
     for i, (save, load, obj, arrays, doc_arrays) in enumerate(cases):
         compact, indented = str(tmp_path / f"c{i}.json"), str(tmp_path / f"i{i}.json")
@@ -286,9 +306,12 @@ def test_indented_layout_loads_bit_identically(tmp_path):
         doc = _rewrite_indented(indented)
         assert doc == json.load(open(compact))  # same JSON values in both layouts
         assert doc_arrays(doc) == [_legacy_pairs(a) for a in arrays(obj)]
+        # a descriptor file holds A exactly; loading stores B = A C, so A comes back within 1e-14
+        same = _close if load is bio.load_descriptor else _same_bits
         for path in (compact, indented):
             for want, got in zip(arrays(obj), arrays(load(path)), strict=True):
-                assert _same_bits(want, got)
+                assert same(want, got)
+        assert all(_same_bits(a, b) for a, b in zip(arrays(load(compact)), arrays(load(indented)), strict=True))
 
 
 def test_round_trip_exact_for_extreme_floats(tmp_path):
@@ -322,7 +345,7 @@ def test_json_default_rejects_other_types(tmp_path):
         bio._dump_json({"values": np.zeros(2, dtype=complex), "stray": object()}, str(path))
     assert not path.exists()  # nothing written, not even a partial file
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
-    bad = GlyphIndex(index.bandlimit, np.int64(8), index.labels, index.rows)
+    bad = GlyphIndex(index.bandlimit, np.int64(8), index.labels, index.beta)
     with pytest.raises(TypeError):
         bio.save_glyph_index(bad, str(path))
     assert not path.exists()
@@ -390,6 +413,59 @@ def test_descriptor_matrix_shape(tmp_path, i, side, want):
     with pytest.raises(FormatError, match=rf"entries\[{i}\]\.matrix") as err:
         bio.load_descriptor(path)
     assert f"{want}x{want}" in str(err.value)
+
+
+def _tampered_descriptor_file(tmp_path, tag, pq, edit):
+    """An L=2 descriptor file whose dense A(p, q) is replaced by edit(A(p, q))."""
+    path = str(tmp_path / "d.json")
+    bio.save_descriptor(build_descriptor(random_bandlimited(2, tag, require_real=True, seed=16)), path)
+    doc = json.load(open(path))
+    item = next(e for e in doc["entries"] if (e["p"], e["q"]) == pq)
+    a = np.array(item["matrix"], dtype=float).view(complex)[..., 0]
+    item["matrix"] = np.stack([edit(a).real, edit(a).imag], -1).tolist()
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_descriptor_whose_swapped_entries_disagree_does_not_load(tmp_path, tag):
+    # reconstruction reads B(1, 2) only, so a tampered A(2, 1) would otherwise go unseen
+    path = _tampered_descriptor_file(tmp_path, tag, (2, 1), lambda a: a * (1 + 1e-8))
+    with pytest.raises(FormatError, match=r"A\(2, 1\) is not the swap of A\(1, 2\)"):
+        bio.load_descriptor(path)
+    # a change within 1e-10 of the entry's norm is rounding, and loads
+    bio.load_descriptor(_tampered_descriptor_file(tmp_path, tag, (2, 1), lambda a: a * (1 + 1e-12)))
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_descriptor_with_weight_above_the_bandlimit_does_not_load(tmp_path, tag):
+    # A(2, 2) plus a component on the columns of degree 4 > L, which the stored form drops
+    top = clebsch_gordan(tag, 2, 2).block(4)
+    u = np.random.default_rng(17).standard_normal((top.shape[0], top.shape[1]))
+
+    def out_of_band(scale):
+        return lambda a: a + scale * np.linalg.norm(a) * (u @ top.T) / np.linalg.norm(u)
+
+    path = _tampered_descriptor_file(tmp_path, tag, (2, 2), out_of_band(1e-8))
+    with pytest.raises(FormatError, match=r"A\(2, 2\) has weight on degrees above the bandlimit 2"):
+        bio.load_descriptor(path)
+    bio.load_descriptor(_tampered_descriptor_file(tmp_path, tag, (2, 2), out_of_band(1e-12)))
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_version_1_descriptor_files_of_the_dense_format_load_and_reconstruct(tag):
+    # files written before descriptors stored B = A C: a coefficient set and its dense A(p, q)
+    name = tag.lower()
+    coeffs = bio.load_coefficients(str(_DATA / f"v1_{name}_l2_coefficients.json"))
+    path = str(_DATA / f"v1_{name}_l2_descriptor.json")
+    desc = bio.load_descriptor(path)
+    items = json.load(open(path))["entries"]
+    assert len(items) == 9 and desc.pairs() == sorted((e["p"], e["q"]) for e in items)
+    for item in items:
+        assert _close(np.array(item["matrix"], dtype=float).view(complex)[..., 0], desc[(item["p"], item["q"])])
+    report = (reconstruct_su2 if tag == SU2 else reconstruct_so3)(desc, ground_truth=coeffs)
+    assert report.witness.max_residual < 1e-7  # the reconstruct suites' alignment bound
 
 
 def test_descriptor_negative_bandlimit(tmp_path):
@@ -463,14 +539,20 @@ def test_integer_field_rejects_non_integers(tmp_path, field, value):
         load(path)
 
 
-# a tiny file declaring a huge size: bandlimit 2000 has 4,004,001 pairs, a
-# resolution-2000 grid needs a 4000-point Legendre solve, rule bandlimit 40
-# has 275,684 nodes
+# a tiny file declaring a huge size: bandlimit 2000 has 4,004,001 pairs and
+# 2,004,503,501 beta values per glyph, a resolution-2000 grid needs a
+# 4000-point Legendre solve, rule bandlimit 40 has 275,684 nodes
 _OVERSIZED = {
     "descriptor": (
         bio.load_descriptor,
         {"kind": "bispectrum_descriptor", "group": "SO3", "bandlimit": 2000, "entries": []},
         r"missing entry for pair \(0, 0\) \(4004001 missing\)",
+    ),
+    "glyph_index": (
+        bio.load_glyph_index,
+        {"format_version": 3, "kind": "glyph_index", "bandlimit": 2000,
+         "glyphs": [{"label": "a", "source": {"resolution": 8}, "beta": [[0.0, 0.0]]}]},
+        r"bandlimit 2000 needs 2004503501 beta values, found shape \(1,\).*glyphs\[0\]\.beta",
     ),
     "sphere": (
         bio.load_sphere,
@@ -491,7 +573,8 @@ def test_loader_checks_sizes_before_allocating(tmp_path, kind):
     path = str(tmp_path / "f.json")
     with open(path, "w") as fh:
         json.dump({"format_version": 1, **doc}, fh)
-    built = (haar_quadrature.cache_info().misses, sphere_grid.cache_info().misses)
+    caches = (haar_quadrature, sphere_grid, clebsch_gordan, lift_terms)
+    built = [f.cache_info().misses for f in caches]
     with pytest.raises(FormatError, match=message):
         load(path)
-    assert (haar_quadrature.cache_info().misses, sphere_grid.cache_info().misses) == built
+    assert [f.cache_info().misses for f in caches] == built
