@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: transform, inverse, bispectrum, reconstruct, lift, match,
-verify.  Exit codes: 0 on success, 1 on verification failure, 2 on usage
+index, verify.  Exit codes: 0 on success, 1 on verification failure, 2 on usage
 or file-format errors.
 """
 

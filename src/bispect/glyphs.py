@@ -24,6 +24,7 @@ glyph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,20 +71,26 @@ def planar_motion_to_rotation(motion: PlanarMotion) -> GroupElement:
     return from_euler((wrap_angle(phi, TWO_PI), theta, wrap_angle(psi - phi, TWO_PI)), SO3)
 
 
-def _sample_image(image: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Bilinear image lookup at plane points; clamp-to-edge inside [-1, 1]^2,
-    zero beyond the square."""
-    rows, cols = image.shape
-    inside = (np.abs(points[..., 0]) <= 1.0) & (np.abs(points[..., 1]) <= 1.0)
-    # pixel centers cover the square [-1, 1]^2, row 0 at the top (y = +1)
+def _bilinear_corners(shape: tuple[int, int], points: np.ndarray):
+    """Where bilinear lookup at plane points reads an image of ``shape``: the
+    corner rows ``y0, y1`` and columns ``x0, x1``, and the weights ``fx, fy``
+    of the far corners.  Pixel centers cover the square [-1, 1]^2, row 0 at
+    the top (y = +1), and corners clamp to the edge."""
+    rows, cols = shape
     cx = np.clip((points[..., 0] + 1.0) * cols / 2.0 - 0.5, 0.0, cols - 1.0)
     cy = np.clip((1.0 - points[..., 1]) * rows / 2.0 - 0.5, 0.0, rows - 1.0)
     x0 = np.clip(np.floor(cx).astype(int), 0, cols - 1)
     y0 = np.clip(np.floor(cy).astype(int), 0, rows - 1)
     x1 = np.minimum(x0 + 1, cols - 1)
     y1 = np.minimum(y0 + 1, rows - 1)
-    fx = cx - x0
-    fy = cy - y0
+    return y0, x0, y1, x1, cx - x0, cy - y0
+
+
+def _sample_image(image: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Bilinear image lookup at plane points; clamp-to-edge inside [-1, 1]^2,
+    zero beyond the square."""
+    y0, x0, y1, x1, fx, fy = _bilinear_corners(image.shape, points)
+    inside = (np.abs(points[..., 0]) <= 1.0) & (np.abs(points[..., 1]) <= 1.0)
     out = (
         image[y0, x0] * (1 - fx) * (1 - fy)
         + image[y0, x1] * fx * (1 - fy)
@@ -93,21 +100,49 @@ def _sample_image(image: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
+@lru_cache(maxsize=8)
+def _lift_stencil(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_bilinear_corners`` at a grid's upper-hemisphere points, memoized per
+    (image shape, resolution) and read-only; 33 KB at resolution 16.
+
+    ``corners`` (4, upper, 2B) holds the flat pixel indices of the corners
+    (y0, x0), (y0, x1), (y1, x0), (y1, x1) and ``weights`` (4, upper, 2B)
+    holds fx, fy, 1 - fx, 1 - fy, where the first ``upper`` theta rows of the
+    grid are the hemisphere theta <= pi/2.  Every such point lies in the
+    unit disk, so inside the square."""
+    grid = sphere_grid(resolution)
+    upper = int(np.count_nonzero(grid.thetas <= np.pi / 2.0))  # a prefix: thetas ascend
+    points = grid.unit_vectors()[:upper, :, :2]  # sin(theta) (cos(phi), sin(phi))
+    y0, x0, y1, x1, fx, fy = _bilinear_corners(shape, points)
+    cols = shape[1]
+    corners = np.stack([y0 * cols + x0, y0 * cols + x1, y1 * cols + x0, y1 * cols + x1])
+    weights = np.stack([fx, fy, 1 - fx, 1 - fy])
+    corners.setflags(write=False)  # cached and shared by the whole process
+    weights.setflags(write=False)
+    return corners, weights
+
+
 def lift_image(image: np.ndarray, resolution: int) -> SphereFunction:
     """Map a disk image to the upper hemisphere: r = sin(theta), phi preserved.
 
-    A NaN or infinite pixel anywhere in the image is a DomainError."""
+    The pixels are read through ``_lift_stencil``, in ``_sample_image``'s
+    order of terms and factors, so the values are its values.  A bool or
+    non-integer resolution, or one below 2, and a NaN or infinite pixel
+    anywhere in the image are DomainErrors."""
     image = np.asarray(image, dtype=float)
-    if resolution < 2:
+    grid = sphere_grid(resolution)  # checks the resolution's type before any memo
+    if grid.resolution < 2:
         raise DomainError("resolution must be >= 2")
     if image.ndim != 2 or image.size == 0:
         raise EmptyImageError("image must be a nonempty 2-d grayscale array")
     if not np.isfinite(image).all():
         raise DomainError("image has a non-finite pixel")
-    grid = sphere_grid(resolution)
-    vals = _sample_image(image, grid.unit_vectors()[..., :2])  # sin(theta) (cos(phi), sin(phi))
-    vals[grid.thetas > np.pi / 2.0, :] = 0.0  # lower hemisphere
-    if np.max(np.abs(vals)) == 0.0:
+    corners, (fx, fy, gx, gy) = _lift_stencil(image.shape, grid.resolution)
+    v00, v01, v10, v11 = np.take(image, corners)
+    upper = corners.shape[1]
+    vals = np.zeros(grid.shape)  # the lower hemisphere stays zero
+    vals[:upper] = v00 * gx * gy + v01 * fx * gy + v10 * gx * fy + v11 * fx * fy
+    if np.max(np.abs(vals[:upper])) == 0.0:
         raise EmptyImageError("image content inside the unit disk is empty")
     return SphereFunction(grid, vals)
 
@@ -265,6 +300,16 @@ def build_glyph_index(
     return GlyphIndex(bandlimit, resolution, tuple(labels), beta)
 
 
+@lru_cache(maxsize=8)
+def _match_weights(bandlimit: int) -> np.ndarray:
+    """sqrt((2 - delta_pq) d_p d_q) at each ``lift_beta`` slot, memoized per bandlimit and read-only."""
+    L = bandlimit
+    p, q = np.triu_indices(L + 1)  # beta(p, q, a) for q - p <= a <= min(p + q, L)
+    weights = np.repeat(np.sqrt((2 - (p == q)) * (2 * p + 1) * (2 * q + 1)), np.minimum(p + q, L) - (q - p) + 1)
+    weights.setflags(write=False)  # cached and shared by the whole process
+    return weights
+
+
 def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, float]]:
     """Labels ranked by descriptor distance, ties broken by label order.
 
@@ -277,7 +322,5 @@ def match(query: BispectrumDescriptor, index: GlyphIndex) -> list[tuple[str, flo
     query_beta = lift_beta(query)
     if not np.isfinite(query_beta).all():
         raise DomainError("query has a non-finite descriptor value")
-    p, q = np.triu_indices(L + 1)  # beta(p, q, a) for q - p <= a <= min(p + q, L)
-    weights = np.repeat(np.sqrt((2 - (p == q)) * (2 * p + 1) * (2 * q + 1)), np.minimum(p + q, L) - (q - p) + 1)
-    distances = np.linalg.norm((index.beta - query_beta) * weights, axis=1).tolist()
+    distances = np.linalg.norm((index.beta - query_beta) * _match_weights(L), axis=1).tolist()
     return sorted(zip(index.labels, distances), key=lambda pair: (pair[1], pair[0]))

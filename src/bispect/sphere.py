@@ -50,11 +50,22 @@ class SphereGrid:
         )
 
 
-@lru_cache(maxsize=32)
 def sphere_grid(resolution: int) -> SphereGrid:
-    """Midpoint-equiangular grid; theta weights solve the Legendre moment system."""
+    """Midpoint-equiangular grid, one object per resolution (memoized, 32 at most).
+
+    A bool or a non-integer resolution, 16.0 included, is a DomainError, as
+    is one below 1; both are checked before the memo, which a float equal to
+    an int would otherwise hit.  ``cache_info()`` reports the memo."""
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise DomainError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
+    return _sphere_grid(int(resolution))
+
+
+@lru_cache(maxsize=32)
+def _sphere_grid(resolution: int) -> SphereGrid:
+    """The grid at an int resolution >= 1; theta weights solve the Legendre moment system."""
     n = 2 * resolution
     thetas = np.pi * (2 * np.arange(n) + 1) / (2 * n)
     phis = 2 * np.pi * np.arange(n) / n
@@ -64,6 +75,9 @@ def sphere_grid(resolution: int) -> SphereGrid:
     moments[0] = 2.0
     weights = np.linalg.solve(vander, moments)
     return SphereGrid(resolution, thetas, phis, weights)
+
+
+sphere_grid.cache_info = _sphere_grid.cache_info
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +126,17 @@ def _theta_columns(thetas: np.ndarray, bandlimit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _grid_theta_columns(grid: SphereGrid, bandlimit: int) -> np.ndarray:
-    """``_theta_columns`` on a grid's thetas, memoized per (grid, bandlimit) and read-only.
+def _grid_theta_columns(grid: SphereGrid, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_theta_columns`` on a grid's thetas and the phase e^{i n phi} (2B, 2L+1)
+    on its phis, memoized per (grid, bandlimit) and read-only.
 
     ``sphere_grid`` hands out one grid per resolution, so the key is in
     effect (resolution, bandlimit)."""
     cols = _theta_columns(grid.thetas, bandlimit)
+    phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))
     cols.setflags(write=False)  # cached and shared by the whole process
-    return cols
+    phase.setflags(write=False)
+    return cols, phase
 
 
 def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
@@ -129,8 +146,8 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     Exact for functions bandlimited at the grid's resolution - 1; a
     bandlimit at or above the resolution issues a PrecisionWarning, as the
     grid aliases those degrees.  The phi sum runs once for every n, then
-    each degree is a theta quadrature, against theta columns memoized per
-    grid and bandlimit.
+    each degree is a theta quadrature, against a phase and theta columns
+    memoized per grid and bandlimit.
     """
     grid = s.grid
     if bandlimit >= grid.resolution:
@@ -140,8 +157,7 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
             stacklevel=2,
         )
     n = 2 * grid.resolution
-    cols = _grid_theta_columns(grid, bandlimit)
-    phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))  # (2B, 2L+1)
+    cols, phase = _grid_theta_columns(grid, bandlimit)
     t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
     a = np.einsum("ltn,tn->ln", cols, t)
     return [a[ell, bandlimit - ell : bandlimit + ell + 1] for ell in range(bandlimit + 1)]

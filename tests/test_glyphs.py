@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bispect
+from bispect import glyphs as glyphs_module
 from bispect.bispectrum import BispectrumDescriptor, build_descriptor, descriptor_distance
 from bispect.errors import DomainError, EmptyImageError, EmptyIndexError, PrecisionWarning, TagMismatchError
 from bispect.groups import SO3, SU2, distance, identity, to_euler, z_rotation
 from bispect.harmonic import CoefficientSet, random_bandlimited
 from bispect.glyphs import (
     GlyphIndex,
+    _lift_stencil,
     PlanarMotion,
     apply_planar_motion,
     build_glyph_index,
@@ -20,7 +28,7 @@ from bispect.glyphs import (
     synthetic_glyphs,
 )
 from bispect.io import load_descriptor, save_descriptor
-from bispect.sphere import SphereFunction, random_sphere_function, rotate_sphere, sphere_lift
+from bispect.sphere import SphereFunction, random_sphere_function, rotate_sphere, sphere_grid, sphere_lift
 
 
 def test_zero_motion_is_identity_rotation():
@@ -275,3 +283,147 @@ def test_synthetic_glyphs_shapes():
     for img in glyphs.values():
         assert img.shape == (64, 64)
         assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def _bilinear_reference(image, points):
+    """Bilinear lookup at plane points as one expression: clamp-to-edge inside
+    [-1, 1]^2, zero beyond the square, pixel centers covering the square with
+    row 0 at the top."""
+    rows, cols = image.shape
+    inside = (np.abs(points[..., 0]) <= 1.0) & (np.abs(points[..., 1]) <= 1.0)
+    cx = np.clip((points[..., 0] + 1.0) * cols / 2.0 - 0.5, 0.0, cols - 1.0)
+    cy = np.clip((1.0 - points[..., 1]) * rows / 2.0 - 0.5, 0.0, rows - 1.0)
+    x0 = np.clip(np.floor(cx).astype(int), 0, cols - 1)
+    y0 = np.clip(np.floor(cy).astype(int), 0, rows - 1)
+    x1 = np.minimum(x0 + 1, cols - 1)
+    y1 = np.minimum(y0 + 1, rows - 1)
+    fx = cx - x0
+    fy = cy - y0
+    out = (
+        image[y0, x0] * (1 - fx) * (1 - fy)
+        + image[y0, x1] * fx * (1 - fy)
+        + image[y1, x0] * (1 - fx) * fy
+        + image[y1, x1] * fx * fy
+    )
+    return np.where(inside, out, 0.0)
+
+
+def _reference_lift(image, resolution):
+    """The bilinear lookup at every grid point, the lower hemisphere zeroed."""
+    grid = sphere_grid(resolution)
+    vals = _bilinear_reference(image, grid.unit_vectors()[..., :2])
+    vals[grid.thetas > np.pi / 2.0, :] = 0.0
+    return np.array(vals, dtype=complex)
+
+
+def _edge_ink(rows, cols):
+    # ink on the square's edge only: the clamped corners of the outermost points read it
+    img = np.zeros((rows, cols))
+    img[[0, -1], :] = 1.0
+    img[:, [0, -1]] = 0.5
+    return img
+
+
+@pytest.mark.parametrize("shape", [(48, 64), (64, 48)])
+@pytest.mark.parametrize("resolution", [17, 2])
+def test_lift_image_is_the_bilinear_lookup_bit_for_bit(shape, resolution):
+    image = np.random.default_rng(resolution).uniform(0.0, 1.0, shape)
+    for img in (image, image[::-1], np.asfortranarray(image)):
+        assert lift_image(img, resolution).values.tobytes() == _reference_lift(img, resolution).tobytes()
+
+
+@pytest.mark.parametrize("resolution", [17, 16])
+def test_lift_of_ink_on_the_square_edge_is_the_bilinear_lookup_bit_for_bit(resolution):
+    for shape in ((48, 64), (64, 48)):
+        img = _edge_ink(*shape)
+        got = lift_image(img, resolution).values
+        assert np.max(np.abs(got)) > 0.0
+        assert got.tobytes() == _reference_lift(img, resolution).tobytes()
+
+
+def test_planar_motion_warps_the_synthetic_glyphs_by_the_bilinear_lookup_bit_for_bit():
+    # the benchmark makes its glyph queries with apply_planar_motion
+    for k, img in enumerate(synthetic_glyphs(64).values()):
+        motion = PlanarMotion(0.4 + k, 0.1 * np.cos(k), -0.1 * np.sin(k))
+        want = _bilinear_reference(img, motion.apply(canvas_points(64, 64)))
+        assert apply_planar_motion(img, motion).tobytes() == want.tobytes()
+
+
+def test_lift_stencil_is_memoized_and_read_only():
+    corners, weights = stencil = _lift_stencil((48, 64), 17)
+    assert _lift_stencil((48, 64), 17) is stencil and _lift_stencil.cache_info().maxsize is not None
+    upper = int(np.count_nonzero(sphere_grid(17).thetas <= np.pi / 2.0))
+    assert corners.shape == weights.shape == (4, upper, 34)
+    for arr in (corners, weights):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
+
+
+def test_lift_checks_its_image_when_the_stencil_is_memoized():
+    image = synthetic_glyphs(64)["ring"]
+    lift_image(image, 16)
+    bad = image.copy()
+    bad[32, 32] = np.nan
+    with pytest.raises(DomainError, match="non-finite pixel"):
+        lift_image(bad, 16)
+    # ink only well outside the unit disk: the stencil never reads it
+    outside = (np.linalg.norm(canvas_points(64, 64), axis=-1) > 1.1).astype(float)
+    with pytest.raises(EmptyImageError, match="unit disk is empty"):
+        lift_image(outside, 16)
+
+
+def test_repeated_lifts_at_one_shape_and_resolution_build_the_stencil_once(monkeypatch):
+    calls = []
+    corners = glyphs_module._bilinear_corners
+    monkeypatch.setattr(glyphs_module, "_bilinear_corners", lambda *args: calls.append(args) or corners(*args))
+    _lift_stencil.cache_clear()
+    image = synthetic_glyphs(40)["hook"]
+    first = lift_image(image, 9)
+    assert len(calls) == 1
+    again = lift_image(image, 9)
+    assert len(calls) == 1 and again.values.tobytes() == first.values.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [16.0, 8.5, True, np.float64(16.0), np.True_])
+def test_lift_at_a_resolution_that_is_not_an_integer_is_a_domain_error(resolution):
+    image = synthetic_glyphs(32)["ring"]
+    lift_image(image, 16)
+    misses = _lift_stencil.cache_info().misses
+    with pytest.raises(DomainError, match="resolution must be an integer"):
+        lift_image(image, resolution)
+    assert _lift_stencil.cache_info().misses == misses
+
+
+def test_lift_at_a_numpy_integer_resolution_is_the_lift_at_the_int():
+    image = synthetic_glyphs(32)["ring"]
+    got = lift_image(image, np.int64(16))
+    assert got.grid is sphere_grid(16)
+    assert got.values.tobytes() == lift_image(image, 16).values.tobytes()
+
+
+_BENCHMARK_GLYPH_OP = """
+import sys
+import bispect
+from bispect.glyphs import PlanarMotion, apply_planar_motion, build_glyph_index, lift_image, match, synthetic_glyphs
+from bispect.io import load_glyph_index, save_glyph_index
+from bispect.bispectrum import build_descriptor
+from bispect.sphere import sphere_lift
+glyphs = synthetic_glyphs(64)
+save_glyph_index(build_glyph_index(glyphs, 16, 6), sys.argv[1])
+index = load_glyph_index(sys.argv[1])
+query = apply_planar_motion(glyphs["hook"], PlanarMotion(1.0, 0.05, -0.08))
+assert match(build_descriptor(sphere_lift(lift_image(query, 16), 6)), index)[0][0] == "hook"
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_glyph_set_up_and_match_at_the_benchmark_sizes_load_no_scipy(tmp_path):
+    # a scipy import on the sphere path once raised a glyph set-up's time and
+    # peak memory by several percent; the memos filled on first use add none
+    env = dict(os.environ, PYTHONPATH=str(Path(bispect.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_GLYPH_OP, str(tmp_path / "index.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

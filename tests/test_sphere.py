@@ -208,16 +208,36 @@ def test_memoized_theta_columns_are_the_direct_ones(resolution):
     grid = sphere_grid(resolution)
     s = random_sphere_function(resolution, 6, seed=resolution)
     coeffs = sphere_coefficients(s, 6)
-    cols = _grid_theta_columns(grid, 6)
+    cols, memo_phase = _grid_theta_columns(grid, 6)
     direct = _theta_columns(grid.thetas, 6)
     assert cols.tobytes() == direct.tobytes()
-    assert _grid_theta_columns(grid, 6) is cols and _grid_theta_columns.cache_info().maxsize is not None
+    assert _grid_theta_columns(grid, 6)[0] is cols and _grid_theta_columns.cache_info().maxsize is not None
     with pytest.raises(ValueError):
         cols[0, 0, 6] = 2.0
-    # sphere_coefficients with the columns evaluated directly gives the same bits
+    with pytest.raises(ValueError):
+        memo_phase[0, 0] = 2.0
+    # sphere_coefficients with the columns and phase evaluated directly gives the same bits
     n = 2 * resolution
     phase = np.exp(1j * np.outer(grid.phis, np.arange(-6, 7)))
+    assert memo_phase.tobytes() == phase.tobytes()
     t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
     a = np.einsum("ltn,tn->ln", direct, t)
     for ell, got in enumerate(coeffs):
         assert got.tobytes() == a[ell, 6 - ell : 7 + ell].tobytes()
+
+
+@pytest.mark.parametrize("resolution", [16.0, 8.5, True, False, np.float64(16.0), np.True_, "16"])
+def test_grid_at_a_resolution_that_is_not_an_integer_is_a_domain_error(resolution):
+    sphere_grid(16)  # a float equal to a cached int must not reach the memo
+    sphere_grid(1)
+    with pytest.raises(DomainError, match="resolution must be an integer"):
+        sphere_grid(resolution)
+
+
+def test_grid_at_a_numpy_integer_resolution_is_the_grid_at_the_int():
+    grid = sphere_grid(np.int64(16))
+    assert grid is sphere_grid(16) and type(grid.resolution) is int
+    assert sphere_grid(np.int32(5)) is sphere_grid(5)
+    assert sphere_grid.cache_info().maxsize == 32
+    with pytest.raises(DomainError, match="resolution must be >= 1"):
+        sphere_grid(np.int64(0))
