@@ -32,7 +32,7 @@ from .errors import DomainError, EmptyImageError, EmptyIndexError, TagMismatchEr
 from .groups import SO3, TWO_PI, GroupElement, from_euler, wrap_angle
 from .bispectrum import BispectrumDescriptor, build_descriptor
 from .clebsch import lift_terms
-from .sphere import SphereFunction, sphere_grid, sphere_lift
+from .sphere import SphereFunction, check_resolution, sphere_grid, sphere_lift
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,8 @@ def lift_image(image: np.ndarray, resolution: int) -> SphereFunction:
     non-integer resolution, or one below 2, and a NaN or infinite pixel
     anywhere in the image are DomainErrors."""
     image = np.asarray(image, dtype=float)
-    grid = sphere_grid(resolution)  # checks the resolution's type before any memo
-    if grid.resolution < 2:
-        raise DomainError("resolution must be >= 2")
+    check_resolution(resolution, 2)  # before any memo
+    grid = sphere_grid(resolution)
     if image.ndim != 2 or image.size == 0:
         raise EmptyImageError("image must be a nonempty 2-d grayscale array")
     if not np.isfinite(image).all():
@@ -254,7 +253,8 @@ def lift_beta(desc: BispectrumDescriptor) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GlyphIndex:
     """Labelled glyphs lifted at one resolution; never empty (EmptyIndexError),
-    and no label names two glyphs and no value is non-finite (DomainError).
+    and no label names two glyphs, no value is non-finite and the resolution
+    is one ``lift_image`` accepts (DomainError).
 
     Row i of ``beta`` is the unweighted ``lift_beta`` of ``labels[i]``'s
     descriptor."""
@@ -265,6 +265,7 @@ class GlyphIndex:
     beta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_resolution(self.resolution, 2)
         labels = tuple(self.labels)
         if not labels:
             raise EmptyIndexError("a glyph index holds at least one glyph")

@@ -71,8 +71,9 @@ def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
 
     Exact when f is bandlimited at ``bandlimit`` and the rule's bandlimit is
     at least twice that; otherwise a PrecisionWarning is issued and the
-    result is the quadrature approximation.  The alpha and gamma circle sums
-    run once for all degrees; each degree is then a beta quadrature.
+    result is the quadrature approximation.  Two gemms run the gamma and
+    alpha circle sums once for all degrees, against the memoized plan of
+    ``separable_factors``; each degree is then a beta quadrature.
     """
     if f.rule.bandlimit < 2 * bandlimit:
         warnings.warn(
@@ -82,28 +83,30 @@ def fourier_forward(f: SampledFunction, bandlimit: int) -> CoefficientSet:
         )
     rule = f.rule
     ea, eg, degrees = separable_factors(f.tag, bandlimit, rule)
-    v = (rule.weights * f.values).reshape(rule.alphas.size, rule.betas.size, rule.gammas.size)
-    g = np.einsum("abc,am,cn->bmn", v, ea, eg, optimize=True)  # g[b, m', m]
-    mats = [np.einsum("bvu,bvu->uv", planes, g[:, band, band]) for planes, band in degrees]
+    na, nb, nm = rule.alphas.size, rule.betas.size, ea.shape[1]
+    v = (rule.weights * f.values).reshape(na * nb, rule.gammas.size)
+    g = (ea.T @ (v @ eg).reshape(na, nb * nm)).reshape(nm, nb, nm).transpose(1, 0, 2)  # g[b, m', m]
+    mats = [(planes * g[:, band, band]).sum(axis=0).T for planes, band in degrees]
     return CoefficientSet(f.tag, bandlimit, tuple(mats))
 
 
 def fourier_inverse(coeffs: CoefficientSet, rule: QuadratureRule | None = None) -> SampledFunction:
     """Evaluate sum_ell dim(ell) Tr[F(ell) D_ell(g_i)] on a rule's nodes.
 
-    Each degree adds its beta planes into h[b, m', m]; one pass over both
-    circles follows.
+    Each degree adds its beta planes into h[m', b, m]; two gemms over the
+    gamma and alpha circles follow.
     """
     if rule is None:
         rule = haar_quadrature(2 * coeffs.bandlimit, coeffs.tag)
     if rule.tag != coeffs.tag:
         raise TagMismatchError("rule tag does not match coefficient tag")
     ea, eg, degrees = separable_factors(coeffs.tag, coeffs.bandlimit, rule)
-    h = np.zeros((rule.betas.size, ea.shape[1], ea.shape[1]), dtype=complex)
+    nb, nm = rule.betas.size, ea.shape[1]
+    h = np.zeros((nm, nb, nm), dtype=complex)
     for ell, (planes, band) in enumerate(degrees):
-        h[:, band, band] += dim(ell, coeffs.tag) * planes * coeffs[ell].T
-    out = np.einsum("am,bmn,cn->abc", np.conj(ea), h, np.conj(eg), optimize=True)
-    return SampledFunction(coeffs.tag, rule, out.reshape(-1))
+        h[band, :, band] += dim(ell, coeffs.tag) * planes.transpose(1, 0, 2) * coeffs[ell].T[:, None, :]
+    t = (h.reshape(nm * nb, nm) @ np.conj(eg).T).reshape(nm, nb * rule.gammas.size)  # t[m', (b, c)]
+    return SampledFunction(coeffs.tag, rule, (np.conj(ea) @ t).reshape(-1))
 
 
 def evaluate_at(coeffs: CoefficientSet, elements: list[GroupElement]) -> np.ndarray:

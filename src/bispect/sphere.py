@@ -50,16 +50,22 @@ class SphereGrid:
         )
 
 
+def check_resolution(resolution: int, least: int = 1) -> None:
+    """DomainError unless the resolution is an int or numpy integer, not a
+    bool, and at least ``least``; 16.0 and ``True`` are refused."""
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise DomainError(f"resolution must be an integer, got {resolution!r}")
+    if resolution < least:
+        raise DomainError(f"resolution must be >= {least}")
+
+
 def sphere_grid(resolution: int) -> SphereGrid:
     """Midpoint-equiangular grid, one object per resolution (memoized, 32 at most).
 
     A bool or a non-integer resolution, 16.0 included, is a DomainError, as
     is one below 1; both are checked before the memo, which a float equal to
     an int would otherwise hit.  ``cache_info()`` reports the memo."""
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise DomainError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
+    check_resolution(resolution)
     return _sphere_grid(int(resolution))
 
 

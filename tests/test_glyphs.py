@@ -172,6 +172,23 @@ def test_glyph_index_rejects_a_repeated_label():
         GlyphIndex(1, 8, labels, index.beta)
 
 
+@pytest.mark.parametrize("resolution", [16.5, 16.0, True, np.float64(8.0), np.True_, "8", 1, 0])
+def test_glyph_index_rejects_a_resolution_lift_image_refuses(resolution):
+    # checked at construction, not when the first query is lifted at index.resolution
+    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
+    with pytest.raises(DomainError, match="resolution must be"):
+        GlyphIndex(1, resolution, index.labels, index.beta)
+    with pytest.raises(DomainError, match="resolution must be"):
+        lift_image(synthetic_glyphs(32)["ring"], resolution)
+
+
+def test_glyph_index_accepts_a_numpy_integer_resolution():
+    index = build_glyph_index(synthetic_glyphs(32), 8, 1)
+    same = GlyphIndex(1, np.int64(8), index.labels, index.beta)
+    query = build_descriptor(sphere_lift(lift_image(synthetic_glyphs(32)["ring"], same.resolution), 1))
+    assert match(query, same) == match(query, index)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_non_finite_glyph_values_are_rejected():
     # a NaN or infinite pixel, even outside the disk, is rejected before the image is sampled

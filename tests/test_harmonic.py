@@ -19,7 +19,7 @@ from bispect.harmonic import (
     random_bandlimited,
     translate,
 )
-from bispect.wigner import dim, wigner_stack_on_rule
+from bispect.wigner import dim, j2_of, little_d_direct, m_values, wigner_stack_on_rule
 
 
 def test_constant_function_transforms_to_delta():
@@ -60,9 +60,19 @@ def test_round_trips(tag):
     assert np.max(np.abs(samples.values - again.values)) < 1e-9
 
 
+def _stack_by_definition(ell, tag, rule):
+    """D_ell[m', m] = e^{-i m' alpha} d(beta)[m', m] e^{-i m gamma} at every node
+    of the rule, from Wigner's explicit sum: no plan, no recursion."""
+    m = m_values(ell, tag)
+    d = np.array([little_d_direct(j2_of(ell, tag), beta) for beta in rule.betas])
+    ea, eg = np.exp(-1j * np.outer(rule.alphas, m)), np.exp(-1j * np.outer(rule.gammas, m))
+    return (ea[:, None, None, :, None] * d[None, :, None] * eg[None, None, :, None, :]).reshape(rule.size, m.size, m.size)
+
+
 @pytest.mark.parametrize("tag", [SU2, SO3])
 def test_transforms_match_stack_definition(tag):
-    # reference: the defining sums over the full stack D_ell(g_i) at every node
+    # reference: the defining sums over the full stack D_ell(g_i) at every node,
+    # the stack itself checked against Wigner's explicit sum
     rng = np.random.default_rng(40)
     for bandlimit in range(7):
         coeffs = random_bandlimited(bandlimit, tag, seed=bandlimit)
@@ -79,6 +89,7 @@ def test_transforms_match_stack_definition(tag):
             ref_inverse = np.zeros(rule.size, dtype=complex)
             for ell in range(bandlimit + 1):
                 stack = wigner_stack_on_rule(ell, tag, rule)
+                assert np.max(np.abs(stack - _stack_by_definition(ell, tag, rule))) < 1e-13
                 ref = np.einsum("i,i,ivu->uv", rule.weights, values, np.conj(stack))
                 assert np.max(np.abs(forward[ell] - ref)) <= 1e-13 * np.max(np.abs(ref))
                 ref_inverse += dim(ell, tag) * np.einsum("uv,ivu->i", coeffs[ell], stack)

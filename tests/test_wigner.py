@@ -6,6 +6,7 @@ from bispect.groups import (
     SO3,
     SU2,
     GroupElement,
+    QuadratureRule,
     compose,
     from_euler,
     haar_quadrature,
@@ -23,6 +24,7 @@ from bispect.wigner import (
     little_d_direct,
     little_d_stack,
     m_values,
+    separable_factors,
     wigner_all,
     wigner_matrix,
     wigner_stack_on_rule,
@@ -189,3 +191,42 @@ def test_stack_on_rule_matches_wigner_all_at_the_nodes(tag):
     stacks = wigner_all(lmax, tag, rule.nodes)
     for ell in range(lmax + 1):
         assert np.max(np.abs(wigner_stack_on_rule(ell, tag, rule) - stacks[ell])) < 1e-13
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_plan_is_memoized_per_rule_object_and_read_only(tag):
+    rule = haar_quadrature(9, tag)
+    plan = separable_factors(tag, 4, rule)
+    ea, eg, degrees = plan
+    assert not any(arr.flags.writeable for arr in [ea, eg, *(planes for planes, _ in degrees)])
+    assert separable_factors(tag, 4, rule) is plan
+    # a rule made by hand with the same axes is another key: rules compare by identity
+    twin = QuadratureRule(tag, rule.bandlimit, rule.alphas, rule.betas, rule.gammas, rule.beta_weights)
+    misses = separable_factors.cache_info().misses
+    other = separable_factors(tag, 4, twin)
+    assert separable_factors.cache_info().misses == misses + 1
+    assert other[0] is not ea and np.array_equal(other[0], ea) and np.array_equal(other[2][4][0], degrees[4][0])
+    assert separable_factors.cache_info().maxsize is not None
+    with pytest.raises(DomainError):
+        separable_factors(tag, -1, rule)
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_plan_holds_one_little_d_plane_per_degree(tag):
+    # SO3 keeps no half-integer plane: degree ell reads spin ell, the recursion's j2 = 2 ell
+    bandlimit = 8
+    rule = haar_quadrature(2 * bandlimit, tag)
+    ea, eg, degrees = separable_factors(tag, bandlimit, rule)
+    assert ea.shape == (rule.alphas.size, 2 * bandlimit + 1) and eg.shape == (rule.gammas.size, 2 * bandlimit + 1)
+    stack = little_d_stack(j2_of(bandlimit, tag), rule.betas)
+    columns = np.arange(-bandlimit, bandlimit + 1) / (2.0 if tag == SU2 else 1.0)
+    assert len(degrees) == bandlimit + 1
+    for ell, (planes, band) in enumerate(degrees):
+        assert planes.shape == (rule.betas.size, dim(ell, tag), dim(ell, tag))
+        assert np.array_equal(planes, stack[j2_of(ell, tag)])
+        assert np.array_equal(columns[band], m_values(ell, tag))
+    # the byte count the memo's docstring quotes for SO3 L=8 on rule 16
+    plane_bytes = sum(planes.nbytes for planes, _ in degrees)
+    assert plane_bytes == rule.betas.size * sum(dim(ell, tag) ** 2 for ell in range(bandlimit + 1)) * 8
+    if tag == SO3:
+        assert plane_bytes == 131_784
