@@ -28,6 +28,24 @@ is zero off its column a, block a of that row is zero but at its column
 A lift's beta comes from the ``lift_terms`` table of C's nonzero entries,
 with no ``couple`` call; any other set, a near-lift too, is coupled.
 
+SO(3) irreducibles are of real type: in the real (cos/sin) basis U_l
+(``clebsch.real_basis``) a real-valued function's F_R(l) = U_l F(l) U_l^+
+are real.  So an SO3 set, a lift excepted, whose F_R have no imaginary part
+above REAL_BASIS_TOL (1e-12) of their largest entry drops that part,
+records its relative size as ``dropped_imag``, and stores in float64
+
+    B_R(p, q) = [F_R(p) (x) F_R(q)] C_R [dsum F_R(a)^+],
+
+C_R = (U_p (x) U_q) C_pq (dsum U_a^+) Phi^-1 the real orthogonal table of
+``clebsch.real_clebsch_gordan``, with Phi = i on the blocks with p + q + a
+odd.  B_R = (U_p (x) U_q) B (dsum U_a^+) Phi^-1 is B under unitary maps, so
+two real-basis descriptors compare on their stored B_R; ``desc[(p, q)]``,
+``coupled`` and a comparison with a standard-basis descriptor turn B_R back
+to the paper's A and B.  Every other set (complex SO3 sets, SU2 sets, whose
+half-integer irreducibles are quaternionic, and lifts) and every loaded
+file is stored in the standard basis, in complex128.  Only the measured
+imaginary part against REAL_BASIS_TOL picks the form.
+
 A brute-force double-quadrature of the triple correlation against Wigner
 matrices serves as the independent oracle for the formula at small
 bandlimits.
@@ -43,15 +61,42 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import cg_indices, clebsch_gordan, in_band, kron_swap, lift_terms
+from .clebsch import (CGDecomposition, cg_indices, clebsch_gordan, in_band, kron_swap, lift_terms, real_basis,
+                      real_clebsch_gordan)
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
+# An SO3 set whose F_R(l) = U_l F(l) U_l^+ have no imaginary part above this
+# fraction of their largest entry is coupled, and stored, in float64.
+REAL_BASIS_TOL = 1e-12
 
-def _entry(tag: str, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray], p: int, q: int) -> np.ndarray:
-    """Rows rp (x) rq of B(p, q), from live[l] = (rl, rows of F(l) kept) as
-    ``_live_rows`` gives them and the in-band F(a)^+, daggers[a]."""
-    cg = clebsch_gordan(tag, p, q)
-    return cg.couple(live[p][1], live[q][1], {a: daggers[a] for a in cg.indices if a < len(daggers)})
+
+def _table(tag: str, bandlimit: int, real: bool, p: int, q: int) -> CGDecomposition:
+    """The C_pq, p <= q, a descriptor's entries are coupled with: C_R in the real basis, else Racah's."""
+    return real_clebsch_gordan(p, q, bandlimit) if real else clebsch_gordan(tag, p, q)
+
+
+def _entry(cg: CGDecomposition, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray]) -> np.ndarray:
+    """Rows rp (x) rq of the coupled form of ``cg``'s pair, from live[l] = (rl, rows
+    of F(l) kept) as ``_live_rows`` gives them and the in-band F(a)^+, daggers[a]."""
+    return cg.couple(live[cg.p][1], live[cg.q][1], {a: daggers[a] for a in cg.indices if a < len(daggers)})
+
+
+def _real_form(coeffs: CoefficientSet) -> tuple[list[np.ndarray], float] | None:
+    """F_R(l) = U_l F(l) U_l^+ in float64 and the largest |Im F_R| they drop,
+    relative to the largest |F_R| entry; None when that exceeds REAL_BASIS_TOL."""
+    rotated = [real_basis(ell) @ m @ real_basis(ell).conj().T for ell, m in enumerate(coeffs.matrices)]
+    scale = float(np.max([np.abs(m).max() for m in rotated]))  # NaN propagates, and fails the test below
+    imag = float(np.max([np.abs(m.imag).max() for m in rotated]))
+    if not imag <= REAL_BASIS_TOL * scale:
+        return None
+    return [m.real for m in rotated], imag / scale if scale else 0.0
+
+
+def _from_real(x: np.ndarray, p: int, q: int) -> np.ndarray:
+    """(U_p (x) U_q)^+ x (U_p (x) U_q), for x with the Kronecker rows and columns of p (x) q."""
+    up, uq = real_basis(p), real_basis(q)
+    t = x.reshape(len(up), len(uq), len(up), len(uq))
+    return np.einsum("ai,bk,abcd,cj,dl->ikjl", up.conj(), uq.conj(), t, up, uq, optimize=True).reshape(x.shape)
 
 
 def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) -> np.ndarray:
@@ -61,7 +106,7 @@ def _scatter(rows: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int)
         return rows
     # row i d_q + k of an entry comes from row i of F(p) and row k of F(q)
     n = rows.shape[1]
-    out = np.zeros((dp * dq, n), dtype=complex)
+    out = np.zeros((dp * dq, n), dtype=rows.dtype)
     out.reshape(dp, dq, n)[rp[:, None], rq] = rows.reshape(len(rp), len(rq), n)
     return out
 
@@ -75,10 +120,10 @@ def _gather(full: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) 
     return full.reshape(dp, dq, n)[rp[:, None], rq].reshape(len(rp) * len(rq), n)
 
 
-def _live_rows(coeffs: CoefficientSet) -> list[tuple[np.ndarray, np.ndarray]]:
+def _live_rows(matrices) -> list[tuple[np.ndarray, np.ndarray]]:
     """(indices, rows) of each F(l)'s nonzero rows."""
     out = []
-    for m in coeffs.matrices:
+    for m in matrices:
         r = np.flatnonzero(m.any(axis=1))
         out.append((r, m[r]))
     return out
@@ -110,16 +155,15 @@ def _lift_entries(coeffs: CoefficientSet, live: list[tuple[np.ndarray, np.ndarra
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
-    """A(p, q) by the matrix formula, on a sphere lift with p <= q by
-    ``build_descriptor``'s lift route; out-of-band degrees are zero blocks."""
+    """A(p, q) by the matrix formula: for p <= q by ``build_descriptor``'s route
+    for the set, so it equals ``desc[(p, q)]``; out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
-    tag, live = coeffs.tag, _live_rows(coeffs)
-    if p <= q and _is_lift(tag, live):
-        rows = _lift_entries(coeffs, live)[(p, q)]
-    else:
-        rows = _entry(tag, live, [m.conj().T for m in coeffs.matrices], p, q)
-    return _scatter(clebsch_gordan(tag, p, q).decouple(rows), live[p][0], live[q][0], dim(p, tag), dim(q, tag))
+    if p <= q:
+        return _descriptor(coeffs, [(p, q)])[(p, q)]
+    live, cg = _live_rows(coeffs.matrices), clebsch_gordan(coeffs.tag, p, q)
+    rows = _entry(cg, live, [m.conj().T for m in coeffs.matrices])
+    return _scatter(cg.decouple(rows), live[p][0], live[q][0], dim(p, coeffs.tag), dim(q, coeffs.tag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,16 +175,22 @@ class BispectrumDescriptor:
     the rows of degree l kept; the other rows are zero.  With ``kept_rows``
     None, the default, the entries are given with every row, and degree l
     keeps the rows nonzero in some B(l, q), as the first Kronecker factor,
-    or in some B(p, l), as the second.  ``desc[(p, q)]`` is the full A(p, q)
-    for either order of p and q."""
+    or in some B(p, l), as the second.  With ``dropped_imag`` None the
+    entries are in the standard basis; a number marks an SO3 descriptor whose
+    real entries are B_R(p, q), in the real basis (``build_descriptor``), and
+    is the relative imaginary part dropped to get them.  ``desc[(p, q)]``
+    is the full A(p, q), in the standard basis, for either order of p and q."""
 
     tag: str
     bandlimit: int
     entries: dict[tuple[int, int], np.ndarray]
     det_f1: float | None = None
     kept_rows: tuple[np.ndarray, ...] | None = None
+    dropped_imag: float | None = None
 
     def __post_init__(self):
+        if self.dropped_imag is not None and (self.tag != SO3 or any(map(np.iscomplexobj, self.entries.values()))):
+            raise DomainError("only an SO3 descriptor holds real-basis entries, and they are real")
         dims = [dim(ell, self.tag) for ell in range(self.bandlimit + 1)]
         given = self.kept_rows
         kept = (tuple(np.arange(d) for d in dims) if given is None
@@ -170,52 +220,92 @@ class BispectrumDescriptor:
             object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "kept_rows", kept)
 
+    @property
+    def in_real_basis(self) -> bool:
+        """Whether the entries are B_R, in the real basis."""
+        return self.dropped_imag is not None
+
+    def table(self, p: int, q: int) -> CGDecomposition:
+        """The table entry (p, q), p <= q, is coupled with: C_R in the real basis, else C_pq."""
+        return _table(self.tag, self.bandlimit, self.in_real_basis, p, q)
+
     def __getitem__(self, pq: tuple[int, int]) -> np.ndarray:
         p, q = pq
         lo, hi = min(p, q), max(p, q)
         if (lo, hi) not in self.entries:
             raise DomainError(f"descriptor holds no pair {(p, q)}")
-        rows = clebsch_gordan(self.tag, lo, hi).decouple(self.entries[(lo, hi)])
-        if p > q:  # A(p, q) = S A(q, p) S^T, on the kept rows
+        rows = self.table(lo, hi).decouple(self.entries[(lo, hi)])
+        if p > q:  # A(p, q) = S A(q, p) S^T, on the kept rows; in either basis
             rows = kron_swap(rows, dim(q, self.tag), dim(p, self.tag), len(self.kept_rows[q]), len(self.kept_rows[p]))
-        return _scatter(rows, self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
+        full = _scatter(rows, self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
+        return _from_real(full, p, q) if self.in_real_basis else full
+
+    def stored(self, p: int, q: int) -> np.ndarray:
+        """The stored B(p, q), p <= q, with every row, in the descriptor's basis; the rows not kept are zero."""
+        return _scatter(self.entries[(p, q)], self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
 
     def coupled(self, p: int, q: int) -> np.ndarray:
-        """B(p, q), p <= q, with every row; the rows not kept are zero."""
-        return _scatter(self.entries[(p, q)], self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
+        """B(p, q), p <= q, in the standard basis, with every row."""
+        if self.in_real_basis:
+            return (self[(p, q)] @ clebsch_gordan(SO3, p, q).C)[:, in_band(SO3, p, q, self.bandlimit)]
+        return self.stored(p, q)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Every (p, q) that indexing gives A(p, q) for: the stored pairs and their swaps."""
         return sorted({pair for p, q in self.entries for pair in ((p, q), (q, p))})
 
 
-def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
-    """Assemble the descriptor, each degree keeping the nonzero rows of its F(l);
-    SO3 sets with a (near-)real det F(1) store it as side information for
-    the reconstruction sign branch."""
+def _descriptor(coeffs: CoefficientSet, pairs: list[tuple[int, int]] | None = None) -> BispectrumDescriptor:
+    """The descriptor of ``coeffs`` holding the given pairs, p <= q, or every one."""
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
         if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
             det_f1 = float(det.real)
-    live = _live_rows(coeffs)
-    kept = tuple(r for r, _ in live)
-    if _is_lift(coeffs.tag, live):
-        return BispectrumDescriptor(coeffs.tag, coeffs.bandlimit, _lift_entries(coeffs, live), det_f1, kept)
-    daggers = [m.conj().T for m in coeffs.matrices]
-    L = coeffs.bandlimit
-    entries = {(p, q): _entry(coeffs.tag, live, daggers, p, q) for p in range(L + 1) for q in range(p, L + 1)}
-    return BispectrumDescriptor(coeffs.tag, L, entries, det_f1, kept)
+    tag, L = coeffs.tag, coeffs.bandlimit
+    live = _live_rows(coeffs.matrices)
+    if _is_lift(tag, live):
+        entries = _lift_entries(coeffs, live)
+        if pairs is not None:
+            entries = {pq: entries[pq] for pq in pairs}
+        return BispectrumDescriptor(tag, L, entries, det_f1, tuple(r for r, _ in live))
+    if pairs is None:
+        pairs = [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    real = _real_form(coeffs) if tag == SO3 else None
+    mats, dropped = real or (coeffs.matrices, None)
+    if real:
+        live = _live_rows(mats)
+    daggers = [m.conj().T for m in mats]
+    entries = {(p, q): _entry(_table(tag, L, dropped is not None, p, q), live, daggers) for p, q in pairs}
+    return BispectrumDescriptor(tag, L, entries, det_f1, tuple(r for r, _ in live), dropped)
+
+
+def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
+    """Assemble the descriptor, each degree keeping the nonzero rows of its F(l).
+
+    A sphere lift takes its entries from ``lift_terms``.  Any other SO3 set
+    whose F_R(l) = U_l F(l) U_l^+ (``clebsch.real_basis``) have an imaginary
+    part within REAL_BASIS_TOL of their largest entry, as a real-valued
+    function's do, drops it, records it as ``dropped_imag`` and stores
+    B_R(p, q) = [F_R(p) (x) F_R(q)] C_R [dsum F_R(a)^+] in float64
+    (``clebsch.real_clebsch_gordan``); every other set, SU2 included, stores
+    its complex B(p, q).  SO3 sets with a (near-)real det F(1) store it as
+    side information for the reconstruction sign branch."""
+    return _descriptor(coeffs)
 
 
 def _compared_blocks(d1: BispectrumDescriptor, d2: BispectrumDescriptor):
     """((2 - delta_pq) d_p d_q, block of d1, block of d2) per stored pair: each
-    B(p, q) on the union of both descriptors' kept rows, never dense.
+    B(p, q) on the union of both descriptors' kept rows, never dense; with
+    one descriptor in the real basis and one not, both in the standard basis.
     Raises unless both share group, bandlimit and entry set."""
     if (d1.tag, d1.bandlimit) != (d2.tag, d2.bandlimit):
         raise TagMismatchError("descriptors differ in group or bandlimit")
     if sorted(d1.entries) != sorted(d2.entries):
         raise DomainError("descriptors carry different entry sets")
+    if d1.in_real_basis != d2.in_real_basis:
+        d1, d2 = (BispectrumDescriptor(d.tag, d.bandlimit, {pq: d.coupled(*pq) for pq in d.entries}) if d.in_real_basis
+                  else d for d in (d1, d2))
     union = [np.union1d(r1, r2) for r1, r2 in zip(d1.kept_rows, d2.kept_rows)]
     at = [[np.searchsorted(u, r) for u, r in zip(union, d.kept_rows)] for d in (d1, d2)]
     for p, q in sorted(d1.entries):
@@ -250,7 +340,7 @@ def _translated_samples(coeffs: CoefficientSet, shifts: list[np.ndarray], rule: 
         d = dim(ell, coeffs.tag)
         # Tr[M D] = sum_uv M^T[v, u] D[v, u]: both flattened over (v, u)
         left = (dx @ coeffs[ell]).transpose(0, 2, 1).reshape(n, d * d)
-        u += d * (left @ wigner_stack_on_rule(ell, coeffs.tag, rule).reshape(rule.size, d * d).T)
+        u += d * (left @ wigner_stack_on_rule(ell, coeffs.tag, rule, coeffs.bandlimit).reshape(rule.size, d * d).T)
     return u
 
 
@@ -278,7 +368,7 @@ def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> np.ndarray:
     """a3(g_j, g_k) as an (n, n) array, on the n nodes of ``haar_quadrature(bandlimit, f.tag)``."""
     outer_rule = haar_quadrature(bandlimit, f.tag)
     coeffs = fourier_forward(f, bandlimit)
-    shifts = [wigner_stack_on_rule(ell, f.tag, outer_rule) for ell in range(bandlimit + 1)]
+    shifts = [wigner_stack_on_rule(ell, f.tag, outer_rule, bandlimit) for ell in range(bandlimit + 1)]
     u = _translated_samples(coeffs, shifts, f.rule)
     wf = f.rule.weights * np.conj(f.values)
     # a3[j, k] = sum_i (w_i conj(f_i)) U[j, i] U[k, i], one gemm
@@ -293,8 +383,8 @@ def bispectrum_via_oracle(f: SampledFunction, p: int, q: int, bandlimit: int) ->
     """
     a3 = triple_correlation_grid(f, bandlimit)
     outer = haar_quadrature(bandlimit, f.tag)  # memoized: the rule a3 is tabulated on
-    dp = wigner_stack_on_rule(p, f.tag, outer)
-    dq = wigner_stack_on_rule(q, f.tag, outer)
+    dp = wigner_stack_on_rule(p, f.tag, outer, bandlimit)  # the plan a3 was tabulated with
+    dq = wigner_stack_on_rule(q, f.tag, outer, bandlimit)
     w = outer.weights
     # sum_{a,b} w_a w_b a3[a,b]  D_p(g_a)^+ (x) D_q(g_b)^+
     left = np.einsum("a,b,ab,aij->bij", w, w, a3, np.conj(dp.transpose(0, 2, 1)), optimize=True)

@@ -19,6 +19,16 @@ descriptor stores, ``CGDecomposition.decouple``, its trailing C^+,
 ``lift_terms``, the memoized, read-only term table of a sphere lift's
 beta(p, q, a) and their places in the stored rows.
 
+The real (cos/sin) basis of an SO3 degree l is the unitary U_l
+(``real_basis``): with m ascending, row l is e_0, and for m > 0 row l + m is
+(e_-m + (-1)^m e_m)/sqrt 2 and row l - m is i (e_-m - (-1)^m e_m)/sqrt 2.
+U_l D_l U_l^+ is real, and with this U the blocks of (U_p (x) U_q) C
+(dsum U_a^+) with p + q + a even are real and the odd ones imaginary, so
+``real_clebsch_gordan`` divides each odd block by Phi = i and gets the real
+orthogonal C_R, memoized per (p, q, min(L, p + q)) for p <= q on the in-band
+columns only.  It is built from C with U's two nonzeros a row, as flips,
+never by dense products.
+
 The subgroup throughout is H = rotations about the z-axis (for SU2, its
 diagonal circle preimage).
 """
@@ -190,6 +200,77 @@ def in_band(tag: str, p: int, q: int, bandlimit: int) -> slice:
     step = 2 if tag == SU2 else 1
     k = max(0, -(-(p + q - bandlimit) // step))
     return slice(k * ((3 - step) * (p + q) + 1) - k * (k - 1), dim(p, tag) * dim(q, tag))
+
+
+_SQRT_HALF = np.sqrt(0.5)
+# Re(i^(r - c)) for the phase exponents r, c in 0..2 that C_R's rows and columns carry
+_RE_I_POWER = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+
+
+@lru_cache(maxsize=256)
+def _real_basis(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U_ell, own, mirror, odd), memoized per degree and read-only: U_ell[j, j] =
+    i^odd own and U_ell[j, 2 ell - j] = i^odd mirror, own and mirror real, so
+    U_ell = diag(i^odd) R with R real and two nonzeros a row.  odd is 1 on the
+    sin rows j < ell."""
+    if ell < 0:
+        raise DomainError("degree must be nonnegative")
+    j = np.arange(2 * ell + 1)
+    sign = 1.0 - 2.0 * (np.abs(j - ell) % 2)  # (-1)^m
+    own = np.where(j == ell, 1.0, np.where(j > ell, sign, 1.0) * _SQRT_HALF)
+    mirror = np.where(j == ell, 0.0, np.where(j > ell, 1.0, -sign) * _SQRT_HALF)
+    odd = (j < ell).astype(int)
+    u = np.zeros((j.size, j.size), dtype=complex)
+    u[j, j] = own * 1j**odd
+    u[j, j[::-1]] += mirror * 1j**odd
+    for x in (u, own, mirror, odd):
+        x.setflags(write=False)  # cached and shared by the whole process
+    return u, own, mirror, odd
+
+
+def real_basis(ell: int) -> np.ndarray:
+    """U_ell, the unitary from the standard SO3 basis to the real (cos/sin) one,
+    read-only.  With m ascending, row ell is e_0, and for m > 0 row ell + m is
+    (e_-m + (-1)^m e_m)/sqrt 2 and row ell - m is i (e_-m - (-1)^m e_m)/sqrt 2;
+    U_ell D_ell(g) U_ell^+ is real."""
+    return _real_basis(ell)[0]
+
+
+def real_clebsch_gordan(p: int, q: int, bandlimit: int) -> CGDecomposition:
+    """C_R = (U_p (x) U_q) C_pq (dsum U_a^+) Phi^-1, SO3, p <= q, on the columns of
+    the degrees a <= bandlimit only, with Phi = i on each block with p + q + a
+    odd and 1 on the others: a real orthogonal table, so that F_R(a) = U_a
+    F(a) U_a^+ couple as F(a) do with C.  Memoized per (p, q, min(bandlimit, p + q)),
+    read-only."""
+    if not 0 <= p <= q:
+        raise DomainError(f"the real table needs 0 <= p <= q, got ({p}, {q})")
+    return _real_cg(p, q, min(bandlimit, p + q))
+
+
+@lru_cache(maxsize=512)
+def _real_cg(p: int, q: int, top: int) -> CGDecomposition:
+    """C_R from Racah's C, one factor at a time, never dense: as U = diag(i^odd) R,
+    C_R is the real (R_p (x) R_q) C (dsum R_a^T) times Re i^(r - c), where row
+    (i, k) carries r = odd_p[i] + odd_q[k] and column c of block a carries
+    odd_a[c] + [p + q + a odd].  Where i^(r - c) is imaginary C_R is zero, as it is real."""
+    cg = clebsch_gordan(SO3, p, q)
+    degrees = tuple(a for a in cg.indices if a <= top)
+    dp, dq = 2 * p + 1, 2 * q + 1
+    y = cg.C[:, in_band(SO3, p, q, top)].reshape(dp, dq, -1)
+    # R's two nonzeros in row j sit at columns j and 2 ell - j: a flip
+    _, own, mirror, odd_p = _real_basis(p)
+    y = own[:, None, None] * y + mirror[:, None, None] * y[::-1]
+    _, own, mirror, odd_q = _real_basis(q)
+    y = own[:, None] * y + mirror[:, None] * y[:, ::-1]
+    # and so do those of each block of columns
+    widths = [2 * a + 1 for a in degrees]
+    flip = np.concatenate([np.arange(end - 1, end - w - 1, -1) for w, end in zip(widths, np.cumsum(widths))])
+    own, mirror, odd = (np.concatenate(x) for x in zip(*(_real_basis(a)[1:] for a in degrees)))
+    y = own * y + mirror * y[..., flip]
+    col = odd + np.repeat([(p + q + a) % 2 for a in degrees], widths)
+    c_r = (y * _RE_I_POWER[(odd_p[:, None] + odd_q)[:, :, None], col]).reshape(dp * dq, -1)
+    c_r.setflags(write=False)  # cached and shared by the whole process
+    return CGDecomposition(SO3, p, q, c_r, degrees)
 
 
 @dataclass(frozen=True, eq=False)

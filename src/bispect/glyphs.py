@@ -234,6 +234,8 @@ def lift_beta(desc: BispectrumDescriptor) -> np.ndarray:
     off its columns; TagMismatchError for an SU2 descriptor."""
     if desc.tag != SO3:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
+    if desc.in_real_basis:
+        raise DomainError("a real-basis descriptor is not a sphere lift's")
     for ell, r in enumerate(desc.kept_rows):
         if len(r) and r.tolist() != [ell]:
             raise DomainError(f"degree {ell} keeps rows {r.tolist()}, off its lift row {ell}; not a sphere lift")
@@ -257,7 +259,7 @@ class GlyphIndex:
     is one ``lift_image`` accepts (DomainError).
 
     Row i of ``beta`` is the unweighted ``lift_beta`` of ``labels[i]``'s
-    descriptor."""
+    descriptor.  A numpy integer resolution is kept as the int."""
 
     bandlimit: int
     resolution: int
@@ -282,6 +284,7 @@ class GlyphIndex:
         if bad.any():
             raise DomainError(f"glyph {labels[int(np.argmax(bad))]!r} has a non-finite descriptor value")
         beta.setflags(write=False)
+        object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "beta", beta)
 

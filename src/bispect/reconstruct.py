@@ -9,6 +9,9 @@ the stored coupled entry B(1, l-1) = [F(1) (x) F(l-1)] C [dsum F(a)^+]:
 
     F(l)^+ = C[:, block l]^T [F(1) (x) F(l-1)]^-1 B(1, l-1)[:, block l] .
 
+A descriptor in the real basis runs the same steps in float64 on its B_R
+and C_R, recovering F_R(l) = U_l F(l) U_l^+, and turns each back to F(l).
+
 Every recovered set equals the true one up to one right factor D_ell(x),
 the group translation the descriptor cannot see; ``find_alignment``
 recovers that x when ground truth is available.
@@ -33,7 +36,7 @@ from .errors import (
 from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, gamma_period, haar_quadrature, su2_matrix, wrap_angle
 from .harmonic import COND_REJECT, CoefficientSet, evaluate_at, fourier_inverse, translate
 from .bispectrum import BispectrumDescriptor
-from .clebsch import clebsch_gordan, kron_solve
+from .clebsch import kron_solve, real_basis
 from .wigner import CARTESIAN_TO_SPHERICAL, SU2_BASIS_SWAP
 
 _HERMITICITY_TOL = 1e-10
@@ -46,9 +49,14 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _inexact(m) -> np.ndarray:
+    """m as a float64 array when real, else complex128."""
+    return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+
+
 def positive_sqrt(hm: np.ndarray) -> np.ndarray:
     """Unique Hermitian PSD square root; mildly negative eigenvalues clamp to 0."""
-    hm = _check_hermitian(np.asarray(hm, dtype=complex))
+    hm = _check_hermitian(_inexact(hm))
     vals, vecs = np.linalg.eigh(hm)
     scale = max(float(vals[-1]), 0.0)
     if vals[0] < -1e-10 * max(scale, 1.0):
@@ -62,9 +70,9 @@ def signed_sqrt(hm: np.ndarray, target_det: float) -> np.ndarray:
 
     A negative target flips the sign of the square root of the smallest
     eigenvalue (ties broken by the first index), which keeps R R = hm while
-    reaching the requested determinant.
+    reaching the requested determinant.  A real hm gives a real root.
     """
-    hm = _check_hermitian(np.asarray(hm, dtype=complex))
+    hm = _check_hermitian(_inexact(hm))
     vals, vecs = np.linalg.eigh(hm)
     if vals[0] <= 0 or vals[-1] / vals[0] > COND_REJECT:
         raise SingularMatrixError("signed_sqrt needs a nonsingular PSD matrix")
@@ -197,7 +205,8 @@ def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None
         if pq not in desc.entries:
             raise DomainError(f"descriptor lacks A{pq}, which reconstruction reads")
 
-    a00 = complex(np.asarray(desc[(0, 0)]).ravel()[0])
+    # read in the stored basis; B(0, 0) = A(0, 0), as C_00 = C_R = [1]
+    a00 = complex(desc.stored(0, 0).ravel()[0])
     if abs(a00) < 1e-300:
         raise ZeroMeanError("A(0,0) = 0: the mean coefficient cannot be recovered")
     f0 = np.cbrt(a00.real)  # real origin: real cube root, sign preserved
@@ -205,7 +214,7 @@ def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None
     conds = {0: 1.0}
 
     if L >= 1:
-        gram = np.asarray(desc[(0, 1)], dtype=complex) / f0
+        gram = desc.table(0, 1).decouple(desc.stored(0, 1)) / f0
         if tag == SO3:
             if desc.det_f1 is None:
                 raise MissingSideInfoError("SO3 reconstruction needs det F(1) side information")
@@ -221,9 +230,9 @@ def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None
         conds[1] = cond1
 
     for ell in range(2, L + 1):
-        cg = clebsch_gordan(tag, 1, ell - 1)
+        cg = desc.table(1, ell - 1)
         # degree ell = 1 + (ell - 1) leads cg_indices, and every degree of B(1, ell - 1) is in band
-        b = desc.coupled(1, ell - 1)[:, cg.block_slices[0]]
+        b = desc.stored(1, ell - 1)[:, cg.block_slices[0]]
         f_ell = (cg.block(ell).T @ kron_solve(mats[1], mats[ell - 1], b)).conj().T
         cond = float(np.linalg.cond(f_ell))
         if not np.isfinite(cond) or cond > COND_REJECT:
@@ -231,6 +240,8 @@ def _reconstruct(desc: BispectrumDescriptor, ground_truth: CoefficientSet | None
         mats.append(f_ell)
         conds[ell] = cond
 
+    if desc.in_real_basis:  # F(l) = U_l^+ F_R(l) U_l
+        mats = [real_basis(ell).conj().T @ m @ real_basis(ell) for ell, m in enumerate(mats)]
     recovered = CoefficientSet(tag, L, tuple(mats))
     report = ReconstructionReport(recovered, conds)
     if ground_truth is not None:

@@ -177,7 +177,7 @@ def suite_quadrature(seed: int = 0) -> list[CheckResult]:
         # Schur orthogonality for every coefficient pair up to degree 4
         cols, labels = [], []
         for ell in range(bandlimit + 1):
-            st = wigner_stack_on_rule(ell, tag, rule)
+            st = wigner_stack_on_rule(ell, tag, rule, bandlimit)
             d = st.shape[1]
             cols.append(st.reshape(rule.size, d * d))
             labels += [(ell, i, j) for i in range(d) for j in range(d)]
@@ -191,7 +191,7 @@ def suite_quadrature(seed: int = 0) -> list[CheckResult]:
         )
 
         # mean of a nontrivial coefficient vanishes
-        d1 = wigner_stack_on_rule(1, tag, rule)
+        d1 = wigner_stack_on_rule(1, tag, rule, bandlimit)
         out.append(
             CheckResult.from_residual(
                 f"{tag}-degree1-mean", abs(np.sum(rule.weights * d1[:, 0, 0])), 1e-12

@@ -158,17 +158,22 @@ def separable_factors(
     return ea, eg, degrees
 
 
-def wigner_stack_on_rule(ell: int, tag: str, rule: QuadratureRule) -> np.ndarray:
+def wigner_stack_on_rule(ell: int, tag: str, rule: QuadratureRule, plan_bandlimit: int | None = None) -> np.ndarray:
     """D_ell at every rule node, shape (size, dim, dim), product-grid order.
 
     The product of the phases and degree-ell planes of the memoized plan
-    ``separable_factors(tag, ell, rule)``.  The stack itself is not cached:
-    the transforms never build it, and at degree ell it takes
+    ``separable_factors(tag, plan_bandlimit, rule)``, at bandlimit ell by
+    default; a loop over the degrees up to L passes L, so that one plan
+    serves them all.  The stack is the same from any plan.  It is not
+    cached: the transforms never build it, and at degree ell it takes
     size * dim^2 complex entries.
     """
     if rule.tag != tag:
         raise TagMismatchError("rule tag does not match requested tag")
-    ea, eg, degrees = separable_factors(tag, ell, rule)
+    top = ell if plan_bandlimit is None else plan_bandlimit
+    if not 0 <= ell <= top:
+        raise DomainError(f"degree {ell} lies outside the plan's 0..{top}")
+    ea, eg, degrees = separable_factors(tag, top, rule)
     planes, band = degrees[ell]
     stack = np.conj(ea[:, None, None, band, None]) * planes[None, :, None] * np.conj(eg[None, None, :, None, band])
     return stack.reshape(rule.size, *planes.shape[1:])

@@ -21,7 +21,7 @@ from bispect.bispectrum import (
 from bispect.clebsch import CGDecomposition, clebsch_gordan, in_band, lift_terms
 from bispect.glyphs import PlanarMotion, apply_planar_motion, beta_count, lift_beta, lift_image, synthetic_glyphs
 from bispect.sphere import random_sphere_function, sphere_lift
-from bispect.wigner import dim
+from bispect.wigner import dim, separable_factors
 
 
 def test_a00_is_mean_cubed():
@@ -455,6 +455,18 @@ def test_triple_correlation_left_invariance(rng):
     g2 = triple_correlation_grid(shifted, bandlimit)
     scale = max(1.0, float(np.max(np.abs(g1))))
     assert np.max(np.abs(g1 - g2)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_triple_correlation_grid_reads_one_wigner_plan_per_rule(tag):
+    # the outer rule and the samples' rule: one plan each, at the top degree, for every degree
+    bandlimit = 4
+    f = fourier_inverse(random_bandlimited(bandlimit, tag, require_real=True, seed=48), haar_quadrature(3 * bandlimit, tag))
+    separable_factors.cache_clear()
+    triple_correlation_grid(f, bandlimit)
+    assert separable_factors.cache_info().misses <= 2
+    bispectrum_via_oracle(f, 1, 2, bandlimit)
+    assert separable_factors.cache_info().misses <= 2
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])

@@ -27,7 +27,7 @@ from bispect.glyphs import (
     planar_motion_to_rotation,
     synthetic_glyphs,
 )
-from bispect.io import load_descriptor, save_descriptor
+from bispect.io import load_descriptor, load_glyph_index, save_descriptor, save_glyph_index
 from bispect.sphere import SphereFunction, random_sphere_function, rotate_sphere, sphere_grid, sphere_lift
 
 
@@ -182,11 +182,18 @@ def test_glyph_index_rejects_a_resolution_lift_image_refuses(resolution):
         lift_image(synthetic_glyphs(32)["ring"], resolution)
 
 
-def test_glyph_index_accepts_a_numpy_integer_resolution():
+def test_glyph_index_accepts_a_numpy_integer_resolution(tmp_path):
     index = build_glyph_index(synthetic_glyphs(32), 8, 1)
     same = GlyphIndex(1, np.int64(8), index.labels, index.beta)
+    assert type(same.resolution) is int and same.resolution == 8
     query = build_descriptor(sphere_lift(lift_image(synthetic_glyphs(32)["ring"], same.resolution), 1))
     assert match(query, same) == match(query, index)
+    # built at a numpy integer resolution, the index saves and loads back
+    path = str(tmp_path / "index.json")
+    save_glyph_index(build_glyph_index(synthetic_glyphs(32), np.int64(8), 1), path)
+    back = load_glyph_index(path)
+    assert back.resolution == 8 and np.array_equal(back.beta, index.beta)
+    assert match(query, back) == match(query, index)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")

@@ -194,6 +194,15 @@ def test_stack_on_rule_matches_wigner_all_at_the_nodes(tag):
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])
+def test_stack_on_rule_is_the_same_from_a_plan_at_a_higher_bandlimit(tag):
+    rule = haar_quadrature(8, tag)
+    for ell in range(5):
+        assert np.array_equal(wigner_stack_on_rule(ell, tag, rule, 4), wigner_stack_on_rule(ell, tag, rule))
+    with pytest.raises(DomainError):
+        wigner_stack_on_rule(5, tag, rule, 4)
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
 def test_plan_is_memoized_per_rule_object_and_read_only(tag):
     rule = haar_quadrature(9, tag)
     plan = separable_factors(tag, 4, rule)
