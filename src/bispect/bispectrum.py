@@ -25,8 +25,11 @@ is zero off its column a, block a of that row is zero but at its column
 
     beta(p, q, a) = (a_p (x) a_q) C_pq[:, block a] a_a^+ .
 
-A lift's beta comes from the ``lift_terms`` table of C's nonzero entries,
-with no ``couple`` call; any other set, a near-lift too, is coupled.
+So a lift's descriptor stores its beta alone, 106 values at L = 6, summed
+from the ``lift_terms`` table of C's nonzero entries with no ``couple``
+call and no scan of rows; ``desc[(p, q)]``, ``stored``, ``coupled`` and the
+comparisons place it in B(p, q)'s row when asked.  Any other set, a
+near-lift too, is coupled.
 
 SO(3) irreducibles are of real type: in the real (cos/sin) basis U_l
 (``clebsch.real_basis``) a real-valued function's F_R(l) = U_l F(l) U_l^+
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,29 +133,41 @@ def _live_rows(matrices) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _is_lift(tag: str, live: list[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Whether an SO3 set keeps no row of any F(l) but row l, as a sphere lift does."""
-    return tag == SO3 and all(len(r) == 0 or (len(r) == 1 and r[0] == ell) for ell, (r, _) in enumerate(live))
+@lru_cache(maxsize=8)
+def _lift_layout(bandlimit: int) -> tuple[dict[tuple[int, int], tuple[slice, np.ndarray, int]], tuple[np.ndarray, ...]]:
+    """Where a lift at a bandlimit keeps its values, memoized, every array
+    read-only: per pair p <= q, in ``lift_terms`` slot order, its beta slots,
+    their columns (a, M = 0) in B(p, q)'s row p d_q + q and that row's in-band
+    width; and [l], the lift row of each degree l."""
+    L, terms = bandlimit, lift_terms(bandlimit)
+    pairs, at = {}, 0
+    for k, (p, q) in enumerate((p, q) for p in range(L + 1) for q in range(p, L + 1)):
+        band, slots = in_band(SO3, p, q, L), slice(*terms.pair_start[k : k + 2].tolist())
+        pairs[(p, q)] = slots, terms.position[slots] - at, band.stop - band.start
+        at += band.stop - band.start
+    rows = tuple(np.array([ell]) for ell in range(L + 1))
+    for x in (*(cols for _, cols, _ in pairs.values()), *rows):
+        x.setflags(write=False)  # cached and shared by the whole process
+    return pairs, rows
 
 
-def _lift_entries(coeffs: CoefficientSet, live: list[tuple[np.ndarray, np.ndarray]]) -> dict[tuple[int, int], np.ndarray]:
-    """Every stored block of a sphere lift's descriptor from ``lift_terms``:
-    the beta sums placed in one zero vector holding the lift rows of every
-    B(p, q), p <= q.  B(p, q) stores its row when degrees p and q both keep
-    one, else nothing."""
-    L, terms = coeffs.bandlimit, lift_terms(coeffs.bandlimit)
+def _lift_descriptor(coeffs: CoefficientSet, det_f1: float | None) -> BispectrumDescriptor | None:
+    """The descriptor of an SO3 set that keeps no row of any F(l) but row l, a
+    sphere lift, its beta summed from ``lift_terms``; None for any other set."""
     x = np.concatenate([m[ell] for ell, m in enumerate(coeffs.matrices)])
+    if np.count_nonzero(x) != sum(map(np.count_nonzero, coeffs.matrices)):
+        return None
+    L, terms = coeffs.bandlimit, lift_terms(coeffs.bandlimit)
     left, right, target = terms.factors
-    # the last slot, beta(L, L, 0), is the last column of the last row
-    rows = np.zeros((1, terms.position[-1] + 1), dtype=complex)
-    rows[0, terms.position] = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
-    entries, at = {}, 0
-    for p in range(L + 1):
-        for q in range(p, L + 1):
-            band = in_band(SO3, p, q, L)
-            entries[(p, q)] = rows[: len(live[p][0]) * len(live[q][0]), at : at + band.stop - band.start]
-            at += band.stop - band.start
-    return entries
+    beta = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
+    pairs, rows = _lift_layout(L)
+    live = np.logical_or.reduceat(x != 0, np.arange(L + 1) ** 2).tolist()
+    if not all(live):  # B(p, q) keeps no row when degree p or q keeps none
+        for (p, q), (slots, _, _) in pairs.items():
+            if not (live[p] and live[q]):
+                beta[slots] = 0.0
+    kept = tuple(r if keeps else r[:0] for r, keeps in zip(rows, live))
+    return BispectrumDescriptor(SO3, L, det_f1=det_f1, kept_rows=kept, beta=beta)
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
@@ -178,17 +194,29 @@ class BispectrumDescriptor:
     or in some B(p, l), as the second.  With ``dropped_imag`` None the
     entries are in the standard basis; a number marks an SO3 descriptor whose
     real entries are B_R(p, q), in the real basis (``build_descriptor``), and
-    is the relative imaginary part dropped to get them.  ``desc[(p, q)]``
-    is the full A(p, q), in the standard basis, for either order of p and q."""
+    is the relative imaginary part dropped to get them.
+
+    A sphere lift is given as its ``beta`` instead, in ``clebsch.lift_terms``
+    slot order, with degree l keeping row l or, when ``kept_rows[l]`` is
+    empty, nothing (default: every degree keeps its row).  It holds beta
+    once, read-only, and ``entries[(p, q)]`` is the view of it holding the
+    pair's beta(p, q, a), the values of row p d_q + q of B(p, q) at its
+    columns (a, M = 0); every other value of B(p, q) is zero, and so is the
+    beta of a pair whose degree keeps no row.  Entries given beside beta
+    must hold those values.  ``desc[(p, q)]`` is the full A(p, q), in the
+    standard basis, for either order of p and q, in every form."""
 
     tag: str
     bandlimit: int
-    entries: dict[tuple[int, int], np.ndarray]
+    entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     det_f1: float | None = None
     kept_rows: tuple[np.ndarray, ...] | None = None
     dropped_imag: float | None = None
+    beta: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.beta is not None:
+            return self._hold_beta()
         if self.dropped_imag is not None and (self.tag != SO3 or any(map(np.iscomplexobj, self.entries.values()))):
             raise DomainError("only an SO3 descriptor holds real-basis entries, and they are real")
         dims = [dim(ell, self.tag) for ell in range(self.bandlimit + 1)]
@@ -220,6 +248,44 @@ class BispectrumDescriptor:
             object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "kept_rows", kept)
 
+    def _hold_beta(self) -> None:
+        """Check a lift's beta and kept rows and make the entries views of beta."""
+        L = self.bandlimit
+        if self.tag != SO3 or self.dropped_imag is not None:
+            raise DomainError("only an SO3 descriptor in the standard basis is given as a lift's beta")
+        pairs, rows = _lift_layout(L)
+        beta, size = np.array(self.beta, dtype=complex), len(lift_terms(L).term_start)
+        if beta.shape != (size,):
+            raise DomainError(f"a lift at bandlimit {L} needs {size} beta values, found shape {beta.shape}")
+        kept = rows if self.kept_rows is None else tuple(np.asarray(r, dtype=int) for r in self.kept_rows)
+        if len(kept) != L + 1:
+            raise DomainError(f"kept_rows needs {L + 1} degrees, found {len(kept)}")
+        for ell, r in enumerate(kept):
+            if r.tolist() not in ([], [ell]):
+                raise DomainError(f"kept_rows[{ell}] of a lift must be [] or [{ell}], found {r.tolist()}")
+        if not all(map(len, kept)):
+            for (p, q), (slots, _, _) in pairs.items():
+                if not (len(kept[p]) and len(kept[q])) and beta[slots].any():
+                    raise DomainError(f"beta of pair {(p, q)} must be zero: degree {p if len(kept[q]) else q} keeps no row")
+        beta.setflags(write=False)
+        entries = {pq: beta[slots] for pq, (slots, _, _) in pairs.items()}
+        if self.entries and (self.entries.keys() != entries.keys()
+                             or not all(np.array_equal(self.entries[pq], m) for pq, m in entries.items())):
+            raise DomainError("entries given beside a lift's beta must be its per-pair values")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "kept_rows", kept)
+        object.__setattr__(self, "entries", entries)
+
+    def _rows(self, p: int, q: int) -> np.ndarray:
+        """The stored rows rp (x) rq of B(p, q), p <= q: the entry, or a lift's
+        one row, none when p or q keeps none, holding beta at its columns."""
+        if self.beta is None:
+            return self.entries[(p, q)]
+        _, columns, width = _lift_layout(self.bandlimit)[0][(p, q)]
+        rows = np.zeros((len(self.kept_rows[p]) * len(self.kept_rows[q]), width), dtype=complex)
+        rows[:, columns] = self.entries[(p, q)]
+        return rows
+
     @property
     def in_real_basis(self) -> bool:
         """Whether the entries are B_R, in the real basis."""
@@ -234,7 +300,7 @@ class BispectrumDescriptor:
         lo, hi = min(p, q), max(p, q)
         if (lo, hi) not in self.entries:
             raise DomainError(f"descriptor holds no pair {(p, q)}")
-        rows = self.table(lo, hi).decouple(self.entries[(lo, hi)])
+        rows = self.table(lo, hi).decouple(self._rows(lo, hi))
         if p > q:  # A(p, q) = S A(q, p) S^T, on the kept rows; in either basis
             rows = kron_swap(rows, dim(q, self.tag), dim(p, self.tag), len(self.kept_rows[q]), len(self.kept_rows[p]))
         full = _scatter(rows, self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
@@ -242,7 +308,7 @@ class BispectrumDescriptor:
 
     def stored(self, p: int, q: int) -> np.ndarray:
         """The stored B(p, q), p <= q, with every row, in the descriptor's basis; the rows not kept are zero."""
-        return _scatter(self.entries[(p, q)], self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
+        return _scatter(self._rows(p, q), self.kept_rows[p], self.kept_rows[q], dim(p, self.tag), dim(q, self.tag))
 
     def coupled(self, p: int, q: int) -> np.ndarray:
         """B(p, q), p <= q, in the standard basis, with every row."""
@@ -256,25 +322,22 @@ class BispectrumDescriptor:
 
 
 def _descriptor(coeffs: CoefficientSet, pairs: list[tuple[int, int]] | None = None) -> BispectrumDescriptor:
-    """The descriptor of ``coeffs`` holding the given pairs, p <= q, or every one."""
+    """The descriptor of ``coeffs`` holding the given pairs, p <= q, or every
+    one; a sphere lift's holds every one."""
     det_f1 = None
     if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
         det = complex(np.linalg.det(coeffs[1]))
         if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
             det_f1 = float(det.real)
     tag, L = coeffs.tag, coeffs.bandlimit
-    live = _live_rows(coeffs.matrices)
-    if _is_lift(tag, live):
-        entries = _lift_entries(coeffs, live)
-        if pairs is not None:
-            entries = {pq: entries[pq] for pq in pairs}
-        return BispectrumDescriptor(tag, L, entries, det_f1, tuple(r for r, _ in live))
+    lift = _lift_descriptor(coeffs, det_f1) if tag == SO3 else None
+    if lift is not None:
+        return lift
     if pairs is None:
         pairs = [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
     real = _real_form(coeffs) if tag == SO3 else None
     mats, dropped = real or (coeffs.matrices, None)
-    if real:
-        live = _live_rows(mats)
+    live = _live_rows(mats)
     daggers = [m.conj().T for m in mats]
     entries = {(p, q): _entry(_table(tag, L, dropped is not None, p, q), live, daggers) for p, q in pairs}
     return BispectrumDescriptor(tag, L, entries, det_f1, tuple(r for r, _ in live), dropped)
@@ -283,7 +346,7 @@ def _descriptor(coeffs: CoefficientSet, pairs: list[tuple[int, int]] | None = No
 def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     """Assemble the descriptor, each degree keeping the nonzero rows of its F(l).
 
-    A sphere lift takes its entries from ``lift_terms``.  Any other SO3 set
+    A sphere lift stores its beta alone, from ``lift_terms``.  Any other SO3 set
     whose F_R(l) = U_l F(l) U_l^+ (``clebsch.real_basis``) have an imaginary
     part within REAL_BASIS_TOL of their largest entry, as a real-valued
     function's do, drops it, records it as ``dropped_imag`` and stores
@@ -309,7 +372,7 @@ def _compared_blocks(d1: BispectrumDescriptor, d2: BispectrumDescriptor):
     union = [np.union1d(r1, r2) for r1, r2 in zip(d1.kept_rows, d2.kept_rows)]
     at = [[np.searchsorted(u, r) for u, r in zip(union, d.kept_rows)] for d in (d1, d2)]
     for p, q in sorted(d1.entries):
-        b1, b2 = (_scatter(d.entries[(p, q)], a[p], a[q], len(union[p]), len(union[q])) for d, a in zip((d1, d2), at))
+        b1, b2 = (_scatter(d._rows(p, q), a[p], a[q], len(union[p]), len(union[q])) for d, a in zip((d1, d2), at))
         yield (2 - (p == q)) * dim(p, d1.tag) * dim(q, d1.tag), b1, b2
 
 
@@ -375,13 +438,17 @@ def triple_correlation_grid(f: SampledFunction, bandlimit: int) -> np.ndarray:
     return (u * wf[None, :]) @ u.T
 
 
-def bispectrum_via_oracle(f: SampledFunction, p: int, q: int, bandlimit: int) -> np.ndarray:
+def bispectrum_via_oracle(
+    f: SampledFunction, p: int, q: int, bandlimit: int, grid: np.ndarray | None = None
+) -> np.ndarray:
     """A(p, q) by the defining double integral of the triple correlation.
 
     Independent of the matrix formula (no Clebsch-Gordan data); meant for
-    small bandlimits only.
+    small bandlimits only.  ``grid`` is ``triple_correlation_grid(f,
+    bandlimit)``, built here when None: pass it to read several pairs of
+    one function from one grid.
     """
-    a3 = triple_correlation_grid(f, bandlimit)
+    a3 = triple_correlation_grid(f, bandlimit) if grid is None else grid
     outer = haar_quadrature(bandlimit, f.tag)  # memoized: the rule a3 is tabulated on
     dp = wigner_stack_on_rule(p, f.tag, outer, bandlimit)  # the plan a3 was tabulated with
     dq = wigner_stack_on_rule(q, f.tag, outer, bandlimit)

@@ -17,7 +17,7 @@ primitive, which stops at the coupled form [a (x) b] C [dsum M_d] that a
 descriptor stores, ``CGDecomposition.decouple``, its trailing C^+,
 ``CGDecomposition.block``, ``kron_solve``, ``kron_swap`` and
 ``lift_terms``, the memoized, read-only term table of a sphere lift's
-beta(p, q, a) and their places in the stored rows.
+beta(p, q, a), their slots per pair and their places in B(p, q)'s rows.
 
 The real (cos/sin) basis of an SO3 degree l is the unitary U_l
 (``real_basis``): with m ascending, row l is e_0, and for m > 0 row l + m is
@@ -286,14 +286,17 @@ class LiftTerms:
                   coef[t] x[factors[0, t]] x[factors[1, t]] conj(x[factors[2, t]]),
 
     which is (a_p (x) a_q) C_pq[:, block a] a_a^+, the classical spherical
-    bispectrum; the terms are the nonzero entries of those blocks.  It is
-    the value of B(p, q)'s stored row at column (a, M = 0) (``bispectrum``),
-    ``position[s]`` in the rows of every B(p, q), p <= q, concatenated."""
+    bispectrum; the terms are the nonzero entries of those blocks.  The
+    slots of the k-th pair p <= q run from ``pair_start[k]`` to
+    ``pair_start[k + 1]``.  Slot s is the value of B(p, q)'s row p d_q + q
+    at column (a, M = 0) (``bispectrum``), ``position[s]`` in the in-band
+    rows of every B(p, q), p <= q, concatenated."""
 
     bandlimit: int
     factors: np.ndarray  # (3, terms)
     coef: np.ndarray
     term_start: np.ndarray
+    pair_start: np.ndarray
     position: np.ndarray
 
 
@@ -304,7 +307,7 @@ def lift_terms(bandlimit: int) -> LiftTerms:
         raise DomainError(f"bandlimit must be nonnegative, got {bandlimit}")
     L = bandlimit
     d = [dim(ell, SO3) for ell in range(L + 1)]
-    factors, coef, position, at = [], [], [], 0
+    factors, coef, position, pair_start, at = [], [], [], [0], 0
     for p in range(L + 1):
         for q in range(p, L + 1):
             cg, band = clebsch_gordan(SO3, p, q), in_band(SO3, p, q, L)
@@ -318,8 +321,9 @@ def lift_terms(bandlimit: int) -> LiftTerms:
                 coef.append(cg.C[r, sl.start + c])
                 position.append(at + sl.start - band.start + a)  # column (a, M = 0)
             at += band.stop - band.start
+            pair_start.append(len(position))
     term_start = np.cumsum([0, *(len(v) for v in coef[:-1])])
-    arrays = (np.concatenate(factors, axis=1), np.concatenate(coef), term_start, np.array(position))
+    arrays = (np.concatenate(factors, axis=1), np.concatenate(coef), term_start, np.array(pair_start), np.array(position))
     for x in arrays:
         x.setflags(write=False)  # cached and shared by the whole process
     return LiftTerms(L, *arrays)

@@ -10,15 +10,16 @@ glyph against an index reduces to a nearest-descriptor search; the only
 error budget is the local (not global) character of the plane-to-sphere
 correspondence plus image interpolation.
 
-This module alone knows how the glyph index is laid out.  A lift's
-descriptor, built or loaded, stores one row of each B(p, q), p <= q, which
-holds the spherical bispectrum beta(p, q, a) at its columns (a, M = 0) and
-zeros elsewhere (``bispectrum``).  So a glyph is its beta, ``beta_count``
-values (106 at L = 6), which ``lift_beta`` reads off.  A ``GlyphIndex``
-keeps them beside its labels and the one resolution its images were
-lifted at, which a query image must be lifted at too.  A search is one
-vectorized Euclidean norm, equal to ``descriptor_distance`` against every
-glyph.
+This module alone knows how the glyph index is laid out.  The one row of
+each B(p, q), p <= q, of a lift's descriptor holds the spherical bispectrum
+beta(p, q, a) at its columns (a, M = 0) and zeros elsewhere
+(``bispectrum``).  So a glyph is its beta, ``beta_count`` values (106 at
+L = 6): a built lift stores it alone and ``lift_beta`` returns it as held;
+a loaded one stores the rows, and ``lift_beta`` reads beta off them after
+checking them.  A ``GlyphIndex`` keeps them beside its labels and the one
+resolution its images were lifted at, which a query image must be lifted
+at too.  A search is one vectorized Euclidean norm, equal to
+``descriptor_distance`` against every glyph.
 """
 
 from __future__ import annotations
@@ -226,14 +227,19 @@ def beta_count(bandlimit: int) -> int:
 
 
 def lift_beta(desc: BispectrumDescriptor) -> np.ndarray:
-    """beta(p, q, a) of a lifted descriptor in ``lift_terms`` slot order: B(p, q)'s
-    one stored row at its column (a, M = 0), zero for a degree that keeps no row.
+    """beta(p, q, a) of a lifted descriptor in ``lift_terms`` slot order: a
+    built lift's ``desc.beta`` as held, read-only; for a descriptor given as
+    entries, B(p, q)'s one stored row at its column (a, M = 0), zero for a
+    degree that keeps no row.
 
-    Raises DomainError if a degree keeps a row other than its lift row, a
+    Raises TagMismatchError for an SU2 descriptor.  For one given as entries,
+    raises DomainError if a degree keeps a row other than its lift row, a
     pair p <= q is missing or the rows hold more than 1e-10 of beta's norm
-    off its columns; TagMismatchError for an SU2 descriptor."""
+    off its columns."""
     if desc.tag != SO3:
         raise TagMismatchError("only SO3 descriptors can be sphere lifts")
+    if desc.beta is not None:
+        return desc.beta
     if desc.in_real_basis:
         raise DomainError("a real-basis descriptor is not a sphere lift's")
     for ell, r in enumerate(desc.kept_rows):

@@ -525,10 +525,11 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
             coeffs = random_bandlimited(bandlimit, tag, require_real=True, seed=seed + 200 + k)
             rule = haar_quadrature(3 * bandlimit, tag)
             f = fourier_inverse(coeffs, rule)
+            grid = triple_correlation_grid(f, bandlimit)
             for p in range(bandlimit + 1):
                 for q in range(bandlimit + 1):
                     formula = bispectrum_matrix(coeffs, p, q)
-                    oracle = bispectrum_via_oracle(f, p, q, bandlimit)
+                    oracle = bispectrum_via_oracle(f, p, q, bandlimit, grid)
                     denom = max(float(np.linalg.norm(formula)), 1e-300)
                     worst = max(worst, float(np.linalg.norm(formula - oracle)) / denom)
         out.append(
@@ -539,9 +540,10 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
     tag = SU2
     rule = haar_quadrature(3 * bandlimit, tag)
     ones = SampledFunction(tag, rule, np.ones(rule.size, dtype=complex))
-    resid = abs(bispectrum_via_oracle(ones, 0, 0, bandlimit).ravel()[0] - 1.0)
+    grid = triple_correlation_grid(ones, bandlimit)
+    resid = abs(bispectrum_via_oracle(ones, 0, 0, bandlimit, grid).ravel()[0] - 1.0)
     for p, q in ((1, 0), (1, 1), (2, 1)):
-        resid = max(resid, float(np.max(np.abs(bispectrum_via_oracle(ones, p, q, bandlimit)))))
+        resid = max(resid, float(np.max(np.abs(bispectrum_via_oracle(ones, p, q, bandlimit, grid)))))
     out.append(CheckResult.from_residual("constant-function-oracle", resid, 1e-8))
 
     # left-translation invariance of the tabulated triple correlation

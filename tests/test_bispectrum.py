@@ -1,9 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import bispect.bispectrum as bispectrum_module
 from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import SO3, SU2, haar_quadrature, identity, random_element
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited, translate
@@ -20,6 +22,8 @@ from bispect.bispectrum import (
 )
 from bispect.clebsch import CGDecomposition, clebsch_gordan, in_band, lift_terms
 from bispect.glyphs import PlanarMotion, apply_planar_motion, beta_count, lift_beta, lift_image, synthetic_glyphs
+from bispect.io import save_descriptor
+from bispect.reconstruct import reconstruct_so3
 from bispect.sphere import random_sphere_function, sphere_lift
 from bispect.wigner import dim, separable_factors
 
@@ -118,6 +122,28 @@ def couple_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def live_rows_calls(monkeypatch):
+    """The number of ``bispectrum._live_rows`` calls the test makes."""
+    calls = []
+    live_rows = bispectrum_module._live_rows
+
+    def counted(matrices):
+        calls.append(len(matrices))
+        return live_rows(matrices)
+
+    monkeypatch.setattr(bispectrum_module, "_live_rows", counted)
+    return calls
+
+
+def _kept_rows_of(desc, p, q):
+    """Rows kept_rows[p] (x) kept_rows[q] of the stored B(p, q): the rows form of its entry."""
+    rp, rq = desc.kept_rows[p], desc.kept_rows[q]
+    stored = desc.stored(p, q)
+    n = stored.shape[1]
+    return stored.reshape(dim(p, desc.tag), dim(q, desc.tag), n)[rp[:, None], rq].reshape(len(rp) * len(rq), n)
+
+
 def _sphere_lift_at(L):
     return lambda: sphere_lift(random_sphere_function(10, L, seed=40 + L), L)
 
@@ -128,19 +154,23 @@ def _lift_with_a_zero_degree():
     return CoefficientSet(SO3, 6, tuple(mats))
 
 
-@pytest.mark.parametrize(
+_LIFTS = pytest.mark.parametrize(
     "make",
     [*(_sphere_lift_at(L) for L in (0, 1, 6, 8)),
      lambda: sphere_lift(lift_image(synthetic_glyphs(64)["hook"], 16), 6),
      _lift_with_a_zero_degree],
     ids=["L0", "L1", "L6", "L8", "glyph", "zero-degree"],
 )
-def test_lifted_descriptor_computes_one_row_per_entry(make, couple_calls):
+
+
+@_LIFTS
+def test_lifted_descriptor_computes_one_row_per_entry(make, couple_calls, live_rows_calls):
     coeffs = make()
     L = coeffs.bandlimit
     desc = build_descriptor(coeffs)
-    assert couple_calls == []  # a lift takes every row from the term table
-    beta = lift_beta(desc)  # raises unless every stored row is zero off its beta columns
+    # a lift takes its beta from the term table: no coupling and no row scan
+    assert couple_calls == [] and live_rows_calls == []
+    beta = lift_beta(desc)
     assert beta.shape == (beta_count(L),)
     daggers = [m.conj().T for m in coeffs.matrices]
     for p, q in desc.pairs():
@@ -151,8 +181,95 @@ def test_lifted_descriptor_computes_one_row_per_entry(make, couple_calls):
         cg = clebsch_gordan(SO3, p, q)
         rp, rq = desc.kept_rows[p], desc.kept_rows[q]
         coupled = cg.couple(coeffs[p][rp], coeffs[q][rq], {a: daggers[a] for a in cg.indices if a <= L})
-        assert desc.entries[(p, q)].shape == coupled.shape
-        assert np.linalg.norm(desc.entries[(p, q)] - coupled) <= 1e-13 * max(np.linalg.norm(coupled), 1e-300)
+        rows = _kept_rows_of(desc, p, q)
+        assert rows.shape == coupled.shape
+        assert np.linalg.norm(rows - coupled) <= 1e-13 * max(np.linalg.norm(coupled), 1e-300)
+
+
+def _padded_lift(coeffs):
+    """A lift's descriptor given as entries, laid out as lifts were stored before
+    they held beta alone: one zero row holding the in-band row of every B(p, q),
+    p <= q, with the ``lift_terms`` sums placed at its columns (a, M = 0), and each
+    entry its slice of that row, with no row when p or q keeps none."""
+    L, terms = coeffs.bandlimit, lift_terms(coeffs.bandlimit)
+    x = np.concatenate([m[ell] for ell, m in enumerate(coeffs.matrices)])
+    left, right, target = terms.factors
+    row = np.zeros((1, terms.position[-1] + 1), dtype=complex)
+    row[0, terms.position] = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
+    kept = tuple(np.flatnonzero(m.any(axis=1)) for m in coeffs.matrices)
+    entries, at = {}, 0
+    for p in range(L + 1):
+        for q in range(p, L + 1):
+            width = _width(SO3, p, q, L)
+            entries[(p, q)] = row[: len(kept[p]) * len(kept[q]), at : at + width]
+            at += width
+    return BispectrumDescriptor(SO3, L, entries, build_descriptor(coeffs).det_f1, kept)
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the type of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 -- the type is the outcome compared
+        return type(exc)
+
+
+@_LIFTS
+def test_lift_beta_form_gives_the_padded_form_bit_for_bit(make, tmp_path):
+    coeffs = make()
+    desc, padded = build_descriptor(coeffs), _padded_lift(coeffs)
+    assert desc.beta is not None and padded.beta is None
+    assert lift_beta(desc).tobytes() == lift_beta(padded).tobytes()  # the padded form's checked read
+    assert desc.pairs() == padded.pairs()
+    assert [r.tolist() for r in desc.kept_rows] == [r.tolist() for r in padded.kept_rows]
+    for p, q in desc.pairs():
+        assert desc[(p, q)].tobytes() == padded[(p, q)].tobytes()
+        if p <= q:
+            assert bispectrum_matrix(coeffs, p, q).tobytes() == padded[(p, q)].tobytes()
+            assert desc.stored(p, q).tobytes() == padded.stored(p, q).tobytes()
+            assert desc.coupled(p, q).tobytes() == padded.coupled(p, q).tobytes()
+    paths = [str(tmp_path / f"{name}.json") for name in ("beta", "padded")]
+    for d, path in zip((desc, padded), paths):
+        save_descriptor(d, path)
+    assert open(paths[0]).read() == open(paths[1]).read()
+    dense = BispectrumDescriptor(SO3, coeffs.bandlimit, {pq: desc.coupled(*pq) for pq in desc.entries})
+    for other in (dense, padded):
+        assert descriptor_distance(desc, other) == descriptor_distance(other, desc) == 0.0
+        assert descriptor_max_relative_gap(desc, other) == 0.0
+    got, want = _outcome(reconstruct_so3, desc), _outcome(reconstruct_so3, padded)
+    if isinstance(want, type):
+        assert got is want
+    else:  # L = 0: a lift's one degree reconstructs
+        assert [m.tobytes() for m in got.recovered.matrices] == [m.tobytes() for m in want.recovered.matrices]
+
+
+def test_lift_descriptor_given_beta_checks_it():
+    lift = build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=45), 2))
+    beta = lift.beta
+    # a copy of beta makes the same descriptor; the caller's array stays its own
+    given = np.array(beta)
+    again = BispectrumDescriptor(SO3, 2, det_f1=lift.det_f1, beta=given)
+    given[0] = 7.0
+    assert np.array_equal(again.beta, beta) and again.beta is not given and not again.beta.flags.writeable
+    assert descriptor_distance(again, lift) == 0.0
+    # replace() passes the entries back beside beta, which must hold its values
+    moved = replace(lift, det_f1=2.0)
+    assert moved.det_f1 == 2.0 and np.array_equal(moved.beta, beta) and moved.pairs() == lift.pairs()
+    with pytest.raises(DomainError, match="per-pair values"):
+        BispectrumDescriptor(SO3, 2, {**lift.entries, (0, 0): lift.entries[(0, 0)] + 1}, beta=beta)
+    with pytest.raises(DomainError, match="needs 11 beta values"):
+        BispectrumDescriptor(SO3, 2, beta=beta[:-1])
+    for tag, dropped in ((SU2, None), (SO3, 0.0)):
+        with pytest.raises(DomainError, match="standard basis"):
+            BispectrumDescriptor(tag, 2, dropped_imag=dropped, beta=beta)
+    with pytest.raises(DomainError, match=r"kept_rows\[1\] of a lift must be \[\] or \[1\]"):
+        BispectrumDescriptor(SO3, 2, kept_rows=(np.array([0]), np.array([0]), np.array([2])), beta=beta)
+    with pytest.raises(DomainError, match="kept_rows needs 3"):
+        BispectrumDescriptor(SO3, 2, kept_rows=(np.array([0]), np.array([1])), beta=beta)
+    # a degree that keeps no row leaves its pairs' beta zero
+    no_one = (np.array([0]), np.array([], dtype=int), np.array([2]))
+    with pytest.raises(DomainError, match=r"beta of pair \(0, 1\) must be zero: degree 1 keeps no row"):
+        BispectrumDescriptor(SO3, 2, kept_rows=no_one, beta=beta)
 
 
 @pytest.mark.parametrize("tag", [SU2, SO3])
@@ -209,12 +326,13 @@ def _su2_one_row_per_degree():
      _off_row_set, _near_lift, _su2_one_row_per_degree, lambda: _with_a_zero_degree(SU2)],
     ids=["SU2", "SO3", "off-row", "near-lift", "SU2-one-row", "SU2-zero-degree"],
 )
-def test_descriptor_couples_upper_triangle_only(make, couple_calls):
-    # every set but a sphere lift is coupled, once per pair with p <= q
+def test_descriptor_couples_upper_triangle_only(make, couple_calls, live_rows_calls):
+    # every set but a sphere lift is coupled, once per pair with p <= q, from one scan of its rows
     coeffs = make()
     build_descriptor(coeffs)
     L = coeffs.bandlimit
     assert sorted(couple_calls) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    assert live_rows_calls == [L + 1]
 
 
 def test_bispectrum_requires_in_band_pair():
@@ -324,7 +442,7 @@ def test_descriptor_rejects_entries_that_disagree_with_their_kept_rows():
     with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
         BispectrumDescriptor(SO3, 2, {pq: lift.coupled(*pq) for pq in lift.entries}, kept_rows=lift.kept_rows)
     with pytest.raises(DomainError, match=r"entry \(0, 1\)"):
-        BispectrumDescriptor(SO3, 2, lift.entries)
+        BispectrumDescriptor(SO3, 2, {pq: _kept_rows_of(lift, *pq) for pq in lift.entries})
 
 
 def _with_a_zero_degree(tag):
@@ -374,14 +492,19 @@ def test_lift_descriptor_holds_one_row_per_entry(L):
     desc = build_descriptor(coeffs)
     assert [r.tolist() for r in desc.kept_rows] == [[ell] for ell in range(L + 1)]
     assert sorted(desc.entries) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
-    for p, q in desc.entries:
-        assert desc.entries[(p, q)].shape == (1, _width(SO3, p, q, L))
-    # the one row holds beta at its columns (a, M = 0) and exactly 0.0 elsewhere: 106 values at L = 6
-    row = np.concatenate([desc.entries[pq][0] for pq in sorted(desc.entries)])
-    at = lift_terms(L).position
-    assert at.size == beta_count(L) == [1, 4, 106][[0, 1, 6].index(L)]
-    assert np.array_equal(row[at], lift_beta(desc)) and not np.delete(row, at).any()
+    # beta alone is stored, once and read-only: 106 values and 1,696 bytes at L = 6; each entry is a view of it
+    beta = desc.beta
+    assert beta.shape == (beta_count(L),) == ([1, 4, 106][[0, 1, 6].index(L)],) and not beta.flags.writeable
+    assert lift_beta(desc) is beta
+    assert np.array_equal(np.concatenate([desc.entries[pq] for pq in desc.entries]), beta)
+    assert all(m.base is beta for m in desc.entries.values())
+    assert sum(m.nbytes for m in desc.entries.values()) == beta.nbytes == 16 * beta_count(L)
+    # the stored B(p, q) holds beta at columns (a, M = 0) of row p d_q + q and exactly 0.0 elsewhere
+    at, row = lift_terms(L).position, np.concatenate([desc.stored(p, q)[p * (2 * q + 1) + q] for p, q in desc.entries])
+    assert np.array_equal(row[at], beta) and not np.delete(row, at).any()
+    assert all(np.count_nonzero(desc.stored(*pq).any(axis=1)) <= 1 for pq in desc.entries)
     generic = build_descriptor(random_bandlimited(L, SO3, require_real=True, seed=47))
+    assert (generic.beta is None) == (L > 0)  # at L = 0 every SO3 set is a lift
     assert all(np.array_equal(r, np.arange(dim(ell, SO3))) for ell, r in enumerate(generic.kept_rows))
     assert sorted(generic.entries) == sorted(desc.entries)
     sizes = [(2 * p + 1) * (2 * q + 1) * _width(SO3, p, q, L) for p, q in generic.entries]
@@ -481,6 +604,16 @@ def test_oracle_matches_matrix_formula(tag):
             oracle = bispectrum_via_oracle(f, p, q, bandlimit)
             denom = max(float(np.linalg.norm(formula)), 1e-300)
             assert np.linalg.norm(formula - oracle) / denom < 1e-6
+
+
+@pytest.mark.parametrize("tag", [SU2, SO3])
+def test_oracle_reads_a_given_grid_bit_for_bit(tag):
+    bandlimit = 2
+    f = fourier_inverse(random_bandlimited(bandlimit, tag, require_real=True, seed=49), haar_quadrature(3 * bandlimit, tag))
+    grid = triple_correlation_grid(f, bandlimit)
+    for p in range(bandlimit + 1):
+        for q in range(bandlimit + 1):
+            assert bispectrum_via_oracle(f, p, q, bandlimit, grid).tobytes() == bispectrum_via_oracle(f, p, q, bandlimit).tobytes()
 
 
 def test_oracle_constant_function():

@@ -240,7 +240,8 @@ def test_lift_rows_rejects_other_descriptors():
         lift_beta(desc)
     # a lift's rows with a value off the beta columns, or with a pair missing, are not a lift's
     lift = build_descriptor(sphere_lift(random_sphere_function(6, 3, seed=42), 3))
-    entries = {pq: m.copy() for pq, m in lift.entries.items()}
+    entries = {(p, q): lift.stored(p, q)[[p * (2 * q + 1) + q]] for p, q in lift.entries}  # each its one kept row
+    assert np.array_equal(lift_beta(BispectrumDescriptor(SO3, 3, entries, kept_rows=lift.kept_rows)), lift_beta(lift))
     entries[(1, 2)][0, 0] = 1e-3 * np.abs(lift_beta(lift)).max()  # column (3, M = -3)
     with pytest.raises(DomainError, match="off its beta columns"):
         lift_beta(BispectrumDescriptor(SO3, 3, entries, kept_rows=lift.kept_rows))
@@ -277,8 +278,10 @@ def test_saved_lift_loads_with_its_lift_rows_and_matches_as_built(tmp_path):
     save_descriptor(built, path)
     loaded = load_descriptor(path)
     assert [r.tolist() for r in loaded.kept_rows] == [[ell] for ell in range(7)]
-    # one in-band row per pair p <= q; the dense entries of the file take 3,312,400 bytes
-    assert sum(m.nbytes for m in loaded.entries.values()) == sum(m.nbytes for m in built.entries.values()) == 13_216
+    # the loaded one keeps one in-band row per pair p <= q, the built one its beta alone;
+    # the dense entries of the file take 3,312,400 bytes
+    assert sum(m.nbytes for m in loaded.entries.values()) == 13_216
+    assert sum(m.nbytes for m in built.entries.values()) == built.beta.nbytes == 1_696 and loaded.beta is None
     for pq in built.pairs():
         assert np.linalg.norm(loaded[pq] - built[pq]) <= 1e-14 * np.linalg.norm(built[pq])
     beta = lift_beta(built)
@@ -292,6 +295,22 @@ def test_saved_lift_loads_with_its_lift_rows_and_matches_as_built(tmp_path):
     entries[(1, 2)][0, 0] = 1e-300
     with pytest.raises(DomainError, match=r"degree 1 keeps rows \[0, 1\], off its lift row 1"):
         lift_beta(BispectrumDescriptor(SO3, 6, entries))
+
+
+def test_saved_glyph_index_holds_the_beta_of_the_padded_rows_byte_for_byte(tmp_path):
+    # lifts given as their rows, as before they held beta alone, read to the same index file
+    glyphs = synthetic_glyphs(32)
+    index = build_glyph_index(glyphs, 8, 3)
+    padded = {}
+    for label, image in glyphs.items():
+        built = glyph_descriptor(image, 8, 3)
+        entries = {(p, q): built.stored(p, q)[[p * (2 * q + 1) + q]] for p, q in built.entries}
+        padded[label] = lift_beta(BispectrumDescriptor(SO3, 3, entries, kept_rows=built.kept_rows))
+    labels = sorted(glyphs)
+    paths = [str(tmp_path / name) for name in ("built.json", "padded.json")]
+    save_glyph_index(index, paths[0])
+    save_glyph_index(GlyphIndex(3, 8, tuple(labels), np.stack([padded[label] for label in labels])), paths[1])
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
 def test_index_bandlimit_uniformity():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bispect.bispectrum as bispectrum_module
 from bispect import verify
 from bispect.clebsch import clebsch_gordan
 from bispect.errors import DomainError
@@ -53,6 +54,21 @@ def test_cg_corruption_hook_fails_suite(monkeypatch):
     monkeypatch.setattr(verify, "clebsch_gordan", corrupted)
     failed = {c.name for c in verify.run(["cg"]).suites["cg"] if not c.passed}
     assert failed == {"su2-intertwiner", "so3-intertwiner", "large-spin-intertwiner"}
+
+
+def test_oracle_suite_builds_one_triple_correlation_grid_per_function(monkeypatch):
+    # 3 functions on each group, the constant, the shifted pair and the corrupted control's
+    grids = []
+    build = verify.triple_correlation_grid
+
+    def counted(f, bandlimit):
+        grids.append(bandlimit)
+        return build(f, bandlimit)
+
+    for module in (verify, bispectrum_module):  # the oracle builds its own grid when given none
+        monkeypatch.setattr(module, "triple_correlation_grid", counted)
+    assert all(check.passed for check in verify.suite_oracle())
+    assert len(grids) == 10
 
 
 def test_groups_suite_passes():
