@@ -151,9 +151,10 @@ def _lift_layout(bandlimit: int) -> tuple[dict[tuple[int, int], tuple[slice, np.
     return pairs, rows
 
 
-def _lift_descriptor(coeffs: CoefficientSet, det_f1: float | None) -> BispectrumDescriptor | None:
+def _lift_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor | None:
     """The descriptor of an SO3 set that keeps no row of any F(l) but row l, a
-    sphere lift, its beta summed from ``lift_terms``; None for any other set."""
+    sphere lift, its beta summed from ``lift_terms``; None for any other set.
+    Its F(1) keeps one row of three, so its det F(1) is 0.0."""
     x = np.concatenate([m[ell] for ell, m in enumerate(coeffs.matrices)])
     if np.count_nonzero(x) != sum(map(np.count_nonzero, coeffs.matrices)):
         return None
@@ -167,7 +168,7 @@ def _lift_descriptor(coeffs: CoefficientSet, det_f1: float | None) -> Bispectrum
             if not (live[p] and live[q]):
                 beta[slots] = 0.0
     kept = tuple(r if keeps else r[:0] for r, keeps in zip(rows, live))
-    return BispectrumDescriptor(SO3, L, det_f1=det_f1, kept_rows=kept, beta=beta)
+    return BispectrumDescriptor(SO3, L, det_f1=0.0 if L >= 1 else None, kept_rows=kept, beta=beta)
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
@@ -324,15 +325,15 @@ class BispectrumDescriptor:
 def _descriptor(coeffs: CoefficientSet, pairs: list[tuple[int, int]] | None = None) -> BispectrumDescriptor:
     """The descriptor of ``coeffs`` holding the given pairs, p <= q, or every
     one; a sphere lift's holds every one."""
+    tag, L = coeffs.tag, coeffs.bandlimit
+    lift = _lift_descriptor(coeffs) if tag == SO3 else None
+    if lift is not None:
+        return lift
     det_f1 = None
-    if coeffs.tag != SU2 and coeffs.bandlimit >= 1:
+    if tag != SU2 and L >= 1:
         det = complex(np.linalg.det(coeffs[1]))
         if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
             det_f1 = float(det.real)
-    tag, L = coeffs.tag, coeffs.bandlimit
-    lift = _lift_descriptor(coeffs, det_f1) if tag == SO3 else None
-    if lift is not None:
-        return lift
     if pairs is None:
         pairs = [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
     real = _real_form(coeffs) if tag == SO3 else None

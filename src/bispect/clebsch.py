@@ -252,8 +252,9 @@ def _real_cg(p: int, q: int, top: int) -> CGDecomposition:
     """C_R from Racah's C, one factor at a time, never dense: as U = diag(i^odd) R,
     C_R is the real (R_p (x) R_q) C (dsum R_a^T) times Re i^(r - c), where row
     (i, k) carries r = odd_p[i] + odd_q[k] and column c of block a carries
-    odd_a[c] + [p + q + a odd].  Where i^(r - c) is imaginary C_R is zero, as it is real."""
-    cg = clebsch_gordan(SO3, p, q)
+    odd_a[c] + [p + q + a odd].  Where i^(r - c) is imaginary C_R is zero, as it is real.
+    C is built here, not read from the memo, and freed once C_R exists."""
+    cg = _build_cg(SO3, p, q)
     degrees = tuple(a for a in cg.indices if a <= top)
     dp, dq = 2 * p + 1, 2 * q + 1
     y = cg.C[:, in_band(SO3, p, q, top)].reshape(dp, dq, -1)
@@ -302,7 +303,8 @@ class LiftTerms:
 
 @lru_cache(maxsize=8)
 def lift_terms(bandlimit: int) -> LiftTerms:
-    """The ``LiftTerms`` at a bandlimit from C_pq's nonzero entries, memoized, every array read-only."""
+    """The ``LiftTerms`` at a bandlimit from C_pq's nonzero entries, memoized, every array
+    read-only; each C_pq is built here, not read from the memo, and freed once read."""
     if bandlimit < 0:
         raise DomainError(f"bandlimit must be nonnegative, got {bandlimit}")
     L = bandlimit
@@ -310,7 +312,7 @@ def lift_terms(bandlimit: int) -> LiftTerms:
     factors, coef, position, pair_start, at = [], [], [], [0], 0
     for p in range(L + 1):
         for q in range(p, L + 1):
-            cg, band = clebsch_gordan(SO3, p, q), in_band(SO3, p, q, L)
+            cg, band = _build_cg(SO3, p, q), in_band(SO3, p, q, L)
             for a, sl in zip(cg.indices, cg.block_slices):
                 if a > L:
                     continue

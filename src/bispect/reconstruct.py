@@ -34,10 +34,10 @@ from .errors import (
     ZeroMeanError,
 )
 from .groups import SO3, SU2, TWO_PI, GroupElement, from_euler, gamma_period, haar_quadrature, su2_matrix, wrap_angle
-from .harmonic import COND_REJECT, CoefficientSet, evaluate_at, fourier_inverse, translate
+from .harmonic import COND_REJECT, CoefficientSet, evaluate_at, fourier_inverse
 from .bispectrum import BispectrumDescriptor
 from .clebsch import kron_solve, real_basis
-from .wigner import CARTESIAN_TO_SPHERICAL, SU2_BASIS_SWAP
+from .wigner import CARTESIAN_TO_SPHERICAL, SU2_BASIS_SWAP, wigner_all
 
 _HERMITICITY_TOL = 1e-10
 
@@ -164,8 +164,8 @@ def find_alignment(truth: CoefficientSet, recovered: CoefficientSet) -> Alignmen
     else:
         x = _correlation_alignment(truth, recovered)
     residuals = tuple(
-        float(np.linalg.norm(r - t)) / max(float(np.linalg.norm(f)), 1e-300)
-        for f, r, t in zip(truth.matrices, recovered.matrices, translate(truth, x).matrices)
+        float(np.linalg.norm(r - f @ d[0])) / max(float(np.linalg.norm(f)), 1e-300)
+        for f, r, d in zip(truth.matrices, recovered.matrices, wigner_all(truth.bandlimit, truth.tag, [x]))
     )
     if max(residuals) > 1e-3:
         raise NoAlignmentError(f"residual {max(residuals):.3e} after alignment")

@@ -6,9 +6,11 @@ representation has dimension ell + 1 (spin ell/2), for SO3 dimension
 spin j2 = 2j, so integer and half-integer spins share one code path.
 Row and column indices run over m = -j ... +j ascending.
 
-The little-d planes are built by a half-integer-step recursion in the spin
-(seeded at spin 0), which stays factorial-free; Wigner's direct summation
-formula is kept as an independent cross-check.
+Every little-d matrix is Risbo's factorization (T. Risbo, J. Geodesy 70,
+1996), d^j(beta) = Delta_j E(beta) Delta_j^T up to fixed signs, E diagonal in
+e^(-i k beta) and Delta_j = d^j(pi/2) memoized once per spin, built by a
+factorial-free half-integer-step recursion in the spin; Wigner's direct
+summation formula is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def j2_of(ell: int, tag: str) -> int:
 def m_values(ell: int, tag: str) -> np.ndarray:
     """Ascending m grid; half-integers for odd SU2 degrees."""
     j2 = j2_of(ell, tag)
-    return (np.arange(j2 + 1) - j2 / 2.0) if j2 % 2 else (np.arange(j2 + 1) - j2 // 2).astype(float)
+    return np.arange(j2 + 1) - j2 / 2.0
 
 
 def little_d_direct(j2: int, beta: float) -> np.ndarray:
@@ -96,24 +98,75 @@ def _little_d_planes(j2max: int, betas: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def little_d_stack(j2max: int, betas: np.ndarray) -> list[np.ndarray]:
-    """Planes d^(j2/2)(beta) for j2 = 0..j2max; entry j2 has shape (nb, j2+1, j2+1)."""
+    """Planes d^(j2/2)(beta) for j2 = 0..j2max by the recursion; entry j2 has shape (nb, j2+1, j2+1)."""
     return list(_little_d_planes(j2max, betas))
+
+
+_RIGHT_ANGLE = np.array([np.pi / 2])  # b = fl(pi/2) = pi/2 - cos(b)
+
+
+@lru_cache(maxsize=256)
+def _delta(j2: int) -> tuple[np.ndarray, ...]:
+    """Delta = d^(j2/2)(pi/2) and the factors ``little_d`` reads from it: (plane,
+    k, cos_left, sin_left, right, odd), read-only, memoized per doubled spin j2
+    (SO3 degree l and SU2 degree 2 l share it): 22 KB for the spins of SO3
+    L=8, 7.8 MB for those of SO3 L=64, 118 MB for all j2 < 256.
+
+    plane is the recursion at b, two half-steps on from the memoized j2 - 2;
+    Delta is plane moved the last cos(b) along d' = d (J- - J+)/2.  With H
+    its columns at k = m >= 0, cos_left = diag(s) H, sin_left = diag(s') H
+    and right = (diag(s) H diag(w))^T, w = 2 where k > 0, row i having
+    s_i = (-1)^floor(i/2) and s'_i = (-1)^i s_i: entry (i, i') takes the
+    sign s_i s_i' where m' - m is even and s'_i s_i' where it is odd, which
+    ``odd`` marks."""
+    if j2 < 2:
+        *_, plane = _little_d_planes(j2, _RIGHT_ANGLE)
+    else:
+        cs = np.cos(_RIGHT_ANGLE / 2.0), np.sin(_RIGHT_ANGLE / 2.0)
+        plane = _half_step(_half_step(_delta(j2 - 2)[0], *cs), *cs)
+    m = np.arange(j2) - j2 / 2.0
+    g = 0.5 * np.sqrt((j2 / 2.0 - m) * (j2 / 2.0 + m + 1.0))  # <m + 1| J+ |m> / 2
+    half = (plane[0] + np.cos(_RIGHT_ANGLE[0]) * (plane[0] @ (np.diag(g, 1) - np.diag(g, -1))))[:, (j2 + 1) // 2:]
+    i = np.arange(j2 + 1)
+    s = 1.0 - 2.0 * (i // 2 % 2)
+    k = np.arange(half.shape[1]) + (j2 % 2) / 2.0
+    right = (s[:, None] * half * np.where(k > 0, 2.0, 1.0)).T.copy()
+    factors = (plane, k, s[:, None] * half, (s - 2.0 * s * (i % 2))[:, None] * half, right,
+               np.subtract.outer(i, i) % 2 == 1)
+    for x in factors:
+        x.setflags(write=False)  # cached and shared by the whole process
+    return factors
+
+
+def little_d(j2: int, betas: np.ndarray) -> np.ndarray:
+    """d^(j2/2)(beta) at each beta of a 1-d float array, (nb, j2+1, j2+1):
+
+        d[m', m] = Re sum_k Delta[m', k] Delta[m, k] i^(m - m') e^(-i k beta),
+
+    in float64 over k >= 0 (the terms at -k equal those at k), of cos(k beta)
+    where m' - m is even and of sin(k beta) where it is odd: two gemms a beta."""
+    _, k, cos_left, sin_left, right, odd = _delta(j2)
+    kb = betas[:, None, None] * k
+    d = (cos_left * np.cos(kb)) @ right
+    np.copyto(d, (sin_left * np.sin(kb)) @ right, where=odd)
+    return d
 
 
 def wigner_all(lmax: int, tag: str, elements: list[GroupElement]) -> list[np.ndarray]:
     """D_ell(g) for every degree ell <= lmax at every element, z-y-z convention.
 
-    Entry ell has shape (N, dim, dim).  One little-d recursion runs over all
-    the elements' betas; the alpha/gamma phases are applied per degree.
+    Entry ell has shape (N, dim, dim): ``little_d`` over all the elements'
+    betas, degree by degree, between the alpha and gamma phases.
     """
+    j2_of(lmax, tag)  # DomainError below degree 0
     if any(g.tag != tag for g in elements):
         raise TagMismatchError(f"element tag does not match {tag}")
     ang = np.array([to_euler(g) for g in elements]).reshape(-1, 3)
-    planes = little_d_stack(j2_of(lmax, tag), ang[:, 1])
+    turns, betas = -1j * ang[:, 0::2], ang[:, 1]
     out = []
     for ell in range(lmax + 1):
-        ph = np.exp(-1j * ang[:, 0::2, None] * m_values(ell, tag))  # alpha, gamma phases: (N, 2, dim)
-        out.append(ph[:, 0, :, None] * planes[j2_of(ell, tag)] * ph[:, 1, None, :])
+        ph = np.exp(np.multiply.outer(turns, m_values(ell, tag)))  # alpha, gamma phases: (N, 2, dim)
+        out.append(ph[:, 0, :, None] * little_d(j2_of(ell, tag), betas) * ph[:, 1, None, :])
     return out
 
 
@@ -132,9 +185,7 @@ def separable_factors(
     over m = -L..L on SO3 and doubled m = -L..L (m = -L/2..L/2 in steps of
     1/2) on SU2, so one grid of columns serves every degree; and for each
     degree ell <= L its little-d planes (nb, dim, dim) with the slice of its
-    m in those columns (every column on SO3, every second on SU2).  The
-    half-step recursion passes through the half-integer spins on SO3, but
-    only the planes a degree reads are kept.
+    m in those columns (every column on SO3, every second on SU2), from ``little_d``.
 
     Memoized on (tag, bandlimit, rule); rules compare by identity, so a rule
     built by hand gets its own entry even when its axes equal a memoized
@@ -142,14 +193,14 @@ def separable_factors(
     float64 planes and (n_alpha + n_gamma) * (2L+1) complex128 phases: with
     the rule of bandlimit 2L (nb = 2L+1, n_alpha = n_gamma = 4L+2), 132 KB of
     planes at SO3 L=8 (17 * 969 * 8 bytes) and 378 MB at SO3 L=64
-    (129 * 366,145 * 8 bytes; SU2 at L=64 holds 97 MB).  At most four plans
-    are kept, so the memo holds at most four times the largest plan built.
+    (129 * 366,145 * 8 bytes; SU2 at L=64 holds 97 MB), built cold in about
+    0.75 s at a 491 MB peak (2 shared cores, OpenBLAS).  At most four plans are kept, so
+    the memo holds at most four times the largest plan built.
     """
-    j2max = j2_of(bandlimit, tag)  # DomainError below degree 0
+    j2_of(bandlimit, tag)  # DomainError below degree 0
     su2 = tag == SU2
     m = np.arange(-bandlimit, bandlimit + 1) / (2.0 if su2 else 1.0)
-    # SO3 degree ell is spin ell (j2 = 2 ell): the odd j2 are only steps of the recursion
-    planes = [plane for j2, plane in enumerate(_little_d_planes(j2max, rule.betas)) if su2 or j2 % 2 == 0]
+    planes = [little_d(j2_of(ell, tag), rule.betas) for ell in range(bandlimit + 1)]
     step = 2 if su2 else 1
     degrees = tuple((plane, slice(bandlimit - ell, bandlimit + ell + 1, step)) for ell, plane in enumerate(planes))
     ea, eg = np.exp(1j * np.outer(rule.alphas, m)), np.exp(1j * np.outer(rule.gammas, m))

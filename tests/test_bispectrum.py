@@ -243,6 +243,21 @@ def test_lift_beta_form_gives_the_padded_form_bit_for_bit(make, tmp_path):
         assert [m.tobytes() for m in got.recovered.matrices] == [m.tobytes() for m in want.recovered.matrices]
 
 
+@_LIFTS
+def test_lift_takes_no_determinant_and_stores_a_positive_zero(make, monkeypatch):
+    coeffs = make()
+
+    def no_det(a):
+        raise AssertionError("a lift's det F(1) is known without computing it")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    det = build_descriptor(coeffs).det_f1
+    if coeffs.bandlimit == 0:
+        assert det is None
+    else:
+        assert det == 0.0 and np.copysign(1.0, det) == 1.0
+
+
 def test_lift_descriptor_given_beta_checks_it():
     lift = build_descriptor(sphere_lift(random_sphere_function(6, 2, seed=45), 2))
     beta = lift.beta

@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import SO3, SU2, compose, identity, random_element, z_rotation
 from bispect.clebsch import (
+    _real_cg,
     cg_indices,
     clebsch_gordan,
     in_band,
@@ -16,6 +17,7 @@ from bispect.clebsch import (
     kron_solve,
     kron_swap,
     lift_terms,
+    real_clebsch_gordan,
     subgroup_projection,
     verify_coset_homomorphism,
 )
@@ -313,6 +315,19 @@ def test_clebsch_gordan_is_memoized():
     for _ in range(2):
         with pytest.raises(TagMismatchError):
             clebsch_gordan("SP4", 1, 1)
+
+
+def test_real_tables_and_lift_terms_keep_no_racah_table():
+    # C_R and the lift's terms build Racah's C themselves and free it, so the
+    # memo stays empty; their values are checked against the memo's C elsewhere
+    clebsch_gordan.cache_clear()
+    _real_cg.cache_clear()
+    lift_terms.cache_clear()
+    for p in range(6):
+        for q in range(p, 6):
+            real_clebsch_gordan(p, q, 5)
+    lift_terms(5)
+    assert clebsch_gordan.cache_info().currsize == 0
 
 
 def test_lift_terms_are_the_nonzero_blocks_of_c_and_read_only():

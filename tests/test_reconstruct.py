@@ -30,7 +30,7 @@ from bispect.reconstruct import (
     signed_sqrt,
 )
 from bispect.sphere import random_sphere_function, rotate_sphere, sphere_lift
-from bispect.wigner import CARTESIAN_TO_SPHERICAL
+from bispect.wigner import CARTESIAN_TO_SPHERICAL, wigner_all
 
 
 def test_positive_sqrt_basics(rng):
@@ -210,6 +210,31 @@ def test_find_alignment_recovers_translation(rng):
         witness = find_alignment(coeffs, translate(coeffs, x))
         assert distance(witness.x, x) < 1e-8
         assert witness.max_residual < 1e-8
+
+
+def test_find_alignment_reads_one_wigner_all_and_builds_no_translated_set(rng, monkeypatch):
+    import bispect.harmonic as harmonic_module
+    import bispect.reconstruct as reconstruct_module
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wigner_all(*args)
+
+    monkeypatch.setattr(reconstruct_module, "wigner_all", counted)
+    for tag in (SU2, SO3):
+        coeffs = random_bandlimited(4, tag, require_nonsingular=True, seed=94)
+        recovered = translate(coeffs, random_element(tag, rng))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(harmonic_module, "CoefficientSet", None)  # translate() would fail
+            witness = find_alignment(coeffs, recovered)
+        assert len(calls) == 1
+        # the residuals of the translated set, bit for bit
+        want = [np.linalg.norm(r - t) / np.linalg.norm(f)
+                for f, r, t in zip(coeffs.matrices, recovered.matrices, translate(coeffs, witness.x).matrices)]
+        assert list(witness.per_ell_residuals) == want
 
 
 def test_find_alignment_negative_control():

@@ -1,5 +1,8 @@
+from math import comb
+
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import (
@@ -19,8 +22,11 @@ from bispect.groups import (
 from bispect.wigner import (
     CARTESIAN_TO_SPHERICAL,
     SU2_BASIS_SWAP,
+    _delta,
+    _little_d_planes,
     dim,
     j2_of,
+    little_d,
     little_d_direct,
     little_d_stack,
     m_values,
@@ -232,10 +238,90 @@ def test_plan_holds_one_little_d_plane_per_degree(tag):
     assert len(degrees) == bandlimit + 1
     for ell, (planes, band) in enumerate(degrees):
         assert planes.shape == (rule.betas.size, dim(ell, tag), dim(ell, tag))
-        assert np.array_equal(planes, stack[j2_of(ell, tag)])
+        assert np.max(np.abs(planes - stack[j2_of(ell, tag)])) < 1e-14  # Risbo's product against the recursion
         assert np.array_equal(columns[band], m_values(ell, tag))
     # the byte count the memo's docstring quotes for SO3 L=8 on rule 16
     plane_bytes = sum(planes.nbytes for planes, _ in degrees)
     assert plane_bytes == rule.betas.size * sum(dim(ell, tag) ** 2 for ell in range(bandlimit + 1)) * 8
     if tag == SO3:
         assert plane_bytes == 131_784
+
+
+# the Euler degeneracies, beta at 0 and pi and just inside them, and a generic beta
+EDGE_BETAS = np.array([0.0, np.pi, 1e-9, np.pi - 1e-9, 1.1])
+
+
+def _jacobi_little_d(j2, betas):
+    """d^(j2/2)(beta) from the Jacobi closed form, sharing no code with the
+    recursion or Delta: with k = min(j +- m, j +- m'), a = |m' - m|, b = 2j - 2k - a,
+
+        d[m', m] = (-1)^lam sqrt(C(2j - k, k + a) / C(k + b, b)) sin^a(beta/2) cos^b(beta/2) P_k^(a, b)(cos beta),
+
+    lam = m' - m where k = j + m or j - m', else 0.  Past pi/2 it reads
+    P_k^(a, b)(x) = (-1)^k P_k^(b, a)(-x), so scipy's series runs at (1 - |x|)/2."""
+    i = np.arange(j2 + 1)
+    jpmp, jmmp = np.broadcast_to(i[:, None], (j2 + 1,) * 2), np.broadcast_to(j2 - i[:, None], (j2 + 1,) * 2)
+    jpm, jmm = jpmp.T, jmmp.T
+    k = np.minimum(np.minimum(jpm, jmm), np.minimum(jpmp, jmmp))
+    first = (k == jpm) | (k == jmmp)
+    a = np.where(first, jpmp - jpm, jpm - jpmp)
+    lam = np.where(first, jpmp - jpm, 0)
+    b = j2 - 2 * k - a
+    root = np.sqrt([[comb(j2 - kk, kk + aa) / comb(kk + bb, bb) for kk, aa, bb in zip(*row)] for row in zip(k, a, b)])
+    out = []
+    for beta in betas:
+        x = np.cos(beta)
+        p = eval_jacobi(k, a, b, x) if x >= 0 else (-1.0) ** k * eval_jacobi(k, b, a, -x)
+        out.append((-1.0) ** lam * root * np.sin(beta / 2) ** a * np.cos(beta / 2) ** b * p)
+    return np.array(out)
+
+
+def test_jacobi_reference_is_wigners_sum():
+    for j2 in range(7):
+        for beta in EDGE_BETAS:
+            assert np.max(np.abs(_jacobi_little_d(j2, [beta])[0] - little_d_direct(j2, beta))) < 1e-15
+
+
+@pytest.mark.parametrize("j2", [1, 2, 17, 64, 127, 128])
+def test_little_d_matches_the_jacobi_closed_form_at_large_spin(j2):
+    # measured 5.5e-15 at j2 = 128 on these betas
+    assert np.max(np.abs(little_d(j2, EDGE_BETAS) - _jacobi_little_d(j2, EDGE_BETAS))) < 1e-14
+
+
+def test_little_d_is_orthogonal_at_spin_128():
+    d = little_d(256, np.append(EDGE_BETAS, [0.3, 2.9]))
+    assert np.max(np.abs(d @ d.transpose(0, 2, 1) - np.eye(257))) < 3e-14  # measured 1.4e-14
+
+
+@pytest.mark.parametrize("tag, lmax", [(SO3, 8), (SU2, 16)])
+def test_wigner_all_matches_the_recursion_with_its_phases(tag, lmax, rng):
+    elements = [random_element(tag, rng) for _ in range(6)]
+    elements += [from_euler((1.3, b, 0.4), tag) for b in EDGE_BETAS]
+    if tag == SU2:  # gamma in [2 pi, 4 pi), then the other sheet of everything
+        elements += [from_euler((0.3, 1.1, c), tag) for c in (2 * np.pi, 2 * np.pi + 1.0, 4 * np.pi - 1e-9)]
+        elements += [GroupElement(SU2, -g.data) for g in elements]
+    ang = np.array([to_euler(g) for g in elements])
+    planes = little_d_stack(j2_of(lmax, tag), ang[:, 1])
+    for ell, stack in enumerate(wigner_all(lmax, tag, elements)):
+        ph = np.exp(-1j * ang[:, 0::2, None] * m_values(ell, tag))
+        reference = ph[:, 0, :, None] * planes[j2_of(ell, tag)] * ph[:, 1, None, :]
+        assert np.max(np.abs(stack - reference)) < 1e-14
+
+
+def test_little_d_matches_the_recursion_up_to_so3_degree_64():
+    # every SO3 spin of the plan at L = 64, on every eighth beta of its rule and
+    # both ends; the plan itself (378 MB) is too large for this suite
+    betas = haar_quadrature(128, SO3).betas
+    betas = np.concatenate([betas[::8], betas[-1:]])
+    for j2, plane in enumerate(_little_d_planes(128, betas)):
+        if j2 % 2 == 0:
+            assert np.max(np.abs(little_d(j2, betas) - plane)) < 1e-14, j2
+
+
+def test_delta_memo_is_bounded_read_only_and_is_d_at_a_right_angle():
+    assert _delta.cache_info().maxsize == 256
+    for j2 in range(9):
+        factors = _delta(j2)
+        assert _delta(j2) is factors
+        assert not any(x.flags.writeable for x in factors)
+        assert np.max(np.abs(little_d(j2, np.array([np.pi / 2]))[0] - little_d_direct(j2, np.pi / 2))) < 1e-15
