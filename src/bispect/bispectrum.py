@@ -10,11 +10,14 @@ stores B(p, q) = A(p, q) C_pq = [F(p) (x) F(q)] C_pq [dsum_{a <= L} F(a)^+]
 on the in-band columns only (``clebsch.in_band``) and for p <= q only: the
 swap S from p (x) q to q (x) p rows gives C_qp = S C_pq Sigma, Sigma one
 sign per block commuting with the middle factor, so A(q, p) = S A(p, q) S^T
-exactly (``kron_swap``).  ``CGDecomposition.couple`` computes B on the
-nonzero rows of F(p) and F(q); ``desc[(p, q)]`` forms the paper's A(p, q)
-on demand, B C^T (``CGDecomposition.decouple``), swapped for p > q.  B and
-A have the same Frobenius norm, so comparisons weigh each stored pair by
-(2 - delta_pq) d_p d_q.
+exactly (``kron_swap``).  ``clebsch.couple_tables`` computes every B(p, q)
+on the nonzero rows of F(p) and F(q) in one read-only buffer (on SU2 one
+per parity of p + q), two gemms a pair and one a degree, and each entry is
+a view of it; ``desc[(p, q)]`` forms the paper's A(p, q) on demand, B C^T
+(``CGDecomposition.decouple``), swapped for p > q.  B and A have the same
+Frobenius norm, so comparisons weigh each stored pair by (2 - delta_pq)
+d_p d_q.  A set with a non-finite entry is refused, naming its degree,
+before any of this.
 
 A descriptor keeps, per degree l, rows rl, and per entry only the rows
 rp (x) rq of B(p, q); the others are zero.  A sphere lift (SO3, every F(l)
@@ -26,8 +29,8 @@ is zero off its column a, block a of that row is zero but at its column
     beta(p, q, a) = (a_p (x) a_q) C_pq[:, block a] a_a^+ .
 
 So a lift's descriptor stores its beta alone, 106 values at L = 6, summed
-from the ``lift_terms`` table of C's nonzero entries with no ``couple``
-call and no scan of rows; ``desc[(p, q)]``, ``stored``, ``coupled`` and the
+from the ``lift_terms`` table of C's nonzero entries with no coupling
+and no scan of rows; ``desc[(p, q)]``, ``stored``, ``coupled`` and the
 comparisons place it in B(p, q)'s row when asked.  Any other set, a
 near-lift too, is coupled.
 
@@ -56,6 +59,7 @@ bandlimits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -65,8 +69,8 @@ import numpy as np
 from .errors import DomainError, PrecisionWarning, TagMismatchError
 from .groups import SO3, SU2, GroupElement, QuadratureRule, haar_quadrature
 from .harmonic import CoefficientSet, SampledFunction, fourier_forward
-from .clebsch import (CGDecomposition, cg_indices, clebsch_gordan, in_band, kron_swap, lift_terms, real_basis,
-                      real_clebsch_gordan)
+from .clebsch import (CGDecomposition, cg_indices, clebsch_gordan, couple_tables, coupling_layout, in_band, kron_swap,
+                      lift_terms, real_basis, real_clebsch_gordan)
 from .wigner import dim, wigner_all, wigner_stack_on_rule
 
 # An SO3 set whose F_R(l) = U_l F(l) U_l^+ have no imaginary part above this
@@ -79,21 +83,41 @@ def _table(tag: str, bandlimit: int, real: bool, p: int, q: int) -> CGDecomposit
     return real_clebsch_gordan(p, q, bandlimit) if real else clebsch_gordan(tag, p, q)
 
 
-def _entry(cg: CGDecomposition, live: list[tuple[np.ndarray, np.ndarray]], daggers: list[np.ndarray]) -> np.ndarray:
-    """Rows rp (x) rq of the coupled form of ``cg``'s pair, from live[l] = (rl, rows
-    of F(l) kept) as ``_live_rows`` gives them and the in-band F(a)^+, daggers[a]."""
-    return cg.couple(live[cg.p][1], live[cg.q][1], {a: daggers[a] for a in cg.indices if a < len(daggers)})
+def _check_finite(matrices) -> None:
+    """Raise DomainError naming the first degree whose F(l) has a non-finite entry."""
+    for ell, m in enumerate(matrices):
+        if not np.isfinite(m).all():
+            raise DomainError(f"F({ell}) has a non-finite entry")
+
+
+@lru_cache(maxsize=8)
+def _padded_real_basis(bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
+    """U_l and U_l^+ for l <= bandlimit, each zero-padded to (2L + 1, 2L + 1)
+    and stacked; memoized, read-only."""
+    u = np.zeros((bandlimit + 1, 2 * bandlimit + 1, 2 * bandlimit + 1), dtype=complex)
+    for ell in range(bandlimit + 1):
+        u[ell, : 2 * ell + 1, : 2 * ell + 1] = real_basis(ell)
+    uh = np.ascontiguousarray(u.conj().transpose(0, 2, 1))
+    for x in (u, uh):
+        x.setflags(write=False)  # cached and shared by the whole process
+    return u, uh
 
 
 def _real_form(coeffs: CoefficientSet) -> tuple[list[np.ndarray], float] | None:
     """F_R(l) = U_l F(l) U_l^+ in float64 and the largest |Im F_R| they drop,
-    relative to the largest |F_R| entry; None when that exceeds REAL_BASIS_TOL."""
-    rotated = [real_basis(ell) @ m @ real_basis(ell).conj().T for ell, m in enumerate(coeffs.matrices)]
-    scale = float(np.max([np.abs(m).max() for m in rotated]))  # NaN propagates, and fails the test below
-    imag = float(np.max([np.abs(m.imag).max() for m in rotated]))
+    relative to the largest |F_R| entry; None when that exceeds REAL_BASIS_TOL.
+    Two batched products on the zero-padded stack of every F(l)."""
+    L = coeffs.bandlimit
+    u, uh = _padded_real_basis(L)
+    f = np.zeros_like(u)
+    for ell, m in enumerate(coeffs.matrices):
+        f[ell, : 2 * ell + 1, : 2 * ell + 1] = m
+    rotated = u @ f @ uh
+    scale, imag = float(np.abs(rotated).max()), float(np.abs(rotated.imag).max())
     if not imag <= REAL_BASIS_TOL * scale:
         return None
-    return [m.real for m in rotated], imag / scale if scale else 0.0
+    real = np.ascontiguousarray(rotated.real)
+    return [real[ell, : 2 * ell + 1, : 2 * ell + 1] for ell in range(L + 1)], imag / scale if scale else 0.0
 
 
 def _from_real(x: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -125,11 +149,11 @@ def _gather(full: np.ndarray, rp: np.ndarray, rq: np.ndarray, dp: int, dq: int) 
 
 
 def _live_rows(matrices) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices, rows) of each F(l)'s nonzero rows."""
+    """(indices, rows) of each F(l)'s nonzero rows; the rows are F(l) itself when every row is."""
     out = []
     for m in matrices:
         r = np.flatnonzero(m.any(axis=1))
-        out.append((r, m[r]))
+        out.append((r, m if len(r) == len(m) else m[r]))
     return out
 
 
@@ -154,10 +178,14 @@ def _lift_layout(bandlimit: int) -> tuple[dict[tuple[int, int], tuple[slice, np.
 def _lift_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor | None:
     """The descriptor of an SO3 set that keeps no row of any F(l) but row l, a
     sphere lift, its beta summed from ``lift_terms``; None for any other set.
-    Its F(1) keeps one row of three, so its det F(1) is 0.0."""
+    Its F(1) keeps one row of three, so its det F(1) is 0.0.  Raises
+    DomainError for a lift with a non-finite entry."""
     x = np.concatenate([m[ell] for ell, m in enumerate(coeffs.matrices)])
     if np.count_nonzero(x) != sum(map(np.count_nonzero, coeffs.matrices)):
         return None
+    finite = np.isfinite(x)
+    if not finite.all():  # x[l^2 : (l + 1)^2] is row l of F(l)
+        raise DomainError(f"F({math.isqrt(int(np.argmin(finite)))}) has a non-finite entry")
     L, terms = coeffs.bandlimit, lift_terms(coeffs.bandlimit)
     left, right, target = terms.factors
     beta = np.add.reduceat(terms.coef * x[left] * x[right] * x.conj()[target], terms.term_start)
@@ -172,14 +200,17 @@ def _lift_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor | None:
 
 
 def bispectrum_matrix(coeffs: CoefficientSet, p: int, q: int) -> np.ndarray:
-    """A(p, q) by the matrix formula: for p <= q by ``build_descriptor``'s route
-    for the set, so it equals ``desc[(p, q)]``; out-of-band degrees are zero blocks."""
+    """A(p, q) by the matrix formula: for p <= q read from the set's
+    descriptor, so it is ``desc[(p, q)]`` bit for bit (a gemm's rounding
+    depends on its width, so coupling the pair alone would not be); for
+    p > q coupled directly.  Out-of-band degrees are zero blocks."""
     if p > coeffs.bandlimit or q > coeffs.bandlimit:
         raise DomainError("p and q must not exceed the bandlimit")
     if p <= q:
-        return _descriptor(coeffs, [(p, q)])[(p, q)]
+        return build_descriptor(coeffs)[(p, q)]
+    _check_finite(coeffs.matrices)
     live, cg = _live_rows(coeffs.matrices), clebsch_gordan(coeffs.tag, p, q)
-    rows = _entry(cg, live, [m.conj().T for m in coeffs.matrices])
+    rows = cg.couple(live[p][1], live[q][1], {a: m.conj().T for a, m in enumerate(coeffs.matrices) if a in cg.indices})
     return _scatter(cg.decouple(rows), live[p][0], live[q][0], dim(p, coeffs.tag), dim(q, coeffs.tag))
 
 
@@ -322,28 +353,6 @@ class BispectrumDescriptor:
         return sorted({pair for p, q in self.entries for pair in ((p, q), (q, p))})
 
 
-def _descriptor(coeffs: CoefficientSet, pairs: list[tuple[int, int]] | None = None) -> BispectrumDescriptor:
-    """The descriptor of ``coeffs`` holding the given pairs, p <= q, or every
-    one; a sphere lift's holds every one."""
-    tag, L = coeffs.tag, coeffs.bandlimit
-    lift = _lift_descriptor(coeffs) if tag == SO3 else None
-    if lift is not None:
-        return lift
-    det_f1 = None
-    if tag != SU2 and L >= 1:
-        det = complex(np.linalg.det(coeffs[1]))
-        if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
-            det_f1 = float(det.real)
-    if pairs is None:
-        pairs = [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
-    real = _real_form(coeffs) if tag == SO3 else None
-    mats, dropped = real or (coeffs.matrices, None)
-    live = _live_rows(mats)
-    daggers = [m.conj().T for m in mats]
-    entries = {(p, q): _entry(_table(tag, L, dropped is not None, p, q), live, daggers) for p, q in pairs}
-    return BispectrumDescriptor(tag, L, entries, det_f1, tuple(r for r, _ in live), dropped)
-
-
 def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     """Assemble the descriptor, each degree keeping the nonzero rows of its F(l).
 
@@ -355,7 +364,25 @@ def build_descriptor(coeffs: CoefficientSet) -> BispectrumDescriptor:
     (``clebsch.real_clebsch_gordan``); every other set, SU2 included, stores
     its complex B(p, q).  SO3 sets with a (near-)real det F(1) store it as
     side information for the reconstruction sign branch."""
-    return _descriptor(coeffs)
+    tag, L = coeffs.tag, coeffs.bandlimit
+    lift = _lift_descriptor(coeffs) if tag == SO3 else None
+    if lift is not None:
+        return lift
+    _check_finite(coeffs.matrices)
+    det_f1 = None
+    if tag != SU2 and L >= 1:
+        det = complex(np.linalg.det(coeffs[1]))
+        if abs(det.imag) <= 1e-8 * max(1.0, abs(det.real)):
+            det_f1 = float(det.real)
+    real = _real_form(coeffs) if tag == SO3 else None
+    mats, dropped = real or (coeffs.matrices, None)
+    live = _live_rows(mats)
+    blocks = {a: m.conj().T for a, m in enumerate(mats)}
+    entries = {}
+    for degrees, run, tables in coupling_layout(tag, L, dropped is not None):  # one buffer per run
+        entries.update(zip(run, couple_tables(tables, [(live[p][1], live[q][1]) for p, q in run], blocks, degrees)))
+    pairs = [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    return BispectrumDescriptor(tag, L, {pq: entries[pq] for pq in pairs}, det_f1, tuple(r for r, _ in live), dropped)
 
 
 def _compared_blocks(d1: BispectrumDescriptor, d2: BispectrumDescriptor):

@@ -133,12 +133,13 @@ def _theta_columns(thetas: np.ndarray, bandlimit: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _grid_theta_columns(grid: SphereGrid, bandlimit: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_theta_columns`` on a grid's thetas and the phase e^{i n phi} (2B, 2L+1)
-    on its phis, memoized per (grid, bandlimit) and read-only.
+    """``_theta_columns`` on a grid's thetas, as an (n, l, theta) copy, and the
+    phase e^{i n phi} (2B, 2L+1) on its phis, memoized per (grid, bandlimit)
+    and read-only.
 
     ``sphere_grid`` hands out one grid per resolution, so the key is in
     effect (resolution, bandlimit)."""
-    cols = _theta_columns(grid.thetas, bandlimit)
+    cols = np.ascontiguousarray(_theta_columns(grid.thetas, bandlimit).transpose(2, 0, 1))
     phase = np.exp(1j * np.outer(grid.phis, np.arange(-bandlimit, bandlimit + 1)))
     cols.setflags(write=False)  # cached and shared by the whole process
     phase.setflags(write=False)
@@ -165,7 +166,7 @@ def sphere_coefficients(s: SphereFunction, bandlimit: int) -> list[np.ndarray]:
     n = 2 * grid.resolution
     cols, phase = _grid_theta_columns(grid, bandlimit)
     t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
-    a = np.einsum("ltn,tn->ln", cols, t)
+    a = (cols @ t.T[:, :, None])[..., 0].T  # one theta quadrature per n: a batched matmul
     return [a[ell, bandlimit - ell : bandlimit + ell + 1] for ell in range(bandlimit + 1)]
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import bispect.bispectrum as bispectrum_module
+import bispect.clebsch as clebsch_module
 from bispect.errors import DomainError, TagMismatchError
 from bispect.groups import SO3, SU2, haar_quadrature, identity, random_element
 from bispect.harmonic import CoefficientSet, SampledFunction, fourier_inverse, random_bandlimited, translate
@@ -20,7 +21,7 @@ from bispect.bispectrum import (
     triple_correlation,
     triple_correlation_grid,
 )
-from bispect.clebsch import CGDecomposition, clebsch_gordan, in_band, lift_terms
+from bispect.clebsch import CGDecomposition, clebsch_gordan, coupling_layout, in_band, lift_terms
 from bispect.glyphs import PlanarMotion, apply_planar_motion, beta_count, lift_beta, lift_image, synthetic_glyphs
 from bispect.io import save_descriptor
 from bispect.reconstruct import reconstruct_so3
@@ -120,6 +121,21 @@ def couple_calls(monkeypatch):
 
     monkeypatch.setattr(CGDecomposition, "couple", counted)
     return calls
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """The (p, q) of every table a descriptor's coupling layout reads, from an empty layout memo."""
+    calls = []
+    for name in ("real_clebsch_gordan", "in_band_clebsch_gordan"):
+        def counted(*args, table=getattr(clebsch_module, name)):
+            calls.append(args[-3:-1])  # (p, q, L) or (tag, p, q, L)
+            return table(*args)
+
+        monkeypatch.setattr(clebsch_module, name, counted)
+    coupling_layout.cache_clear()
+    yield calls
+    coupling_layout.cache_clear()  # its tables came through the counters
 
 
 @pytest.fixture
@@ -341,13 +357,17 @@ def _su2_one_row_per_degree():
      _off_row_set, _near_lift, _su2_one_row_per_degree, lambda: _with_a_zero_degree(SU2)],
     ids=["SU2", "SO3", "off-row", "near-lift", "SU2-one-row", "SU2-zero-degree"],
 )
-def test_descriptor_couples_upper_triangle_only(make, couple_calls, live_rows_calls):
-    # every set but a sphere lift is coupled, once per pair with p <= q, from one scan of its rows
+def test_descriptor_couples_upper_triangle_only(make, table_reads, couple_calls, live_rows_calls):
+    # every set but a sphere lift is coupled in one buffer, reading each p <= q table once, from one scan of its rows
     coeffs = make()
     build_descriptor(coeffs)
     L = coeffs.bandlimit
-    assert sorted(couple_calls) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    assert sorted(table_reads) == [(p, q) for p in range(L + 1) for q in range(p, L + 1)]
+    assert couple_calls == []
     assert live_rows_calls == [L + 1]
+    # a second build reads its tables from the memoized layout
+    build_descriptor(coeffs)
+    assert len(table_reads) == (L + 1) * (L + 2) // 2 and live_rows_calls == [L + 1] * 2
 
 
 def test_bispectrum_requires_in_band_pair():

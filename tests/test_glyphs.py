@@ -196,7 +196,6 @@ def test_glyph_index_accepts_a_numpy_integer_resolution(tmp_path):
     assert match(query, back) == match(query, index)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_non_finite_glyph_values_are_rejected():
     # a NaN or infinite pixel, even outside the disk, is rejected before the image is sampled
     glyphs = synthetic_glyphs(32)
@@ -206,13 +205,18 @@ def test_non_finite_glyph_values_are_rejected():
             bad[pixel] = value
             with pytest.raises(DomainError, match="non-finite pixel"):
                 build_glyph_index({**glyphs, "ring": bad}, 8, 1)
-    # one NaN sphere sample makes every distance NaN, ranked by label alone
+    # one NaN sphere sample makes every coefficient NaN: its lift has no descriptor
     index = build_glyph_index(glyphs, 8, 1)
     sphere = lift_image(glyphs["ring"], 8)
     values = sphere.values.copy()
     values[3, 5] = np.nan
+    with pytest.raises(DomainError, match=r"F\(0\) has a non-finite entry"):
+        build_descriptor(sphere_lift(SphereFunction(sphere.grid, values), 1))
+    # and a query given with a non-finite beta is refused by match
+    beta = build_descriptor(sphere_lift(sphere, 1)).beta.copy()
+    beta[2] = np.nan
     with pytest.raises(DomainError, match="query has a non-finite descriptor value"):
-        match(build_descriptor(sphere_lift(SphereFunction(sphere.grid, values), 1)), index)
+        match(BispectrumDescriptor(SO3, 1, det_f1=0.0, beta=beta), index)
     beta = index.beta.copy()
     beta[1, 3] = complex(0.0, np.inf)
     with pytest.raises(DomainError, match=f"glyph {index.labels[1]!r} has a non-finite descriptor value"):

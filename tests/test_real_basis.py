@@ -174,10 +174,11 @@ def test_the_imaginary_part_against_the_one_bound_decides_the_form(standard_rout
     # what was dropped is all that separates it from the standard route
     assert 1e-13 < descriptor_max_relative_gap(standard_route(below), desc) <= 1e-11
     assert build_descriptor(coeffs).dropped_imag < 1e-15
-    # a NaN is no measured imaginary part: the set stays complex
+    # a NaN is no measured imaginary part: the set is refused before either form is chosen
     mats = [m.copy() for m in coeffs.matrices]
     mats[2][1, 1] = np.nan
-    assert build_descriptor(CoefficientSet(SO3, 4, tuple(mats))).dropped_imag is None
+    with pytest.raises(DomainError, match=r"F\(2\) has a non-finite entry"):
+        build_descriptor(CoefficientSet(SO3, 4, tuple(mats)))
 
 
 def test_a_real_set_with_a_zeroed_row_pair_keeps_exact_zero_rows(standard_route):

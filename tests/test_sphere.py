@@ -210,10 +210,10 @@ def test_memoized_theta_columns_are_the_direct_ones(resolution):
     coeffs = sphere_coefficients(s, 6)
     cols, memo_phase = _grid_theta_columns(grid, 6)
     direct = _theta_columns(grid.thetas, 6)
-    assert cols.tobytes() == direct.tobytes()
+    assert cols.tobytes() == direct.transpose(2, 0, 1).tobytes()
     assert _grid_theta_columns(grid, 6)[0] is cols and _grid_theta_columns.cache_info().maxsize is not None
     with pytest.raises(ValueError):
-        cols[0, 0, 6] = 2.0
+        cols[6, 0, 0] = 2.0
     with pytest.raises(ValueError):
         memo_phase[0, 0] = 2.0
     # sphere_coefficients with the columns and phase evaluated directly gives the same bits
@@ -221,7 +221,10 @@ def test_memoized_theta_columns_are_the_direct_ones(resolution):
     phase = np.exp(1j * np.outer(grid.phis, np.arange(-6, 7)))
     assert memo_phase.tobytes() == phase.tobytes()
     t = (grid.theta_weights[:, None] * s.values) @ phase * ((2 * np.pi / n) / (4 * np.pi))
-    a = np.einsum("ltn,tn->ln", direct, t)
+    a = (np.ascontiguousarray(direct.transpose(2, 0, 1)) @ t.T[:, :, None])[..., 0].T
+    # the batched quadrature is the einsum over theta up to rounding
+    summed = np.einsum("ltn,tn->ln", direct, t)
+    assert np.max(np.abs(a - summed)) <= 1e-15 * np.max(np.abs(summed))
     for ell, got in enumerate(coeffs):
         assert got.tobytes() == a[ell, 6 - ell : 7 + ell].tobytes()
 
